@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 from . import constructions, engine, fileformat, verifier
 from .fileformat import GswParseError
-from .model import CdSystem, HcdSystem, Mode, ProgrammedGrammar, Rule
+from .model import CdSystem, Mode, ProgrammedGrammar
 
 EXIT_OK = 0
 EXIT_DIFF = 1
@@ -41,29 +41,31 @@ def _load(path: str) -> fileformat.GrammarFile:
 def _bounds(args) -> engine.Bounds:
     form_len = args.max_form_len if args.max_form_len else args.max_len
     try:
-        return engine.Bounds(args.max_len, form_len, args.max_inner_steps)
+        return engine.Bounds(args.max_len, form_len)
     except ValueError as err:
         raise CliError(str(err))
 
 
 def _mode_for(gf: fileformat.GrammarFile, flag: Optional[str]) -> Optional[Mode]:
+    """The mode a plain CD system runs in: the --mode flag, else the file's.
+
+    Other grammar kinds need no mode, so they get None.
+    """
+    if not isinstance(gf.grammar, CdSystem):
+        return None
     if flag is not None:
         try:
             return fileformat.parse_mode(flag)
         except GswParseError as err:
             raise CliError(str(err))
+    if gf.uniform_mode is None:
+        raise CliError("a cdgs file needs a mode (file 'mode' line or --mode)")
     return gf.uniform_mode
 
 
-def _enumerate(gf: fileformat.GrammarFile, mode_flag, bounds, with_traces=False):
-    grammar = gf.grammar
-    mode = None
-    if isinstance(grammar, CdSystem) and not isinstance(grammar, HcdSystem):
-        mode = _mode_for(gf, mode_flag)
-        if mode is None:
-            raise CliError("a cdgs file needs a mode (file 'mode' line or --mode)")
+def _enumerate(gf: fileformat.GrammarFile, mode_flag, bounds):
     try:
-        return engine.enumerate_grammar(grammar, bounds, mode=mode, with_traces=with_traces), mode
+        return engine.enumerate_grammar(gf.grammar, bounds, mode=_mode_for(gf, mode_flag))
     except ValueError as err:
         raise CliError(str(err))
 
@@ -91,7 +93,7 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
 
 def _cmd_enumerate(args) -> int:
     gf = _load(args.file)
-    result, _ = _enumerate(gf, args.mode, _bounds(args))
+    result = _enumerate(gf, args.mode, _bounds(args))
     for word in result.language.words:
         print(" ".join(word))
     if result.language.truncated and args.strict:
@@ -101,7 +103,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _linear_from_component(grammar, index_k: Optional[int]):
-    if not isinstance(grammar, CdSystem) or isinstance(grammar, HcdSystem):
+    if not isinstance(grammar, CdSystem):
         raise CliError("source grammar must be a single-component cdgs file")
     if grammar.degree != 1:
         raise CliError("source grammar must have exactly one component")
@@ -143,14 +145,14 @@ def _cmd_transform(args) -> int:
                 )
         elif name == "cd-to-programmed":
             gf = _load(_require_file(args))
-            if not isinstance(gf.grammar, CdSystem) or isinstance(gf.grammar, HcdSystem):
+            if not isinstance(gf.grammar, CdSystem):
                 raise CliError("cd-to-programmed needs a cdgs file")
             if args.k is None:
                 raise CliError("cd-to-programmed needs --k")
             out = constructions.cd_to_programmed(gf.grammar, args.k, args.variant)
         elif name == "prolong":
             gf = _load(_require_file(args))
-            if not isinstance(gf.grammar, CdSystem) or isinstance(gf.grammar, HcdSystem):
+            if not isinstance(gf.grammar, CdSystem):
                 raise CliError("prolong needs a cdgs file")
             if args.ell is None:
                 raise CliError("prolong needs --ell")
@@ -197,8 +199,8 @@ def _require_file(args) -> str:
 def _cmd_check_equiv(args) -> int:
     gf_a, gf_b = _load(args.file_a), _load(args.file_b)
     bounds = _bounds(args)
-    res_a, _ = _enumerate(gf_a, args.mode_a or args.mode, bounds)
-    res_b, _ = _enumerate(gf_b, args.mode_b or args.mode, bounds)
+    res_a = _enumerate(gf_a, args.mode_a or args.mode, bounds)
+    res_b = _enumerate(gf_b, args.mode_b or args.mode, bounds)
     report = verifier.bounded_equal(res_a.language, res_b.language)
     for line in report.lines():
         print(line)
@@ -210,16 +212,11 @@ def _cmd_check_equiv(args) -> int:
 
 def _cmd_index(args) -> int:
     gf = _load(args.file)
-    grammar = gf.grammar
     bounds = _bounds(args)
-    mode = None
-    if isinstance(grammar, CdSystem) and not isinstance(grammar, HcdSystem):
-        mode = _mode_for(gf, args.mode)
-        if mode is None:
-            raise CliError("a cdgs file needs a mode (file 'mode' line or --mode)")
-    word = _parse_word(args.word, grammar)
+    mode = _mode_for(gf, args.mode)
+    word = _parse_word(args.word, gf.grammar)
     try:
-        result = engine.word_index(grammar, word, bounds, mode=mode)
+        result = engine.word_index(gf.grammar, word, bounds, mode=mode)
     except ValueError as err:
         raise CliError(str(err))
     if result.index is None:
@@ -247,7 +244,6 @@ def _cmd_nsf_check(args) -> int:
 def _add_bounds_args(p, max_len_required=True):
     p.add_argument("--max-len", type=int, required=max_len_required)
     p.add_argument("--max-form-len", type=int, default=None)
-    p.add_argument("--max-inner-steps", type=int, default=None)
     p.add_argument("--strict", action="store_true")
 
 

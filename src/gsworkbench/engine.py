@@ -1,19 +1,21 @@
-"""Derivation engine: single steps, mode predicate, bounded enumeration.
+"""Derivation engine: single steps, mode predicate, bounded searches.
 
-Enumeration is a breadth-first fixpoint search over sentential forms with
-global deduplication.  For λ-free systems with no inner step cap the result
-is exactly the generated language intersected with the words of bounded
-length, because rule application never shortens a form.  Every enumerated
-word can be traced: the engine keeps parent pointers and reconstructs a
-step-by-step derivation on demand.
+Two searches run over a successor function per grammar, and a plain CD
+system is searched as the hybrid system with its mode on every component.
+A breadth-first search with parent pointers gives mode steps, enumeration
+and traces; a minimax search gives the word index.  Forms are capped by
+``max_form_len`` and inner step counts by their mode, so every search is
+finite and exact within the form cap.  For λ-free systems the enumerated
+language is then exactly the generated language intersected with the words
+of bounded length, because rule application never shortens a form.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Dict, Optional, Sequence, Tuple
 
 from .model import (
     CdSystem,
@@ -22,15 +24,11 @@ from .model import (
     Mode,
     ProgrammedGrammar,
     Rule,
-    RuleSet,
+    form_text,
     is_terminal_form,
     mode_step_cap,
     nonterminal_count,
 )
-
-# Safety net for cycle detection in unbounded modes when no inner step cap
-# was requested; hitting it sets the truncation flag.
-_HARD_INNER_CAP = 10000
 
 Word = Tuple[str, ...]
 
@@ -39,15 +37,12 @@ Word = Tuple[str, ...]
 class Bounds:
     """Desk-scale caps for enumeration.
 
-    ``max_word_len`` caps emitted terminal words, ``max_form_len`` caps the
-    sentential forms explored, and ``max_inner_steps`` (optional) caps the
-    per-component inner search, needed only for unbounded modes on grammars
-    whose components can loop without growing.
+    ``max_word_len`` caps emitted terminal words and ``max_form_len`` caps
+    the sentential forms explored.
     """
 
     max_word_len: int
     max_form_len: int
-    max_inner_steps: Optional[int] = None
 
     def __post_init__(self):
         if self.max_word_len < 1 or self.max_form_len < 1:
@@ -120,15 +115,8 @@ class DerivationTrace:
                 yield f
 
     def final_form(self) -> Form:
-        if self.segments:
-            return self.segments[-1].forms[-1]
-        return self.start
-
-    def steps(self):
-        """Flat (actor, form) view, one entry per single derivation step."""
-        for seg in self.segments:
-            for f in seg.forms:
-                yield (seg.actor, f)
+        *_, last = self.all_forms()
+        return last
 
 
 def trace_index(trace: DerivationTrace) -> int:
@@ -187,10 +175,84 @@ def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
     if f.kind == "t":
         return not applicable(ruleset, y)
     if f.kind == "and":
-        return mode_predicate(f.left, m, ruleset, y) and mode_predicate(
-            f.right, m, ruleset, y
+        # a step-count test is cheaper than t's scan of the form: run it first
+        first, second = (f.right, f.left) if f.left.kind == "t" else (f.left, f.right)
+        return mode_predicate(first, m, ruleset, y) and mode_predicate(
+            second, m, ruleset, y
         )
     raise ValueError("unknown mode kind %r" % f.kind)
+
+
+# ---------------------------------------------------------------------------
+# The search core
+# ---------------------------------------------------------------------------
+#
+# A successor function maps a state to ``(edges, pruned)``: the
+# ``(next state, its form, edge label)`` triples, and whether a branch was
+# dropped because its form exceeded ``max_form_len``.
+
+
+def _bfs(starts, successors):
+    """Breadth-first search with parent pointers.
+
+    ``starts`` holds ``(state, form)`` pairs.  Returns the reached states in
+    visiting order as ``(state, form, parent position, edge label)`` rows,
+    where a start has parent position -1 and no label, and whether any
+    branch was pruned.
+    """
+    rows = [(state, form, -1, None) for state, form in starts]
+    seen = {row[0] for row in rows}
+    pruned = False
+    for i, row in enumerate(rows):  # the loop visits the rows it appends
+        edges, cut = successors(row[0])
+        pruned = pruned or cut
+        for y, form, label in edges:
+            if y not in seen:
+                seen.add(y)
+                rows.append((y, form, i, label))
+    return rows, pruned
+
+
+def _labels_to(rows, i: int) -> list:
+    """Edge labels on the parent-pointer path from a start to rows[i]."""
+    labels = []
+    while rows[i][2] >= 0:
+        labels.append(rows[i][3])
+        i = rows[i][2]
+    labels.reverse()
+    return labels
+
+
+def _minimax(starts, successors, is_goal):
+    """Least cost of a goal state and whether any branch was pruned.
+
+    The cost of a path is the largest nonterminal count of a form on it; the
+    search is a Dijkstra search, sound because extending a path never lowers
+    its cost.  It returns at the first goal state popped, with a ``None``
+    cost when no goal state is reachable.
+    """
+    best = {}
+    heap = []
+    tie = count()  # FIFO among equal costs; states are never compared
+    for state, form in starts:
+        best[state] = nonterminal_count(form)
+        heap.append((best[state], next(tie), state))
+    heapq.heapify(heap)
+    pruned = False
+    while heap:
+        cost, _, state = heapq.heappop(heap)
+        if cost > best[state]:
+            continue
+        if is_goal(state):
+            return cost, pruned
+        edges, cut = successors(state)
+        pruned = pruned or cut
+        for nxt, form, _ in edges:
+            ncost = max(cost, nonterminal_count(form))
+            if ncost < best.get(nxt, ncost + 1):
+                best[nxt] = ncost
+                heapq.heappush(heap, (ncost, next(tie), nxt))
+    return None, pruned
 
 
 # ---------------------------------------------------------------------------
@@ -203,142 +265,106 @@ class ModeStepResult:
     """Outcome of one component turn: target forms with witness inner paths.
 
     ``results[y]`` is the tuple of forms after each inner step of one
-    witness derivation x => ... => y (empty tuple when y was accepted with
-    zero steps).  ``truncated`` is set when the inner step cap cut off live
-    branches before the search stabilized.
+    shortest witness derivation x => ... => y (empty tuple when y was
+    accepted with zero steps).
     """
 
     results: Dict[Form, Tuple[Form, ...]]
-    truncated: bool = False
     # a live branch exceeded max_form_len; harmless for λ-free grammars
     # (forms never shrink) but a completeness loss otherwise
     length_pruned: bool = False
 
-    def forms(self) -> frozenset:
-        return frozenset(self.results)
+
+def _largest_at_least(f: Mode) -> int:
+    if f.kind == "ge":
+        return f.k
+    if f.kind == "and":
+        return max(_largest_at_least(f.left), _largest_at_least(f.right))
+    return 0
+
+
+def _count_limit(f: Mode) -> Tuple[int, bool]:
+    """How far inner step counts are tracked in mode `f`: ``(limit, bounded)``.
+
+    A bounded mode keeps the exact count and takes no step past its largest
+    admissible count.  An unbounded mode only compares the count with its
+    ``>=k`` constants, so the count saturates at the largest of them and the
+    predicate gives the same verdict on it as on the true count.
+    """
+    cap = mode_step_cap(f)
+    if cap is not None:
+        return cap, True
+    return _largest_at_least(f), False
+
+
+def _next_count(m: int, limit: int, bounded: bool) -> Optional[int]:
+    """The tracked count after one more inner step; None if none is allowed."""
+    if m < limit:
+        return m + 1
+    return None if bounded else m
 
 
 def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> ModeStepResult:
     """All y with form =>^m y via `ruleset` and P(f, m, ruleset, y) true.
 
-    Exploration over the step count m is exhaustive: it stops when the mode
-    bounds m, when no forms of admissible length remain, or when the level
-    sets provably cycle.  Only an explicit ``max_inner_steps`` cutoff (or
-    the hard safety cap) can truncate, and that is flagged.
+    Plain breadth-first reachability over (form, tracked step count)
+    states: the search is finite because forms are capped by
+    ``max_form_len`` and counts by `_count_limit`, and it is exact within
+    that form cap.
     """
-    cap = mode_step_cap(f)
-    user_cap = bounds.max_inner_steps
-    hard_cap = _HARD_INNER_CAP
+    limit, bounded = _count_limit(f)
+    max_len = bounds.max_form_len
+
+    def successors(state):
+        y, m = state
+        n = _next_count(m, limit, bounded)
+        if n is None:
+            return (), False
+        edges, pruned = [], False
+        for z in one_step(y, ruleset):
+            if len(z) > max_len:
+                pruned = True
+            else:
+                edges.append(((z, n), z, z))
+        return edges, pruned
+
+    rows, length_pruned = _bfs([((form, 0), form)], successors)
     results: Dict[Form, Tuple[Form, ...]] = {}
-    truncated = False
-    length_pruned = False
-
-    # level: form -> witness path (forms after each inner step)
-    level: Dict[Form, Tuple[Form, ...]] = {form: ()}
-    seen_levels = {}
-    m = 0
-    while True:
-        for y, path in level.items():
-            if y not in results and mode_predicate(f, m, ruleset, y):
-                results[y] = path
-        if cap is not None and m >= cap:
-            break
-        if user_cap is not None and m >= user_cap:
-            if any(one_step(y, ruleset) for y in level):
-                truncated = True
-            break
-        if m >= hard_cap:
-            truncated = True
-            break
-        key = frozenset(level)
-        if cap is None:
-            if key in seen_levels:
-                break  # level sets cycle: no new (form, depth>=k) information
-            seen_levels[key] = m
-        nxt: Dict[Form, Tuple[Form, ...]] = {}
-        for y, path in level.items():
-            for z in one_step(y, ruleset):
-                if len(z) > bounds.max_form_len:
-                    length_pruned = True
-                    continue
-                if z not in nxt:
-                    nxt[z] = path + (z,)
-        if not nxt:
-            break
-        level = nxt
-        m += 1
-    return ModeStepResult(results, truncated, length_pruned)
+    for i, ((y, m), _, _, _) in enumerate(rows):
+        if y not in results and mode_predicate(f, m, ruleset, y):
+            results[y] = tuple(_labels_to(rows, i))
+    return ModeStepResult(results, length_pruned)
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Search spaces
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EnumerationResult:
-    language: BoundedLanguage
-    traces: Dict[Word, DerivationTrace] = field(default_factory=dict)
+def _search_view(grammar, mode: Optional[Mode]):
+    """The grammar as the searches see it: hybrid CD or programmed.
+
+    A plain CD system becomes the hybrid system with `mode` on every
+    component; the other kinds ignore `mode`.
+    """
+    if isinstance(grammar, CdSystem):
+        if mode is None:
+            raise ValueError("a CD system needs a derivation mode")
+        return HcdSystem(
+            nonterminals=grammar.nonterminals,
+            terminals=grammar.terminals,
+            axiom=grammar.axiom,
+            components=grammar.components,
+            modes=(mode,) * grammar.degree,
+            lambda_free=grammar.lambda_free,
+            name=grammar.name,
+        )
+    if isinstance(grammar, (HcdSystem, ProgrammedGrammar)):
+        return grammar
+    raise TypeError("not a grammar: %r" % (grammar,))
 
 
-def _enumerate_cd_like(components, modes, axiom, bounds, want_traces, lambda_free=True):
-    start: Form = (axiom,)
-    visited = {start}
-    # parent[form] = (previous form, component index, witness inner forms)
-    parent = {}
-    frontier = deque([start])
-    truncated = False
-    words = set()
-    word_forms = {}
-    while frontier:
-        x = frontier.popleft()
-        for i, (rules, mode) in enumerate(zip(components, modes), start=1):
-            step = mode_step(x, rules, mode, bounds)
-            truncated = truncated or step.truncated
-            if step.length_pruned and not lambda_free:
-                truncated = True
-            for y, path in step.results.items():
-                if y == x or y in visited:
-                    continue
-                visited.add(y)
-                parent[y] = (x, i, path)
-                if is_terminal_form(y) and 0 < len(y) <= bounds.max_word_len:
-                    word = tuple(s.name for s in y)
-                    words.add(word)
-                    word_forms[word] = y
-                frontier.append(y)
-    language = make_language(words, bounds, truncated)
-    result = EnumerationResult(language)
-    if want_traces:
-        for word in language.words:
-            segments = []
-            form = word_forms[word]
-            while form != start:
-                prev, actor, path = parent[form]
-                segments.append(TraceSegment(actor, tuple(path)))
-                form = prev
-            segments.reverse()
-            result.traces[word] = DerivationTrace(start, tuple(segments))
-    return result
-
-
-def enumerate_cd(system: CdSystem, f: Mode, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
-    """Bounded language of a CD system with every component in mode `f`."""
-    return _enumerate_cd_like(
-        system.components, [f] * system.degree, system.axiom, bounds, with_traces,
-        system.lambda_free,
-    )
-
-
-def enumerate_hcd(system: HcdSystem, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
-    """Bounded language of a hybrid CD system (per-component modes)."""
-    return _enumerate_cd_like(
-        system.components, system.modes, system.axiom, bounds, with_traces,
-        system.lambda_free,
-    )
-
-
-def _programmed_successors(pg: ProgrammedGrammar, form: Form, label: str):
+def programmed_successors(pg: ProgrammedGrammar, form: Form, label: str):
     """Yield (next form, next label, appearance checking flag)."""
     rule = pg.rule_of[label]
     if rule.lhs in form:
@@ -356,69 +382,135 @@ def _programmed_successors(pg: ProgrammedGrammar, form: Form, label: str):
             yield form, q, True
 
 
-def enumerate_programmed(pg: ProgrammedGrammar, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
-    """Bounded language of a programmed grammar.
+def _programmed_steps(pg: ProgrammedGrammar, bounds: Bounds):
+    """States are (form, next label); an edge is one derivation step.
 
     The search starts from (axiom, r) for every label r, per the existential
-    over the first label in the language definition, and deduplicates on
-    (form, label) pairs.
+    over the first label in the language definition.  Edge labels are
+    ``(label, forms, appearance checking flag)`` trace segments.
     """
-    start: Form = (pg.axiom,)
-    states = deque()
-    visited = set()
-    parent = {}
-    truncated = False
-    words = set()
-    word_states = {}
-    for r in pg.labels:
-        st = (start, r)
-        visited.add(st)
-        states.append(st)
-    while states:
-        form, label = states.popleft()
-        for y, q, ac in _programmed_successors(pg, form, label):
+
+    def successors(state):
+        form, label = state
+        edges, pruned = [], False
+        for y, q, ac in programmed_successors(pg, form, label):
             if len(y) > bounds.max_form_len:
-                # a live branch was pruned by form length; only a
-                # completeness loss when rules can erase
-                truncated = truncated or not pg.lambda_free
-                continue
-            st = (y, q)
-            if st in visited:
-                continue
-            visited.add(st)
-            parent[st] = ((form, label), ac)
-            if is_terminal_form(y) and 0 < len(y) <= bounds.max_word_len:
-                word = tuple(s.name for s in y)
-                if word not in words:
-                    words.add(word)
-                    word_states[word] = st
-            states.append(st)
-    language = make_language(words, bounds, truncated)
-    result = EnumerationResult(language)
-    if with_traces:
-        for word in language.words:
-            segments = []
-            st = word_states[word]
-            while st in parent:
-                (prev, prev_label), ac = parent[st]
-                segments.append(TraceSegment(prev_label, (st[0],), ac))
-                st = (prev, prev_label)
-            segments.reverse()
-            result.traces[word] = DerivationTrace(start, tuple(segments))
-    return result
+                pruned = True
+            else:
+                edges.append(((y, q), y, (label, (y,), ac)))
+        return edges, pruned
+
+    start: Form = (pg.axiom,)
+    return [((start, r), start) for r in pg.labels], successors
+
+
+def _turns(system: HcdSystem, bounds: Bounds):
+    """States are inter-turn forms; an edge is one mode-step of a component.
+
+    Edge labels are ``(component index, inner forms, False)`` trace segments.
+    """
+    components = list(enumerate(zip(system.components, system.modes), start=1))
+
+    def successors(x):
+        edges, pruned = [], False
+        for i, (rules, mode) in components:
+            step = mode_step(x, rules, mode, bounds)
+            pruned = pruned or step.length_pruned
+            for y, path in step.results.items():
+                edges.append((y, y, (i, path, False)))
+        return edges, pruned
+
+    start: Form = (system.axiom,)
+    return [(start, start)], successors
+
+
+def _inner_steps(system: HcdSystem, bounds: Bounds):
+    """States are (form, active component or 0, tracked inner step count).
+
+    An edge applies one rule of the active component, or opens a turn of
+    any component between turns, or closes the active turn when its mode
+    predicate holds.
+    """
+    components = [
+        (rules, mode) + _count_limit(mode)
+        for rules, mode in zip(system.components, system.modes)
+    ]
+
+    def successors(state):
+        form, i, m = state
+        if i == 0:
+            return [((form, j, 0), form, None) for j in range(1, len(components) + 1)], False
+        rules, mode, limit, bounded = components[i - 1]
+        edges, pruned = [], False
+        if mode_predicate(mode, m, rules, form):
+            edges.append(((form, 0, 0), form, None))
+        n = _next_count(m, limit, bounded)
+        if n is not None:
+            for y in one_step(form, rules):
+                if len(y) > bounds.max_form_len:
+                    pruned = True
+                else:
+                    edges.append(((y, i, n), y, None))
+        return edges, pruned
+
+    start: Form = (system.axiom,)
+    return [((start, 0, 0), start)], successors
+
+
+# ---------------------------------------------------------------------------
+# Enumeration
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EnumerationResult:
+    language: BoundedLanguage
+    traces: Dict[Word, DerivationTrace] = field(default_factory=dict)
 
 
 def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with_traces: bool = False) -> EnumerationResult:
-    """Dispatch enumeration on the grammar kind (mode required for CdSystem)."""
-    if isinstance(grammar, CdSystem):
-        if mode is None:
-            raise ValueError("a CD system needs a derivation mode")
-        return enumerate_cd(grammar, mode, bounds, with_traces)
-    if isinstance(grammar, HcdSystem):
-        return enumerate_hcd(grammar, bounds, with_traces)
-    if isinstance(grammar, ProgrammedGrammar):
-        return enumerate_programmed(grammar, bounds, with_traces)
-    raise TypeError("not a grammar: %r" % (grammar,))
+    """Bounded language of any grammar kind (mode required for CdSystem).
+
+    Form-length pruning flags the language as truncated only when the
+    grammar can erase; otherwise a pruned form can never shrink back to a
+    word within the bound.
+    """
+    g = _search_view(grammar, mode)
+    if isinstance(g, ProgrammedGrammar):
+        starts, successors = _programmed_steps(g, bounds)
+    else:
+        starts, successors = _turns(g, bounds)
+    rows, pruned = _bfs(starts, successors)
+    word_rows = {}
+    for i, (_, form, _, _) in enumerate(rows):
+        if is_terminal_form(form) and 0 < len(form) <= bounds.max_word_len:
+            word_rows.setdefault(tuple(s.name for s in form), i)
+    language = make_language(word_rows, bounds, pruned and not g.lambda_free)
+    result = EnumerationResult(language)
+    if with_traces:
+        start: Form = (g.axiom,)
+        for word in language.words:
+            segments = tuple(
+                TraceSegment(actor, tuple(forms), ac)
+                for actor, forms, ac in _labels_to(rows, word_rows[word])
+            )
+            result.traces[word] = DerivationTrace(start, segments)
+    return result
+
+
+def enumerate_cd(system: CdSystem, f: Mode, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
+    """Bounded language of a CD system with every component in mode `f`."""
+    return enumerate_grammar(system, bounds, f, with_traces)
+
+
+def enumerate_hcd(system: HcdSystem, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
+    """Bounded language of a hybrid CD system (per-component modes)."""
+    return enumerate_grammar(system, bounds, with_traces=with_traces)
+
+
+def enumerate_programmed(pg: ProgrammedGrammar, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
+    """Bounded language of a programmed grammar, deduplicated on (form, label)."""
+    return enumerate_grammar(pg, bounds, with_traces=with_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -433,97 +525,88 @@ def _is_one_step(x: Form, y: Form, ruleset) -> bool:
 def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None) -> list:
     """Re-check a derivation trace against the grammar's step semantics.
 
-    Returns a list of violation strings (empty iff the trace is valid).
-    For CD/HCD grammars every segment must be a legal mode-step of its
-    component; for programmed grammars the label chaining through success
-    and failure fields is verified.
+    Returns a list of violation strings (empty iff the trace is valid).  A
+    valid trace starts at the axiom and ends on a terminal form.  For CD/HCD
+    grammars every segment must be a legal mode-step of its component; for
+    programmed grammars the label chaining through success and failure
+    fields is verified.
     """
+    g = _search_view(grammar, mode)
     problems = []
-    if isinstance(grammar, (CdSystem, HcdSystem)):
-        if isinstance(grammar, CdSystem):
-            if mode is None:
-                raise ValueError("a CD system needs a derivation mode")
-            modes = [mode] * grammar.degree
-        else:
-            modes = list(grammar.modes)
-        current = trace.start
-        for n, seg in enumerate(trace.segments):
-            if not isinstance(seg.actor, int) or not (1 <= seg.actor <= grammar.degree):
-                problems.append("segment %d: bad component index %r" % (n, seg.actor))
-                continue
-            rules = grammar.components[seg.actor - 1]
-            prev = current
-            ok = True
-            for f in seg.forms:
-                if not _is_one_step(prev, f, rules):
-                    problems.append(
-                        "segment %d: form not reachable in one step of component %d"
-                        % (n, seg.actor)
-                    )
-                    ok = False
-                    break
-                prev = f
-            if ok:
-                final = seg.forms[-1] if seg.forms else current
-                if not mode_predicate(
-                    modes[seg.actor - 1], len(seg.forms), rules, final
-                ):
-                    problems.append(
-                        "segment %d: mode predicate fails for component %d after %d steps"
-                        % (n, seg.actor, len(seg.forms))
-                    )
-                current = final
-        return problems
-    if isinstance(grammar, ProgrammedGrammar):
-        current = trace.start
-        for n, seg in enumerate(trace.segments):
-            label = seg.actor
-            if label not in grammar.rule_of:
-                problems.append("segment %d: unknown label %r" % (n, label))
-                continue
-            if len(seg.forms) != 1:
-                problems.append("segment %d: programmed steps are single steps" % n)
-                continue
-            rule = grammar.rule_of[label]
-            y = seg.forms[0]
-            if seg.appearance_checking:
-                if rule.lhs in current:
-                    problems.append(
-                        "segment %d: appearance-checking step but %s occurs"
-                        % (n, rule.lhs.name)
-                    )
-                if y != current:
-                    problems.append(
-                        "segment %d: appearance-checking step changed the form" % n
-                    )
-            else:
-                if not _is_one_step(current, y, [rule]):
-                    problems.append(
-                        "segment %d: form not one application of %r" % (n, rule)
-                    )
-            current = y
-        # label chaining: step n-1 at label p yields its successor label from
-        # sigma(p) when it rewrote and from phi(p) when it appearance-checked
-        for n in range(1, len(trace.segments)):
-            prev = trace.segments[n - 1]
-            this = trace.segments[n]
-            field_ = (
-                grammar.failure[prev.actor]
-                if prev.appearance_checking
-                else grammar.success[prev.actor]
-            )
-            if this.actor not in field_:
+    if trace.start != (g.axiom,):
+        problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
+    if isinstance(g, ProgrammedGrammar):
+        problems += _programmed_violations(g, trace)
+    else:
+        problems += _turn_violations(g, trace)
+    if not is_terminal_form(trace.final_form()):
+        problems.append("end: final form %s is not terminal" % form_text(trace.final_form()))
+    return problems
+
+
+def _turn_violations(system: HcdSystem, trace: DerivationTrace) -> list:
+    problems = []
+    current = trace.start
+    for n, seg in enumerate(trace.segments):
+        if not isinstance(seg.actor, int) or not (1 <= seg.actor <= system.degree):
+            problems.append("segment %d: bad component index %r" % (n, seg.actor))
+            continue
+        rules = system.components[seg.actor - 1]
+        prev = current
+        ok = True
+        for f in seg.forms:
+            if not _is_one_step(prev, f, rules):
                 problems.append(
-                    "segment %d: label %r not in the %s field of %r"
-                    % (
-                        n,
-                        this.actor,
-                        "failure" if prev.appearance_checking else "success",
-                        prev.actor,
-                    )
+                    "segment %d: form not reachable in one step of component %d"
+                    % (n, seg.actor)
                 )
-        return problems
-    raise TypeError("not a grammar: %r" % (grammar,))
+                ok = False
+                break
+            prev = f
+        if ok:
+            final = seg.forms[-1] if seg.forms else current
+            if not mode_predicate(
+                system.modes[seg.actor - 1], len(seg.forms), rules, final
+            ):
+                problems.append(
+                    "segment %d: mode predicate fails for component %d after %d steps"
+                    % (n, seg.actor, len(seg.forms))
+                )
+            current = final
+    return problems
+
+
+def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace) -> list:
+    # each segment must be a step that programmed_successors offers at its
+    # label, leading to the next segment's label
+    problems = []
+    current = trace.start
+    labels = [seg.actor for seg in trace.segments]
+    for n, seg in enumerate(trace.segments):
+        if seg.actor not in pg.rule_of:
+            problems.append("segment %d: unknown label %r" % (n, seg.actor))
+            continue
+        if len(seg.forms) != 1:
+            problems.append("segment %d: programmed steps are single steps" % n)
+            continue
+        nxt = labels[n + 1 : n + 2]  # the next label, if any
+        steps = {
+            (y, ac)
+            for y, q, ac in programmed_successors(pg, current, seg.actor)
+            if not nxt or q == nxt[0]
+        }
+        if (seg.forms[0], seg.appearance_checking) not in steps:
+            problems.append(
+                "segment %d: not a %s step at label %r%s"
+                % (
+                    n,
+                    "appearance-checking" if seg.appearance_checking else "rewriting",
+                    seg.actor,
+                    " on to label %r" % nxt[0] if nxt else "",
+                )
+            )
+        current = seg.forms[0]
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -537,112 +620,28 @@ class WordIndexResult:
     truncated: bool = False
 
 
-def _word_index_cd(components, modes, axiom, target: Form, bounds: Bounds) -> WordIndexResult:
-    """Min over derivations of the max nonterminal count (minimax search).
-
-    States are (form, active component or 0, steps in the current segment);
-    a state is re-expanded only with a strictly smaller max-index, which is
-    sound because extending a derivation can only raise its max.
-    """
-    truncated = False
-    caps = []
-    for mode in modes:
-        cap = mode_step_cap(mode)
-        if cap is None:
-            cap = bounds.max_inner_steps
-            if cap is None:
-                cap = _HARD_INNER_CAP
-                truncated = True
-        caps.append(cap)
-    start = ((axiom,), 0, 0)
-    best = {start: 1}
-    heap = [(1, start)]
-    while heap:
-        cost, state = heapq.heappop(heap)
-        if cost > best.get(state, cost):
-            continue
-        form, comp, m = state
-        if comp == 0:
-            if form == target:
-                return WordIndexResult(cost, truncated)
-            # open a segment with any component
-            for i in range(1, len(components) + 1):
-                nxt = (form, i, 0)
-                if cost < best.get(nxt, cost + 1):
-                    best[nxt] = cost
-                    heapq.heappush(heap, (cost, nxt))
-            continue
-        rules = components[comp - 1]
-        mode = modes[comp - 1]
-        # close the segment if the predicate licenses it
-        if mode_predicate(mode, m, rules, form):
-            nxt = (form, 0, 0)
-            if cost < best.get(nxt, cost + 1):
-                best[nxt] = cost
-                heapq.heappush(heap, (cost, nxt))
-        if m < caps[comp - 1]:
-            for y in one_step(form, rules):
-                if len(y) > bounds.max_form_len:
-                    continue
-                ncost = max(cost, nonterminal_count(y))
-                nxt = (y, comp, m + 1)
-                if ncost < best.get(nxt, ncost + 1):
-                    best[nxt] = ncost
-                    heapq.heappush(heap, (ncost, nxt))
-    return WordIndexResult(None, truncated)
-
-
-def _word_index_programmed(pg: ProgrammedGrammar, target: Form, bounds: Bounds) -> WordIndexResult:
-    start: Form = (pg.axiom,)
-    heap = []
-    best = {}
-    for r in pg.labels:
-        st = (start, r)
-        best[st] = 1
-        heapq.heappush(heap, (1, st))
-    found = None
-    while heap:
-        cost, st = heapq.heappop(heap)
-        if cost > best.get(st, cost):
-            continue
-        form, label = st
-        if form == target:
-            found = cost if found is None else min(found, cost)
-            continue
-        for y, q, ac in _programmed_successors(pg, form, label):
-            if len(y) > bounds.max_form_len:
-                continue
-            ncost = max(cost, nonterminal_count(y))
-            nxt = (y, q)
-            if ncost < best.get(nxt, ncost + 1):
-                best[nxt] = ncost
-                heapq.heappush(heap, (ncost, nxt))
-    return WordIndexResult(found, False)
-
-
 def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None) -> WordIndexResult:
     """Minimum trace index over all bounded derivations of `word`.
 
     A ``None`` index means no derivation was found within the bounds; it
-    does not prove the word lies outside the language.
+    does not prove the word lies outside the language.  The result is
+    flagged as truncated when the grammar can erase and a branch was pruned
+    by form length, since that branch might have derived the word.
     """
     if len(word) > bounds.max_word_len:
         raise ValueError("word longer than max_word_len")
-    name_to_sym = {s.name: s for s in grammar.terminals}
+    g = _search_view(grammar, mode)
+    name_to_sym = {s.name: s for s in g.terminals}
     try:
         target = tuple(name_to_sym[n] for n in word)
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
-    if isinstance(grammar, CdSystem):
-        if mode is None:
-            raise ValueError("a CD system needs a derivation mode")
-        return _word_index_cd(
-            grammar.components, [mode] * grammar.degree, grammar.axiom, target, bounds
-        )
-    if isinstance(grammar, HcdSystem):
-        return _word_index_cd(
-            grammar.components, list(grammar.modes), grammar.axiom, target, bounds
-        )
-    if isinstance(grammar, ProgrammedGrammar):
-        return _word_index_programmed(grammar, target, bounds)
-    raise TypeError("not a grammar: %r" % (grammar,))
+    if isinstance(g, ProgrammedGrammar):
+        starts, successors = _programmed_steps(g, bounds)
+        is_goal = lambda state: state[0] == target
+    else:
+        starts, successors = _inner_steps(g, bounds)
+        goal = (target, 0, 0)  # the target form, between turns
+        is_goal = lambda state: state == goal
+    index, pruned = _minimax(starts, successors, is_goal)
+    return WordIndexResult(index, pruned and not g.lambda_free)

@@ -285,17 +285,6 @@ class ProgrammedGrammar:
         return self.nonterminals | self.terminals
 
 
-Grammar = "CdSystem | HcdSystem | ProgrammedGrammar"
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Derivation state of a programmed grammar: a form plus the next label."""
-
-    form: Form
-    label: str
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .engine import (
     Word,
     length_lex,
     make_language,
+    programmed_successors,
     word_index,
 )
 from .model import ProgrammedGrammar, is_terminal_form, nonterminal_count, parikh
@@ -244,8 +245,6 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     up to `depth` derivation steps; ``inconclusive`` is set when the
     frontier was not exhausted within the depth.
     """
-    from .engine import _programmed_successors  # shared single-step semantics
-
     report = NsfReport()
     axiom = pg.axiom
     start_mentions = [
@@ -285,7 +284,7 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
                             "vectors" % label)
                     )
                     applied_vectors[label] = prev  # keep the first witness
-            for y, q, ac in _programmed_successors(pg, form, label):
+            for y, q, _ in programmed_successors(pg, form, label):
                 st = (y, q)
                 if st in visited:
                     continue

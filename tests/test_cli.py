@@ -3,7 +3,7 @@ import pytest
 from gsworkbench import constructions as C
 from gsworkbench import fileformat as F
 from gsworkbench.cli import main
-from gsworkbench.model import t_and, exactly
+from gsworkbench.model import CdSystem, Rule, exactly, nonterminal, t_and, terminal
 
 
 @pytest.fixture
@@ -129,6 +129,22 @@ class TestIndex:
 
     def test_unsegmentable_word(self, anbnambm_file, capsys):
         assert main(["index", anbnambm_file, "--word", "abz", "--max-len", "8"]) == 2
+
+    def test_length_pruned_erasing_search_is_truncated(self, tmp_path, capsys):
+        S, A, a = nonterminal("S"), nonterminal("A"), terminal("a")
+        g = CdSystem(
+            nonterminals=frozenset({S, A}),
+            terminals=frozenset({a}),
+            axiom=S,
+            components=((Rule(S, (A, A, A, a)), Rule(A, ())),),
+            lambda_free=False,
+        )
+        path = tmp_path / "erasing.gsw"
+        path.write_text(F.serialize(g, uniform_mode=t_and(exactly(1))), encoding="utf-8")
+        code = main(["index", str(path), "--word", "a", "--max-len", "1",
+                     "--max-form-len", "2", "--strict"])
+        assert code == 3
+        assert capsys.readouterr().out == "UNKNOWN\n"
 
 
 class TestNsfCheck:

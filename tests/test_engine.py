@@ -2,6 +2,8 @@ import pytest
 
 from gsworkbench.engine import (
     Bounds,
+    DerivationTrace,
+    TraceSegment,
     apply_at,
     enumerate_cd,
     enumerate_grammar,
@@ -107,12 +109,11 @@ class TestModeStep:
         assert set(res.results) == {(a, b)}
 
     def test_t_mode_cycle_detection_terminates(self):
-        # A -> A loops forever; t can never be satisfied, and the level
-        # sets cycle immediately
+        # A -> A loops forever; t can never be satisfied, and the search
+        # stops once the single (form, count) state has been expanded
         rules = (Rule(A, (A,)),)
         res = mode_step((A,), rules, T_MODE, Bounds(4, 4))
         assert res.results == {}
-        assert not res.truncated
 
     def test_star_includes_zero_steps(self):
         rules = (Rule(S, (a,)),)
@@ -120,11 +121,18 @@ class TestModeStep:
         assert (S,) in res.results and res.results[(S,)] == ()
         assert (a,) in res.results
 
-    def test_inner_step_cap_flags_truncation(self):
-        rules = (Rule(S, (a, S)),)
-        res = mode_step((S,), rules, at_least(3), Bounds(50, 50, max_inner_steps=2))
-        assert res.results == {}
-        assert res.truncated
+    @pytest.mark.parametrize("mode", [at_least(3), t_and(at_least(3))])
+    def test_at_least_looks_past_repeating_level_sets(self, mode):
+        # A -> B -> A -> B -> a: the forms reachable in m steps repeat from
+        # m = 1 on ({B}, {A, a}, {B}, ...), but `a` first takes 4 >= 3 steps
+        rules = (Rule(A, (B,)), Rule(B, (A,)), Rule(B, (a,)))
+        res = mode_step((A,), rules, mode, Bounds(4, 4))
+        assert (a,) in res.results
+        assert len(res.results[(a,)]) == 4
+        g = cd([rules], nts=(A, B), ts=(a,), axiom=A)
+        lang = enumerate_cd(g, mode, Bounds(4, 4)).language
+        assert ("a",) in lang.words and not lang.truncated
+        assert word_index(g, ("a",), Bounds(4, 4), mode=mode).index == 1
 
 
 class TestEnumeration:
@@ -214,6 +222,37 @@ class TestTraces:
         )
         assert validate_trace(g, bad, mode) != []
 
+    @pytest.mark.parametrize("tamper", ["relabel", "appearance-check", "reorder"])
+    def test_tampered_programmed_trace_is_rejected(self, pg_abc, tamper):
+        from dataclasses import replace
+        trace = enumerate_programmed(pg_abc, Bounds(9, 9), with_traces=True).traces[
+            tuple("aabbcc")
+        ]
+        segs = list(trace.segments)
+        if tamper == "relabel":
+            # p1 rewrites A, not B, and p1's success field holds only p2
+            segs[2] = replace(segs[2], actor="p1")
+        elif tamper == "appearance-check":
+            segs[1] = replace(segs[1], appearance_checking=True)
+        else:
+            segs[1], segs[2] = segs[2], segs[1]
+        bad = replace(trace, segments=tuple(segs))
+        assert validate_trace(pg_abc, bad) != []
+
+    @pytest.mark.parametrize("cut", ["off-axiom start", "unfinished"])
+    def test_trace_must_run_from_axiom_to_word(self, cut):
+        g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
+        mode = t_and(at_most(2))
+        from dataclasses import replace
+        if cut == "unfinished":
+            # dropping the last segment leaves the valid prefix S
+            trace = enumerate_cd(g, mode, Bounds(8, 8), with_traces=True).traces[("a", "b")]
+            bad = replace(trace, segments=trace.segments[:-1])
+        else:
+            # a legal one-step turn a S b => a a b b, but not from the axiom
+            bad = DerivationTrace((a, S, b), (TraceSegment(1, ((a, a, b, b),)),))
+        assert validate_trace(g, bad, mode) != []
+
 
 class TestWordIndex:
     def test_anbn_index_is_one(self):
@@ -229,6 +268,15 @@ class TestWordIndex:
     def test_programmed_word_index(self, pg_abc):
         res = word_index(pg_abc, tuple("aabbcc"), Bounds(9, 9))
         assert res.index == 3
+
+    def test_length_pruning_on_erasing_grammar_is_truncated(self):
+        # S -> A A A a exceeds the form cap of 2, and with A -> λ it might
+        # still have erased back down to a word: UNKNOWN, flagged
+        g = cd([[Rule(S, (A, A, A, a)), Rule(A, ())]], nts=(S, A), ts=(a,),
+               lambda_free=False)
+        res = word_index(g, ("a",), Bounds(1, 2), mode=t_and(exactly(1)))
+        assert res.index is None
+        assert res.truncated
 
     def test_word_longer_than_bound_rejected(self):
         g = cd([[Rule(S, (a,))]])
