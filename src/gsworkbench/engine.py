@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     CdSystem,
@@ -24,6 +24,7 @@ from .model import (
     Mode,
     ProgrammedGrammar,
     Rule,
+    Symbol,
     form_text,
     is_terminal_form,
     mode_step_cap,
@@ -144,43 +145,66 @@ def apply_at(form: Form, rule: Rule, position: int) -> Form:
     )
 
 
-def one_step(form: Form, ruleset: Sequence[Rule]):
-    """All forms reachable by one rule application at any occurrence."""
+def _rhs_table(ruleset: Sequence[Rule]) -> Dict[Symbol, List[Form]]:
+    """Each nonterminal lhs of `ruleset` mapped to its rhs in rule order.
+
+    A component is compiled to this table once per search: a rewrite then
+    costs one dict lookup per position, and ``t`` one set test per form.
+    Terminals are never rewritten, so a rule with a terminal lhs (which
+    `validate` rejects) is left out.
+    """
+    table: Dict[Symbol, List[Form]] = {}
+    for rule in ruleset:
+        if not rule.lhs.is_terminal():
+            table.setdefault(rule.lhs, []).append(rule.rhs)
+    return table
+
+
+def _rewrites(form: Form, table) -> List[Form]:
+    """`one_step` on a compiled table: positions left to right, rules in order."""
     out = []
     for i, s in enumerate(form):
-        if s.is_terminal():
-            continue
-        for rule in ruleset:
-            if rule.lhs == s:
-                out.append(form[:i] + rule.rhs + form[i + 1 :])
+        rhss = table.get(s)
+        if rhss:
+            head, tail = form[:i], form[i + 1 :]
+            for rhs in rhss:
+                out.append(head + rhs + tail)
     return out
+
+
+def _accepts(f: Mode, m: int, table, y: Form) -> bool:
+    """`mode_predicate` on a compiled table."""
+    kind = f.kind
+    if kind == "eq":
+        return m == f.k
+    if kind == "le":
+        return m <= f.k
+    if kind == "ge":
+        return m >= f.k
+    if kind == "*":
+        return m >= 0
+    if kind == "t":
+        return table.keys().isdisjoint(y)
+    if kind == "and":
+        # a step-count test is cheaper than t's scan of the form: run it first
+        first, second = (f.right, f.left) if f.left.kind == "t" else (f.left, f.right)
+        return _accepts(first, m, table, y) and _accepts(second, m, table, y)
+    raise ValueError("unknown mode kind %r" % kind)
+
+
+def one_step(form: Form, ruleset: Sequence[Rule]):
+    """All forms reachable by one rule application at any occurrence."""
+    return _rewrites(form, _rhs_table(ruleset))
 
 
 def applicable(ruleset: Sequence[Rule], form: Form) -> bool:
     """True iff some rule's lhs occurs in `form`."""
-    lhs_set = {r.lhs for r in ruleset}
-    return any(s in lhs_set for s in form)
+    return not _rhs_table(ruleset).keys().isdisjoint(form)
 
 
 def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
     """The predicate licensing a component to hand back `y` after m steps."""
-    if f.kind == "eq":
-        return m == f.k
-    if f.kind == "le":
-        return m <= f.k
-    if f.kind == "ge":
-        return m >= f.k
-    if f.kind == "*":
-        return m >= 0
-    if f.kind == "t":
-        return not applicable(ruleset, y)
-    if f.kind == "and":
-        # a step-count test is cheaper than t's scan of the form: run it first
-        first, second = (f.right, f.left) if f.left.kind == "t" else (f.left, f.right)
-        return mode_predicate(first, m, ruleset, y) and mode_predicate(
-            second, m, ruleset, y
-        )
-    raise ValueError("unknown mode kind %r" % f.kind)
+    return _accepts(f, m, _rhs_table(ruleset), y)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +338,7 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     """
     limit, bounded = _count_limit(f)
     max_len = bounds.max_form_len
+    table = _rhs_table(ruleset)
 
     def successors(state):
         y, m = state
@@ -321,7 +346,7 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
         if n is None:
             return (), False
         edges, pruned = [], False
-        for z in one_step(y, ruleset):
+        for z in _rewrites(y, table):
             if len(z) > max_len:
                 pruned = True
             else:
@@ -331,7 +356,7 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     rows, length_pruned = _bfs([((form, 0), form)], successors)
     results: Dict[Form, Tuple[Form, ...]] = {}
     for i, ((y, m), _, _, _) in enumerate(rows):
-        if y not in results and mode_predicate(f, m, ruleset, y):
+        if y not in results and _accepts(f, m, table, y):
             results[y] = tuple(_labels_to(rows, i))
     return ModeStepResult(results, length_pruned)
 
@@ -432,7 +457,7 @@ def _inner_steps(system: HcdSystem, bounds: Bounds):
     predicate holds.
     """
     components = [
-        (rules, mode) + _count_limit(mode)
+        (_rhs_table(rules), mode) + _count_limit(mode)
         for rules, mode in zip(system.components, system.modes)
     ]
 
@@ -440,13 +465,13 @@ def _inner_steps(system: HcdSystem, bounds: Bounds):
         form, i, m = state
         if i == 0:
             return [((form, j, 0), form, None) for j in range(1, len(components) + 1)], False
-        rules, mode, limit, bounded = components[i - 1]
+        table, mode, limit, bounded = components[i - 1]
         edges, pruned = [], False
-        if mode_predicate(mode, m, rules, form):
+        if _accepts(mode, m, table, form):
             edges.append(((form, 0, 0), form, None))
         n = _next_count(m, limit, bounded)
         if n is not None:
-            for y in one_step(form, rules):
+            for y in _rewrites(form, table):
                 if len(y) > bounds.max_form_len:
                     pruned = True
                 else:

@@ -4,7 +4,9 @@ Files are UTF-8 with LF line endings.  Symbols are whitespace-separated
 identifier tokens; the empty word is the token ``#``.  A ``;`` starts a
 comment running to end of line, except on ``rule`` lines of programmed
 grammars, where ``;`` separates the production from its success and
-failure fields (those lines cannot carry comments).
+failure fields (those lines cannot carry comments).  Inside a component
+block a line whose second token is ``->`` is always a rule, so symbols may
+be named like the keywords.
 
 Layout::
 
@@ -184,12 +186,23 @@ def parse_file(text: str) -> GrammarFile:
 
     lines = text.split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        first = raw.split(None, 1)[0] if raw.split() else ""
-        line = raw if first == "rule" else _strip_comment(raw)
+        line = _strip_comment(raw)
         tokens = line.split()
         if not tokens:
             continue
+        # a rule line wins over the keyword heads (see the module docstring)
+        if components and tokens[1:2] == ["->"]:
+            if len(tokens) < 3:
+                raise GswParseError("expected '<lhs> -> <rhs>'", lineno)
+            if tokens[0] not in table:
+                raise GswParseError("unknown symbol %r" % tokens[0], lineno)
+            components[-1].append(
+                Rule(table[tokens[0]], _parse_rhs(tokens[2:], table, lineno))
+            )
+            continue
         head = tokens[0]
+        if raw.split(None, 1)[0] == "rule":
+            line = raw  # ';' separates a programmed rule's fields
         if head == "grammar":
             if len(tokens) < 3:
                 raise GswParseError("grammar header needs a name and a kind", lineno)
@@ -273,13 +286,7 @@ def parse_file(text: str) -> GrammarFile:
         elif "->" in tokens:
             if not components:
                 raise GswParseError("rule outside a component block", lineno)
-            if len(tokens) < 3 or tokens[1] != "->":
-                raise GswParseError("expected '<lhs> -> <rhs>'", lineno)
-            if tokens[0] not in table:
-                raise GswParseError("unknown symbol %r" % tokens[0], lineno)
-            components[-1].append(
-                Rule(table[tokens[0]], _parse_rhs(tokens[2:], table, lineno))
-            )
+            raise GswParseError("expected '<lhs> -> <rhs>'", lineno)
         else:
             raise GswParseError("unrecognized line %r" % line.strip(), lineno)
 

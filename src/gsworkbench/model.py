@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_'<>,()\-]+\Z")
@@ -18,19 +19,30 @@ NAME_PATTERN = re.compile(r"[A-Za-z0-9_'<>,()\-]+\Z")
 NONTERMINAL = "N"
 TERMINAL = "T"
 
+_kind_of = itemgetter(1)
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """An interned grammar symbol: a name plus a fixed kind."""
 
-    name: str
-    kind: str  # NONTERMINAL or TERMINAL
+class Symbol(tuple):
+    """An interned grammar symbol: a name plus a fixed kind.
 
-    def __post_init__(self):
-        if not self.name:
+    A symbol is the pair ``(name, kind)``, so hashing, equality and ordering
+    run in C, and it compares equal to that plain pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str):
+        if not name:
             raise ValueError("symbol name must be non-empty")
-        if self.kind not in (NONTERMINAL, TERMINAL):
+        if kind not in (NONTERMINAL, TERMINAL):
             raise ValueError("symbol kind must be %r or %r" % (NONTERMINAL, TERMINAL))
+        return tuple.__new__(cls, (name, kind))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    name = property(itemgetter(0), doc="the symbol's name")
+    kind = property(_kind_of, doc="NONTERMINAL or TERMINAL")
 
     def is_terminal(self) -> bool:
         return self.kind == TERMINAL
@@ -66,7 +78,11 @@ class Rule:
     rhs: Tuple[Symbol, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(self.rhs))
+        # a Symbol is itself a tuple: Rule(S, a) must not pass as rhs ("a", "T")
+        rhs = tuple(self.rhs)
+        if not all(isinstance(s, Symbol) for s in rhs):
+            raise TypeError("rule rhs must be a sequence of Symbols, got %r" % (rhs,))
+        object.__setattr__(self, "rhs", rhs)
 
     def is_erasing(self) -> bool:
         return len(self.rhs) == 0
@@ -300,11 +316,11 @@ def parikh(form: Form, over: Iterable[Symbol]) -> Dict[Symbol, int]:
 
 
 def nonterminal_count(form: Form) -> int:
-    return sum(1 for s in form if not s.is_terminal())
+    return list(map(_kind_of, form)).count(NONTERMINAL)
 
 
 def is_terminal_form(form: Form) -> bool:
-    return all(s.is_terminal() for s in form)
+    return NONTERMINAL not in map(_kind_of, form)
 
 
 def _check_rules(rules, nts, ts, lambda_free, where, out):

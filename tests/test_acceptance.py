@@ -71,8 +71,9 @@ def test_criterion_1_example1_exactly():
 @pytest.mark.xfail(
     strict=True,
     reason="stated criterion does not hold: the Example 1 system "
-    "overgenerates under (t & <=2); components may hand back after a "
-    "single step, desynchronizing the blocks (see the decisions ledger)",
+    "overgenerates under (t & <=2); a component may hand back after a "
+    "single step, so one block grows while another does not and words "
+    "with unequal block lengths are derived",
 )
 def test_criterion_1_example1_atmost():
     done = timed(5.0)

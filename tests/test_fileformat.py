@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsworkbench import constructions as C
 from gsworkbench import fileformat as F
 from gsworkbench.model import (
+    NAME_PATTERN,
+    CdSystem,
     HcdSystem,
+    ProgrammedGrammar,
     Rule,
     STAR,
     T_MODE,
@@ -14,7 +18,10 @@ from gsworkbench.model import (
     nonterminal,
     t_and,
     terminal,
+    validate,
 )
+
+KEYWORDS = ("grammar", "nonterminals", "terminals", "axiom", "mode", "component", "rule")
 
 EXAMPLE1_TEXT = """\
 ; two components generating a1^n a2^n a3^n under (t & =2)
@@ -165,3 +172,82 @@ class TestRoundTrip:
             name="hybrid",
         )
         assert F.parse_grammar(F.serialize(g)) == g
+
+    @pytest.mark.parametrize("word", KEYWORDS)
+    def test_keyword_named_nonterminal_round_trips(self, word):
+        X, x = nonterminal(word), terminal("x")
+        g = CdSystem(
+            nonterminals=frozenset({X}),
+            terminals=frozenset({x}),
+            axiom=X,
+            components=((Rule(X, (x, X)), Rule(X, (x,))),),
+            name="kw",
+        )
+        assert validate(g) == []
+        gf = F.parse_file(F.serialize(g, uniform_mode=T_MODE))
+        assert gf.grammar == g and gf.uniform_mode == T_MODE
+
+    def test_comment_after_rule_named_rule_is_stripped(self):
+        text = (
+            "grammar g cdgs\nnonterminals rule\nterminals x\naxiom rule\n"
+            "component\n  rule -> x ; a comment; with semicolons\n"
+        )
+        g = F.parse_grammar(text)
+        assert g.components == ((Rule(nonterminal("rule"), (terminal("x"),)),),)
+
+
+# symbol names: any NAME_PATTERN identifier, with the format's keywords
+# drawn often, since they are the names a line-based format trips on
+names = st.sampled_from(KEYWORDS + ("->",)) | st.from_regex(NAME_PATTERN, fullmatch=True)
+modes = st.sampled_from([STAR, T_MODE, t_and(exactly(2)), between(1, 3), at_least(2)])
+
+
+@st.composite
+def grammars(draw):
+    """A valid grammar of any kind over names drawn from NAME_PATTERN."""
+    pool = draw(st.lists(names, min_size=2, max_size=6, unique=True))
+    cut = draw(st.integers(min_value=1, max_value=len(pool) - 1))
+    nts = [nonterminal(n) for n in pool[:cut]]
+    ts = [terminal(n) for n in pool[cut:]]
+    lambda_free = draw(st.booleans())
+    rules = st.builds(
+        Rule,
+        st.sampled_from(nts),
+        st.lists(st.sampled_from(nts + ts), min_size=int(lambda_free), max_size=3).map(tuple),
+    )
+    common = dict(
+        nonterminals=frozenset(nts),
+        terminals=frozenset(ts),
+        axiom=nts[0],
+        lambda_free=lambda_free,
+        name="g",
+    )
+    kind = draw(st.sampled_from(["cdgs", "hcdgs", "programmed"]))
+    if kind == "programmed":
+        labels = ["p%d" % i for i in range(draw(st.integers(min_value=1, max_value=3)))]
+        fields = st.frozensets(st.sampled_from(labels))
+        return ProgrammedGrammar(
+            labels=tuple(labels),
+            rule_of={p: draw(rules) for p in labels},
+            success={p: draw(fields) for p in labels},
+            failure={p: draw(fields) for p in labels},
+            **common,
+        )
+    components = draw(st.lists(st.lists(rules, max_size=3).map(tuple), min_size=1, max_size=3))
+    if kind == "cdgs":
+        return CdSystem(components=tuple(components), **common)
+    return HcdSystem(
+        components=tuple(components),
+        modes=tuple(draw(modes) for _ in components),
+        **common,
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(grammars(), st.none() | modes)
+    def test_parse_serialize_identity(self, g, uniform):
+        assert validate(g) == []
+        uniform = uniform if type(g) is CdSystem else None
+        gf = F.parse_file(F.serialize(g, uniform_mode=uniform))
+        assert gf.grammar == g and gf.uniform_mode == uniform

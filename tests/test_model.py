@@ -1,6 +1,11 @@
+import copy
+import pickle
+
 import pytest
 
 from gsworkbench.model import (
+    NONTERMINAL,
+    TERMINAL,
     CdSystem,
     HcdSystem,
     Mode,
@@ -8,6 +13,7 @@ from gsworkbench.model import (
     Rule,
     STAR,
     T_MODE,
+    Symbol,
     at_least,
     at_most,
     between,
@@ -45,8 +51,29 @@ def simple_cd(components, **kw):
 class TestSymbolsAndForms:
     def test_symbol_kinds(self):
         assert a.is_terminal() and not S.is_terminal()
+        assert (S.name, S.kind) == ("S", NONTERMINAL) and a.kind == TERMINAL
         with pytest.raises(ValueError):
             nonterminal("")
+        with pytest.raises(ValueError):
+            Symbol("S", "X")
+        assert terminal("S") != nonterminal("S")
+        again = Symbol("S", NONTERMINAL)
+        assert again == S and hash(again) == hash(S)
+        for sym in (S, a):
+            for copied in (pickle.loads(pickle.dumps(sym)), copy.deepcopy(sym)):
+                assert copied == sym and type(copied) is Symbol
+                assert copied.is_terminal() == sym.is_terminal()
+        # ordered by name, then kind ("N" before "T")
+        mixed = [b, terminal("S"), a, S, A]
+        assert sorted(mixed) == [A, S, terminal("S"), a, b]
+
+    def test_rule_rhs_must_be_symbols(self):
+        assert Rule(S, iter((a, S))).rhs == (a, S)
+        # a bare symbol is a tuple too; it must not pass as the rhs ("a", "T")
+        with pytest.raises(TypeError):
+            Rule(S, a)
+        with pytest.raises(TypeError):
+            Rule(S, ("a", "T"))
 
     def test_form_text_lambda(self):
         assert form_text(()) == "#"

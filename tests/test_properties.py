@@ -83,7 +83,30 @@ class TestModeAlgebra:
         assert F.parse_mode(mode_text(f)) == f
 
 
+def naive_one_step(x, rs):
+    """One rule application, positions left to right, rules in order."""
+    out = []
+    for i, s in enumerate(x):
+        for rule in rs:
+            if not s.is_terminal() and rule.lhs == s:
+                out.append(x[:i] + rule.rhs + x[i + 1 :])
+    return out
+
+
+any_rules = st.builds(
+    Rule,
+    st.sampled_from(NTS),
+    st.lists(symbols, max_size=3).map(tuple),
+)
+
+
 class TestEngineBasics:
+    @given(forms, st.lists(any_rules, max_size=5).map(tuple))
+    def test_one_step_order_matches_naive_reference(self, x, rs):
+        # as an ordered list: the order fixes the BFS visiting order, and
+        # with it the witnesses in traces
+        assert one_step(x, rs) == naive_one_step(x, rs)
+
     @given(forms, rulesets)
     def test_one_step_is_length_monotone_without_erasing(self, x, rs):
         # the strategies never build erasing rules
