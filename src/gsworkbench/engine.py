@@ -3,11 +3,12 @@
 Two searches run over a successor function per grammar, and a plain CD
 system is searched as the hybrid system with its mode on every component.
 A breadth-first search with parent pointers gives mode steps, enumeration
-and traces; a minimax search gives the word index.  Forms are capped by
-``max_form_len`` and inner step counts by their mode, so every search is
-finite and exact within the form cap.  For λ-free systems the enumerated
-language is then exactly the generated language intersected with the words
-of bounded length, because rule application never shortens a form.
+and traces; a minimax search gives the index of any number of words at
+once.  Forms are capped by ``max_form_len`` and inner step counts by their
+mode, so every search is finite and exact within the form cap.  For
+λ-free systems the enumerated language is then exactly the generated
+language intersected with the words of bounded length, because rule
+application never shortens a form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
@@ -247,14 +249,18 @@ def _labels_to(rows, i: int) -> list:
     return labels
 
 
-def _minimax(starts, successors, is_goal):
-    """Least cost of a goal state and whether any branch was pruned.
+def _minimax(starts, successors, form_of, targets):
+    """Least cost of each reachable target form, and whether a branch was pruned.
 
     The cost of a path is the largest nonterminal count of a form on it; the
     search is a Dijkstra search, sound because extending a path never lowers
-    its cost.  It returns at the first goal state popped, with a ``None``
-    cost when no goal state is reachable.
+    its cost.  ``form_of`` maps a state to its form, or to ``None`` where the
+    state is not a place to stop (inside a CD turn).  A target's cost is
+    recorded when a state with its form is popped, and the search returns as
+    soon as every target has one; unreached targets have no entry.
     """
+    costs = {}
+    left = set(targets)
     best = {}
     heap = []
     tie = count()  # FIFO among equal costs; states are never compared
@@ -263,12 +269,16 @@ def _minimax(starts, successors, is_goal):
         heap.append((best[state], next(tie), state))
     heapq.heapify(heap)
     pruned = False
-    while heap:
+    while heap and left:
         cost, _, state = heapq.heappop(heap)
         if cost > best[state]:
             continue
-        if is_goal(state):
-            return cost, pruned
+        form = form_of(state)
+        if form in left:
+            left.remove(form)
+            costs[form] = cost
+            if not left:
+                break
         edges, cut = successors(state)
         pruned = pruned or cut
         for nxt, form, _ in edges:
@@ -276,7 +286,7 @@ def _minimax(starts, successors, is_goal):
             if ncost < best.get(nxt, ncost + 1):
                 best[nxt] = ncost
                 heapq.heappush(heap, (ncost, next(tie), nxt))
-    return None, pruned
+    return costs, pruned
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +655,34 @@ class WordIndexResult:
     truncated: bool = False
 
 
+def word_indices(
+    grammar, words: Sequence[Word], bounds: Bounds, mode: Optional[Mode] = None
+) -> Tuple[List[Optional[int]], bool]:
+    """`word_index` of every word in `words`, by one search.
+
+    Returns the indices in the order of `words` (``None`` where no
+    derivation was found within the bounds) and one truncation flag, set
+    when the grammar can erase and a branch was pruned by form length.  The
+    search stops as soon as every word has been reached.
+    """
+    if any(len(word) > bounds.max_word_len for word in words):
+        raise ValueError("word longer than max_word_len")
+    g = _search_view(grammar, mode)
+    name_to_sym = {s.name: s for s in g.terminals}
+    try:
+        targets = [tuple(name_to_sym[n] for n in word) for word in words]
+    except KeyError as e:
+        raise ValueError("unknown terminal %s" % e)
+    if isinstance(g, ProgrammedGrammar):
+        starts, successors = _programmed_steps(g, bounds)
+        form_of = itemgetter(0)
+    else:
+        starts, successors = _inner_steps(g, bounds)
+        form_of = lambda state: None if state[1] else state[0]  # between turns
+    costs, pruned = _minimax(starts, successors, form_of, targets)
+    return [costs.get(t) for t in targets], pruned and not g.lambda_free
+
+
 def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None) -> WordIndexResult:
     """Minimum trace index over all bounded derivations of `word`.
 
@@ -653,20 +691,5 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
     flagged as truncated when the grammar can erase and a branch was pruned
     by form length, since that branch might have derived the word.
     """
-    if len(word) > bounds.max_word_len:
-        raise ValueError("word longer than max_word_len")
-    g = _search_view(grammar, mode)
-    name_to_sym = {s.name: s for s in g.terminals}
-    try:
-        target = tuple(name_to_sym[n] for n in word)
-    except KeyError as e:
-        raise ValueError("unknown terminal %s" % e)
-    if isinstance(g, ProgrammedGrammar):
-        starts, successors = _programmed_steps(g, bounds)
-        is_goal = lambda state: state[0] == target
-    else:
-        starts, successors = _inner_steps(g, bounds)
-        goal = (target, 0, 0)  # the target form, between turns
-        is_goal = lambda state: state == goal
-    index, pruned = _minimax(starts, successors, is_goal)
-    return WordIndexResult(index, pruned and not g.lambda_free)
+    (index,), truncated = word_indices(grammar, (word,), bounds, mode)
+    return WordIndexResult(index, truncated)

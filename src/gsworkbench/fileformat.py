@@ -45,6 +45,7 @@ from .model import (
     nonterminal,
     STAR,
     T_MODE,
+    UNNAMED,
     t_and,
     terminal,
     validate,
@@ -299,7 +300,7 @@ def parse_file(text: str) -> GrammarFile:
         terminals=frozenset(terms),
         axiom=axiom,
         lambda_free=lambda_free,
-        name=name or "",
+        name="" if name == UNNAMED else name,
     )
     if kind == "cdgs":
         grammar: Grammar = CdSystem(
@@ -354,7 +355,7 @@ def serialize(grammar: Grammar, uniform_mode: Optional[Mode] = None) -> str:
         kind = "programmed"
     else:
         raise TypeError("not a grammar: %r" % (grammar,))
-    header = "grammar %s %s" % (grammar.name or "unnamed", kind)
+    header = "grammar %s %s" % (grammar.name or UNNAMED, kind)
     if grammar.lambda_free:
         header += " lambda-free"
     out.append(header)

@@ -15,6 +15,8 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_'<>,()\-]+\Z")
+# the .gsw header name of a grammar whose name is "", so not a name itself
+UNNAMED = "unnamed"
 
 NONTERMINAL = "N"
 TERMINAL = "T"
@@ -362,6 +364,10 @@ def _check_alphabets(g, out):
             out.append("kind-mismatch: %s listed as terminal" % s.name)
     if g.axiom not in g.nonterminals:
         out.append("axiom: axiom %s not a nonterminal of the grammar" % g.axiom.name)
+    if g.name == UNNAMED:
+        out.append("bad-name: grammar name %r is reserved for the empty name" % g.name)
+    elif g.name and not NAME_PATTERN.match(g.name):
+        out.append("bad-name: grammar name %r not an identifier" % g.name)
 
 
 def validate(grammar) -> list:
@@ -402,6 +408,8 @@ def validate(grammar) -> list:
         if len(label_set) != len(grammar.labels):
             out.append("labels: duplicate labels")
         for p in grammar.labels:
+            if not NAME_PATTERN.match(p):
+                out.append("bad-name: label %r not an identifier" % p)
             if p not in grammar.rule_of:
                 out.append("rule-missing: label %s has no rule" % p)
         _check_rules(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from gsworkbench import constructions as C
 from gsworkbench import fileformat as F
 from gsworkbench.model import (
     NAME_PATTERN,
+    UNNAMED,
     CdSystem,
     HcdSystem,
     ProgrammedGrammar,
@@ -196,9 +199,17 @@ class TestRoundTrip:
         assert g.components == ((Rule(nonterminal("rule"), (terminal("x"),)),),)
 
 
-# symbol names: any NAME_PATTERN identifier, with the format's keywords
-# drawn often, since they are the names a line-based format trips on
-names = st.sampled_from(KEYWORDS + ("->",)) | st.from_regex(NAME_PATTERN, fullmatch=True)
+# symbol names and labels: any NAME_PATTERN identifier, with the format's
+# keywords drawn often, since they are the names a line-based format trips on
+names = st.sampled_from(KEYWORDS + ("->", "succ", "fail")) | st.from_regex(
+    NAME_PATTERN, fullmatch=True
+)
+# grammar names: "" (written as the header name "unnamed") or an identifier
+# other than that reserved one
+grammar_names = st.just("") | names.filter(lambda n: n != UNNAMED)
+# what the line format cannot carry: a comment or field separator, a label
+# colon, whitespace
+breakers = st.sampled_from([";", ":", " ", "\t", "p;q", "p q", "p:q", " p"])
 modes = st.sampled_from([STAR, T_MODE, t_and(exactly(2)), between(1, 3), at_least(2)])
 
 
@@ -220,11 +231,11 @@ def grammars(draw):
         terminals=frozenset(ts),
         axiom=nts[0],
         lambda_free=lambda_free,
-        name="g",
+        name=draw(grammar_names),
     )
     kind = draw(st.sampled_from(["cdgs", "hcdgs", "programmed"]))
     if kind == "programmed":
-        labels = ["p%d" % i for i in range(draw(st.integers(min_value=1, max_value=3)))]
+        labels = draw(st.lists(names, min_size=1, max_size=3, unique=True))
         fields = st.frozensets(st.sampled_from(labels))
         return ProgrammedGrammar(
             labels=tuple(labels),
@@ -243,6 +254,18 @@ def grammars(draw):
     )
 
 
+def relabel(pg, old, new):
+    """`pg` with its label `old` renamed to `new` everywhere."""
+    rename = lambda p: new if p == old else p
+    return replace(
+        pg,
+        labels=tuple(map(rename, pg.labels)),
+        rule_of={rename(p): r for p, r in pg.rule_of.items()},
+        success={rename(p): frozenset(map(rename, f)) for p, f in pg.success.items()},
+        failure={rename(p): frozenset(map(rename, f)) for p, f in pg.failure.items()},
+    )
+
+
 class TestRoundTripProperty:
     @settings(max_examples=100, deadline=None)
     @given(grammars(), st.none() | modes)
@@ -251,3 +274,32 @@ class TestRoundTripProperty:
         uniform = uniform if type(g) is CdSystem else None
         gf = F.parse_file(F.serialize(g, uniform_mode=uniform))
         assert gf.grammar == g and gf.uniform_mode == uniform
+
+    @settings(max_examples=50, deadline=None)
+    @given(grammars(), breakers, st.booleans())
+    def test_names_the_format_cannot_carry_are_rejected(self, g, bad, as_label):
+        if as_label and isinstance(g, ProgrammedGrammar):
+            g = relabel(g, g.labels[0], bad)
+            expected = "bad-name: label %r not an identifier" % bad
+        else:
+            g = replace(g, name=bad)
+            expected = "bad-name: grammar name %r not an identifier" % bad
+        assert expected in validate(g)
+
+
+class TestNameRoundTrip:
+    def test_empty_name_round_trips(self):
+        g = replace(C.build_anbnambm(), name="")
+        text = F.serialize(g)
+        assert text.startswith("grammar unnamed cdgs")
+        assert F.parse_grammar(text) == g
+
+    def test_reserved_name_is_rejected(self):
+        g = replace(C.build_anbnambm(), name=UNNAMED)
+        assert validate(g) == [
+            "bad-name: grammar name 'unnamed' is reserved for the empty name"
+        ]
+
+    def test_label_with_separator_is_rejected(self, pg_abc):
+        g = relabel(pg_abc, "p6", "p;q")
+        assert validate(g) == ["bad-name: label 'p;q' not an identifier"]

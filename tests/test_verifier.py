@@ -3,7 +3,7 @@ import pytest
 from gsworkbench import constructions as C
 from gsworkbench import verifier as V
 from gsworkbench.engine import Bounds, enumerate_grammar, make_language
-from gsworkbench.model import Rule, nonterminal, t_and, exactly, terminal
+from gsworkbench.model import CdSystem, Rule, nonterminal, t_and, exactly, terminal
 
 S = nonterminal("S")
 a = terminal("a")
@@ -155,3 +155,38 @@ class TestCertifyIndexBound:
         assert not cert.passed
         assert all(idx == 3 for _, idx in cert.counterexamples)
         assert cert.lines()[0].startswith("VIOLATION index-bound")
+
+    def test_cd_counterexamples(self):
+        # every derivation of the source passes S -> A B C, so each word
+        # has index 3 in the simulating CD system too
+        A, B, Cn = nonterminal("A"), nonterminal("B"), nonterminal("C")
+        c = terminal("c")
+        rules = [Rule(S, (A, B, Cn))] + [
+            Rule(X, rhs) for X, x in ((A, a), (B, b), (Cn, c)) for rhs in ((x, X), (x,))
+        ]
+        src = C.IndexedCfGrammar(
+            frozenset({S, A, B, Cn}), frozenset({a, b, c}), S, tuple(rules), 3
+        )
+        cert = V.certify_index_bound(
+            C.cf_indexk_to_cd2(src), 2, Bounds.for_words(5), mode=t_and(exactly(3))
+        )
+        assert cert.checked_words == 10 and not cert.truncated
+        assert len(cert.counterexamples) == 10
+        assert cert.lines()[:2] == [
+            "VIOLATION index-bound a b c 3",
+            "VIOLATION index-bound a a b c 3",
+        ]
+        assert all(line.endswith(" 3") for line in cert.lines())
+
+    def test_cd_length_pruning_on_erasing_grammar_is_truncated(self):
+        A = nonterminal("A")
+        g = CdSystem(
+            nonterminals=frozenset({S, A}),
+            terminals=frozenset({a}),
+            axiom=S,
+            components=((Rule(S, (A, A, A, a)), Rule(A, ())),),
+            lambda_free=False,
+        )
+        cert = V.certify_index_bound(g, 1, Bounds(1, 2), mode=t_and(exactly(1)))
+        assert cert.truncated
+        assert cert.checked_words == 0 and cert.passed
