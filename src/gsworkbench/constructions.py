@@ -10,7 +10,7 @@ suffixing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .model import (
     CdSystem,
@@ -31,6 +31,8 @@ VARIANT_EXACTLY = "exactly"
 VARIANT_ATMOST = "atmost"
 _VARIANTS = (VARIANT_EXACTLY, VARIANT_ATMOST)
 
+_G = TypeVar("_G", CdSystem, ProgrammedGrammar)
+
 
 def _fresh(base: str, taken: set) -> str:
     name = base
@@ -40,7 +42,7 @@ def _fresh(base: str, taken: set) -> str:
     return name
 
 
-def _checked(system: CdSystem) -> CdSystem:
+def _checked(system: _G) -> _G:
     report = validate(system)
     if report:
         raise AssertionError("construction produced an invalid grammar: %s" % report)
@@ -263,21 +265,19 @@ def cd_to_programmed(g: CdSystem, k: int, variant: str = VARIANT_EXACTLY) -> Pro
                 failure[lab] = frozenset({check_label(i, j + 1)})
             else:
                 failure[lab] = all_first
-    pg = ProgrammedGrammar(
-        nonterminals=g.nonterminals | {fail_sym},
-        terminals=g.terminals,
-        axiom=g.axiom,
-        labels=tuple(labels),
-        rule_of=rule_of,
-        success=success,
-        failure=failure,
-        lambda_free=g.lambda_free,
-        name=(g.name + "_prog") if g.name else "prog",
+    return _checked(
+        ProgrammedGrammar(
+            nonterminals=g.nonterminals | {fail_sym},
+            terminals=g.terminals,
+            axiom=g.axiom,
+            labels=tuple(labels),
+            rule_of=rule_of,
+            success=success,
+            failure=failure,
+            lambda_free=g.lambda_free,
+            name=(g.name + "_prog") if g.name else "prog",
+        )
     )
-    report = validate(pg)
-    if report:
-        raise AssertionError("construction produced an invalid grammar: %s" % report)
-    return pg
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +584,6 @@ def nsf_programmed_to_cdgs(
     if not report.holds:
         raise ValueError("not in NSF: %s" % "; ".join(d for _, d in report.violations))
     counts = pg.nsf_counts if pg.nsf_counts is not None else report.inferred_counts
-    if counts is None:
-        raise ValueError("nsf counts unavailable")
     param = _fi_parameter(target)
     if param is not None:
         if param < m or param % m != 0:

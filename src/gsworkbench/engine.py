@@ -54,8 +54,8 @@ class Bounds:
             raise ValueError("max_form_len must be >= max_word_len")
 
     @classmethod
-    def for_words(cls, max_word_len: int, slack: int = 0) -> "Bounds":
-        return cls(max_word_len, max_word_len + slack)
+    def for_words(cls, max_word_len: int) -> "Bounds":
+        return cls(max_word_len, max_word_len)
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class BoundedLanguage:
 
     words: Tuple[Word, ...]
     bounds: Bounds
-    lambda_normalized: bool = True
     truncated: bool = False
 
     def word_set(self) -> frozenset:
@@ -84,7 +83,7 @@ def length_lex(words) -> Tuple[Word, ...]:
 def make_language(words, bounds: Bounds, truncated: bool = False) -> BoundedLanguage:
     """λ-normalize, order and package a raw word collection."""
     kept = [tuple(w) for w in words if len(w) > 0 and len(w) <= bounds.max_word_len]
-    return BoundedLanguage(length_lex(kept), bounds, True, truncated)
+    return BoundedLanguage(length_lex(kept), bounds, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -331,44 +330,33 @@ def _count_limit(f: Mode) -> Tuple[int, bool]:
     return _largest_at_least(f), False
 
 
-def _next_count(m: int, limit: int, bounded: bool) -> Optional[int]:
-    """The tracked count after one more inner step; None if none is allowed."""
-    if m < limit:
-        return m + 1
-    return None if bounded else m
-
-
 def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> ModeStepResult:
     """All y with form =>^m y via `ruleset` and P(f, m, ruleset, y) true.
 
-    Plain breadth-first reachability over (form, tracked step count)
-    states: the search is finite because forms are capped by
-    ``max_form_len`` and counts by `_count_limit`, and it is exact within
-    that form cap.
+    One turn of a one-component system: plain breadth-first reachability
+    over (form, tracked step count) states, finite because forms are capped
+    by ``max_form_len`` and counts by `_count_limit`, and exact within that
+    form cap.
     """
-    limit, bounded = _count_limit(f)
-    max_len = bounds.max_form_len
-    table = _rhs_table(ruleset)
+    return _turn(_inner_steps([(ruleset, f)], bounds), form, 1)
 
-    def successors(state):
-        y, m = state
-        n = _next_count(m, limit, bounded)
-        if n is None:
-            return (), False
-        edges, pruned = [], False
-        for z in _rewrites(y, table):
-            if len(z) > max_len:
-                pruned = True
-            else:
-                edges.append(((z, n), z, z))
-        return edges, pruned
 
-    rows, length_pruned = _bfs([((form, 0), form)], successors)
+def _turn(successors, x: Form, i: int) -> ModeStepResult:
+    """The turns of component `i` from `x`, over `_inner_steps` successors.
+
+    The search starts inside the turn and stops at the closing edges: each
+    form reached between turns maps to the forms on its shortest path.
+    """
+
+    def within(state):
+        return successors(state) if state[1] else ((), False)
+
+    rows, pruned = _bfs([((x, i, 0), x)], within)
     results: Dict[Form, Tuple[Form, ...]] = {}
-    for i, ((y, m), _, _, _) in enumerate(rows):
-        if y not in results and _accepts(f, m, table, y):
-            results[y] = tuple(_labels_to(rows, i))
-    return ModeStepResult(results, length_pruned)
+    for j, (state, y, _, _) in enumerate(rows):
+        if not state[1]:
+            results[y] = tuple(_labels_to(rows, j)[:-1])  # drop the closing None
+    return ModeStepResult(results, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -439,57 +427,57 @@ def _programmed_steps(pg: ProgrammedGrammar, bounds: Bounds):
     return [((start, r), start) for r in pg.labels], successors
 
 
+def _inner_steps(components, bounds: Bounds):
+    """Successors of (form, active component or 0, tracked inner step count).
+
+    `components` holds ``(rules, mode)`` pairs, each compiled once here.  An
+    edge opens a turn of any component between turns (labelled with its
+    index), applies one rule of the active component (labelled with the new
+    form), or closes the active turn when its mode predicate holds
+    (labelled None).
+    """
+    compiled = [(_rhs_table(rules), mode) + _count_limit(mode) for rules, mode in components]
+    opened = range(1, len(compiled) + 1)
+
+    def successors(state):
+        form, i, m = state
+        if i == 0:
+            return [((form, j, 0), form, j) for j in opened], False
+        table, mode, limit, bounded = compiled[i - 1]
+        edges, pruned = [], False
+        if _accepts(mode, m, table, form):
+            edges.append(((form, 0, 0), form, None))
+        if m < limit or not bounded:
+            n = min(m + 1, limit)  # an unbounded mode's count saturates at its limit
+            for y in _rewrites(form, table):
+                if len(y) > bounds.max_form_len:
+                    pruned = True
+                else:
+                    edges.append(((y, i, n), y, y))
+        return edges, pruned
+
+    return successors
+
+
 def _turns(system: HcdSystem, bounds: Bounds):
-    """States are inter-turn forms; an edge is one mode-step of a component.
+    """States are inter-turn forms; an edge is one turn of a component.
 
     Edge labels are ``(component index, inner forms, False)`` trace segments.
     """
-    components = list(enumerate(zip(system.components, system.modes), start=1))
+    steps = _inner_steps(zip(system.components, system.modes), bounds)
+    indices = range(1, system.degree + 1)
 
     def successors(x):
         edges, pruned = [], False
-        for i, (rules, mode) in components:
-            step = mode_step(x, rules, mode, bounds)
-            pruned = pruned or step.length_pruned
-            for y, path in step.results.items():
+        for i in indices:
+            turn = _turn(steps, x, i)
+            pruned = pruned or turn.length_pruned
+            for y, path in turn.results.items():
                 edges.append((y, y, (i, path, False)))
         return edges, pruned
 
     start: Form = (system.axiom,)
     return [(start, start)], successors
-
-
-def _inner_steps(system: HcdSystem, bounds: Bounds):
-    """States are (form, active component or 0, tracked inner step count).
-
-    An edge applies one rule of the active component, or opens a turn of
-    any component between turns, or closes the active turn when its mode
-    predicate holds.
-    """
-    components = [
-        (_rhs_table(rules), mode) + _count_limit(mode)
-        for rules, mode in zip(system.components, system.modes)
-    ]
-
-    def successors(state):
-        form, i, m = state
-        if i == 0:
-            return [((form, j, 0), form, None) for j in range(1, len(components) + 1)], False
-        table, mode, limit, bounded = components[i - 1]
-        edges, pruned = [], False
-        if _accepts(mode, m, table, form):
-            edges.append(((form, 0, 0), form, None))
-        n = _next_count(m, limit, bounded)
-        if n is not None:
-            for y in _rewrites(form, table):
-                if len(y) > bounds.max_form_len:
-                    pruned = True
-                else:
-                    edges.append(((y, i, n), y, None))
-        return edges, pruned
-
-    start: Form = (system.axiom,)
-    return [((start, 0, 0), start)], successors
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +519,6 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
             )
             result.traces[word] = DerivationTrace(start, segments)
     return result
-
-
-def enumerate_cd(system: CdSystem, f: Mode, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
-    """Bounded language of a CD system with every component in mode `f`."""
-    return enumerate_grammar(system, bounds, f, with_traces)
-
-
-def enumerate_hcd(system: HcdSystem, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
-    """Bounded language of a hybrid CD system (per-component modes)."""
-    return enumerate_grammar(system, bounds, with_traces=with_traces)
-
-
-def enumerate_programmed(pg: ProgrammedGrammar, bounds: Bounds, with_traces: bool = False) -> EnumerationResult:
-    """Bounded language of a programmed grammar, deduplicated on (form, label)."""
-    return enumerate_grammar(pg, bounds, with_traces=with_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +650,9 @@ def word_indices(
         starts, successors = _programmed_steps(g, bounds)
         form_of = itemgetter(0)
     else:
-        starts, successors = _inner_steps(g, bounds)
+        start: Form = (g.axiom,)
+        starts = [((start, 0, 0), start)]
+        successors = _inner_steps(zip(g.components, g.modes), bounds)
         form_of = lambda state: None if state[1] else state[0]  # between turns
     costs, pruned = _minimax(starts, successors, form_of, targets)
     return [costs.get(t) for t in targets], pruned and not g.lambda_free

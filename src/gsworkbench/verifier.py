@@ -15,6 +15,7 @@ from .engine import (
     Bounds,
     BoundedLanguage,
     Word,
+    _bfs,
     enumerate_grammar,
     length_lex,
     make_language,
@@ -244,8 +245,9 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     """Check the three NSF properties by bounded exploration.
 
     Exploration runs from (axiom, r) for every label r, like enumeration,
-    up to `depth` derivation steps; ``inconclusive`` is set when the
-    frontier was not exhausted within the depth.
+    up to `depth` derivation steps, as a breadth-first search that does not
+    expand states `depth` steps from a start; ``inconclusive`` is set when
+    such a state was reached.
     """
     report = NsfReport()
     axiom = pg.axiom
@@ -265,53 +267,47 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
         )
 
     start = (axiom,)
-    frontier = [(start, r) for r in pg.labels]
-    visited = set(frontier)
+    starts = [(start, r) for r in pg.labels]
+    # every start is on level 0 before the search: an appearance-checking
+    # step can reach another start before that start is visited
+    level = dict.fromkeys(starts, 0)
     applied_vectors: Dict[str, Dict] = {}
     seen_forms = {start}
-    for _ in range(depth):
-        if not frontier:
-            break
-        nxt = []
-        for form, label in frontier:
-            rule = pg.rule_of[label]
-            if rule.lhs in form:
-                vec = parikh(form, pg.nonterminals)
-                prev = applied_vectors.get(label)
-                if prev is None:
-                    applied_vectors[label] = vec
-                elif prev != vec:
-                    report.violations.append(
-                        (2, "label %s applied to forms with different nonterminal "
-                            "vectors" % label)
-                    )
-                    applied_vectors[label] = prev  # keep the first witness
-            for y, q, _ in programmed_successors(pg, form, label):
-                st = (y, q)
-                if st in visited:
-                    continue
-                visited.add(st)
-                if y not in seen_forms:
-                    seen_forms.add(y)
-                    over = parikh(y, pg.nonterminals)
-                    for sym, c in over.items():
-                        if c > 1:
-                            report.violations.append(
-                                (3, "nonterminal %s occurs %d times in form %s"
-                                 % (sym.name, c, " ".join(s.name for s in y) or "#"))
-                            )
-                nxt.append(st)
-        frontier = nxt
-    if frontier:
-        report.inconclusive = True
-    # deduplicate violations while keeping order
-    seen = set()
-    unique = []
-    for v in report.violations:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    report.violations = unique
+
+    def successors(state):
+        form, label = state
+        steps = level[state]
+        if steps >= depth:
+            return (), False
+        rule = pg.rule_of[label]
+        if rule.lhs in form:
+            vec = parikh(form, pg.nonterminals)
+            prev = applied_vectors.get(label)
+            if prev is None:
+                applied_vectors[label] = vec
+            elif prev != vec:
+                report.violations.append(
+                    (2, "label %s applied to forms with different nonterminal "
+                        "vectors" % label)
+                )
+        edges = []
+        for y, q, _ in programmed_successors(pg, form, label):
+            st = (y, q)
+            level.setdefault(st, steps + 1)
+            if y not in seen_forms:
+                seen_forms.add(y)
+                for sym, c in parikh(y, pg.nonterminals).items():
+                    if c > 1:
+                        report.violations.append(
+                            (3, "nonterminal %s occurs %d times in form %s"
+                             % (sym.name, c, " ".join(s.name for s in y) or "#"))
+                        )
+            edges.append((st, y, None))
+        return edges, False
+
+    _bfs([(st, start) for st in starts], successors)
+    report.inconclusive = any(n >= depth for n in level.values())
+    report.violations = list(dict.fromkeys(report.violations))  # dedupe, keep order
     report.inferred_counts = applied_vectors
     return report
 

@@ -4,7 +4,7 @@ import pytest
 
 from gsworkbench import constructions as C
 from gsworkbench import verifier as V
-from gsworkbench.engine import Bounds, enumerate_grammar, enumerate_programmed
+from gsworkbench.engine import Bounds, enumerate_grammar
 from gsworkbench.model import (
     Rule,
     at_most,
@@ -130,7 +130,7 @@ class TestCdToProgrammed:
         g = C.finite_to_cd1({("a",)}, 1)
         pg = C.cd_to_programmed(g, 1)
         assert set(pg.labels) == {"1_1_1", "1_1"}
-        lang = enumerate_programmed(pg, Bounds.for_words(3)).language
+        lang = enumerate_grammar(pg, Bounds.for_words(3)).language
         assert lang.words == (("a",),)
 
     @pytest.mark.parametrize("variant,mode", [

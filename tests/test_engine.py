@@ -5,10 +5,7 @@ from gsworkbench.engine import (
     DerivationTrace,
     TraceSegment,
     apply_at,
-    enumerate_cd,
     enumerate_grammar,
-    enumerate_programmed,
-    enumerate_hcd,
     make_language,
     mode_predicate,
     mode_step,
@@ -57,7 +54,6 @@ class TestBounds:
     def test_make_language_normalizes(self):
         lang = make_language([("b",), ("a",), (), ("a", "a", "a", "a")], Bounds(3, 3))
         assert lang.words == (("a",), ("b",))
-        assert lang.lambda_normalized
 
 
 class TestSingleSteps:
@@ -130,7 +126,7 @@ class TestModeStep:
         assert (a,) in res.results
         assert len(res.results[(a,)]) == 4
         g = cd([rules], nts=(A, B), ts=(a,), axiom=A)
-        lang = enumerate_cd(g, mode, Bounds(4, 4)).language
+        lang = enumerate_grammar(g, Bounds(4, 4), mode=mode).language
         assert ("a",) in lang.words and not lang.truncated
         assert word_index(g, ("a",), Bounds(4, 4), mode=mode).index == 1
 
@@ -138,12 +134,12 @@ class TestModeStep:
 class TestEnumeration:
     def test_single_component_terminal(self):
         g = cd([[Rule(S, (a,))]])
-        lang = enumerate_cd(g, t_and(exactly(1)), Bounds(3, 3)).language
+        lang = enumerate_grammar(g, Bounds(3, 3), mode=t_and(exactly(1))).language
         assert lang.words == (("a",),)
 
     def test_an_bn_under_t(self):
         g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
-        lang = enumerate_cd(g, T_MODE, Bounds(8, 8)).language
+        lang = enumerate_grammar(g, Bounds(8, 8), mode=T_MODE).language
         assert lang.words == (
             ("a", "b"),
             ("a", "a", "b", "b"),
@@ -153,7 +149,7 @@ class TestEnumeration:
 
     def test_lambda_free_enumeration_is_exact_not_truncated(self):
         g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
-        lang = enumerate_cd(g, STAR, Bounds(6, 6)).language
+        lang = enumerate_grammar(g, Bounds(6, 6), mode=STAR).language
         assert not lang.truncated
 
     def test_degenerate_hcd_star(self):
@@ -164,7 +160,7 @@ class TestEnumeration:
             components=((Rule(S, (a,)),),),
             modes=(STAR,),
         )
-        assert enumerate_hcd(g, Bounds(3, 3)).language.words == (("a",),)
+        assert enumerate_grammar(g, Bounds(3, 3)).language.words == (("a",),)
 
     def test_hcd_equals_uniform_cd(self):
         comps = ((Rule(S, (a, S, b)), Rule(S, (a, b))),)
@@ -176,12 +172,12 @@ class TestEnumeration:
             components=comps,
             modes=(t_and(at_most(2)),),
         )
-        w_cd = enumerate_cd(g_cd, t_and(at_most(2)), Bounds(8, 8)).language.words
-        w_h = enumerate_hcd(g_h, Bounds(8, 8)).language.words
+        w_cd = enumerate_grammar(g_cd, Bounds(8, 8), mode=t_and(at_most(2))).language.words
+        w_h = enumerate_grammar(g_h, Bounds(8, 8)).language.words
         assert w_cd == w_h
 
     def test_programmed_appearance_checking(self, pg_abc):
-        lang = enumerate_programmed(pg_abc, Bounds(9, 9)).language
+        lang = enumerate_grammar(pg_abc, Bounds(9, 9)).language
         assert [len(w) for w in lang.words] == [3, 6, 9]
 
     def test_enumerate_grammar_requires_mode_for_cd(self):
@@ -194,26 +190,26 @@ class TestTraces:
     def test_traces_validate_for_cd(self):
         g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
         mode = t_and(at_most(2))
-        res = enumerate_cd(g, mode, Bounds(8, 8), with_traces=True)
+        res = enumerate_grammar(g, Bounds(8, 8), mode=mode, with_traces=True)
         assert set(res.traces) == set(res.language.words)
         for word, trace in res.traces.items():
             assert validate_trace(g, trace, mode) == []
             assert tuple(s.name for s in trace.final_form()) == word
 
     def test_traces_validate_for_programmed(self, pg_abc):
-        res = enumerate_programmed(pg_abc, Bounds(9, 9), with_traces=True)
+        res = enumerate_grammar(pg_abc, Bounds(9, 9), with_traces=True)
         for trace in res.traces.values():
             assert validate_trace(pg_abc, trace) == []
 
     def test_trace_index(self, pg_abc):
-        res = enumerate_programmed(pg_abc, Bounds(9, 9), with_traces=True)
+        res = enumerate_grammar(pg_abc, Bounds(9, 9), with_traces=True)
         for trace in res.traces.values():
             assert trace_index(trace) == 3
 
     def test_tampered_trace_is_rejected(self):
         g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
         mode = t_and(at_most(2))
-        res = enumerate_cd(g, mode, Bounds(8, 8), with_traces=True)
+        res = enumerate_grammar(g, Bounds(8, 8), mode=mode, with_traces=True)
         trace = res.traces[("a", "b")]
         from dataclasses import replace
         bad = replace(
@@ -225,7 +221,7 @@ class TestTraces:
     @pytest.mark.parametrize("tamper", ["relabel", "appearance-check", "reorder"])
     def test_tampered_programmed_trace_is_rejected(self, pg_abc, tamper):
         from dataclasses import replace
-        trace = enumerate_programmed(pg_abc, Bounds(9, 9), with_traces=True).traces[
+        trace = enumerate_grammar(pg_abc, Bounds(9, 9), with_traces=True).traces[
             tuple("aabbcc")
         ]
         segs = list(trace.segments)
@@ -246,7 +242,8 @@ class TestTraces:
         from dataclasses import replace
         if cut == "unfinished":
             # dropping the last segment leaves the valid prefix S
-            trace = enumerate_cd(g, mode, Bounds(8, 8), with_traces=True).traces[("a", "b")]
+            res = enumerate_grammar(g, Bounds(8, 8), mode=mode, with_traces=True)
+            trace = res.traces[("a", "b")]
             bad = replace(trace, segments=trace.segments[:-1])
         else:
             # a legal one-step turn a S b => a a b b, but not from the axiom

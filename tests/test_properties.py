@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gsworkbench import fileformat as F
 from gsworkbench.engine import (
     Bounds,
-    enumerate_cd,
+    enumerate_grammar,
     length_lex,
     make_language,
     mode_predicate,
@@ -136,7 +136,7 @@ class TestEngineBasics:
             axiom=NTS[0],
             components=(rs,),
         )
-        small = enumerate_cd(g, f, Bounds(cap, cap)).language
-        large = enumerate_cd(g, f, Bounds(cap + 2, cap + 2)).language
+        small = enumerate_grammar(g, Bounds(cap, cap), mode=f).language
+        large = enumerate_grammar(g, Bounds(cap + 2, cap + 2), mode=f).language
         assert set(small.words) <= set(large.words)
         assert {w for w in large.words if len(w) <= cap} == set(small.words)

@@ -4,7 +4,8 @@ The reference for `mode_step` expands the forms reachable in exactly m
 steps, level by level, for m up to k + N: k is the mode's largest constant
 and N the number of forms within the form cap.  That is enough, because a
 longer derivation repeats a form after its first k steps, and cutting out
-the cycle leaves a derivation of at least k steps to the same form.
+the cycle leaves a derivation of at least k steps to the same form.  The
+least accepting m of a form is the length of its shortest witness.
 
 The reference for the one multi-target index search (`word_indices`, and
 `certify_index_bound` on top of it) is one single-target `word_index`
@@ -16,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from gsworkbench.engine import (
     Bounds,
-    enumerate_cd,
     enumerate_grammar,
     mode_predicate,
     mode_step,
@@ -79,10 +79,13 @@ def successors(form, ruleset):
 
 
 def reference_mode_step(form, ruleset, mode, max_len):
+    """Each form accepted after some m steps, mapped to the least such m."""
     n_forms = sum(len(ALPHABET) ** n for n in range(max_len + 1))
-    level, accepted = {form}, set()
+    level, accepted = {form}, {}
     for m in range(largest_constant(mode) + n_forms + 1):
-        accepted |= {y for y in level if mode_predicate(mode, m, ruleset, y)}
+        for y in level:
+            if y not in accepted and mode_predicate(mode, m, ruleset, y):
+                accepted[y] = m
         level = {z for y in level for z in successors(y, ruleset) if len(z) <= max_len}
         if not level:
             break
@@ -93,8 +96,10 @@ def reference_mode_step(form, ruleset, mode, max_len):
 @given(forms, components, modes)
 def test_mode_step_matches_reference(form, ruleset, mode):
     res = mode_step(form, ruleset, mode, BOUNDS)
-    assert set(res.results) == reference_mode_step(form, ruleset, mode, BOUNDS.max_form_len)
+    least = reference_mode_step(form, ruleset, mode, BOUNDS.max_form_len)
+    assert set(res.results) == set(least)
     for y, path in res.results.items():
+        assert len(path) == least[y]  # the witness is a shortest one
         assert mode_predicate(mode, len(path), ruleset, y)
         for x, z in zip((form,) + path, path):
             assert z in set(successors(x, ruleset))
@@ -110,7 +115,7 @@ def test_enumerated_words_are_traced_and_indexed(comps, mode):
         axiom=S,
         components=tuple(comps),
     )
-    res = enumerate_cd(g, mode, BOUNDS, with_traces=True)
+    res = enumerate_grammar(g, BOUNDS, mode=mode, with_traces=True)
     assert not res.language.truncated
     assert set(res.traces) == set(res.language.words)
     for word, trace in res.traces.items():

@@ -138,6 +138,16 @@ class TestNsfCheck:
         rep = V.nsf_check(pg, 8)
         assert any(item == 2 for item, _ in rep.violations)
 
+    def test_appearance_check_into_a_start_keeps_its_level(self):
+        # an appearance-checking step reaches (axiom, label) from another
+        # start; that state is still on level 0, so it is expanded
+        pg = C.cd_to_programmed(C.build_example1(2), 1, "exactly")
+        assert V.nsf_check(pg, 3).inconclusive is False
+
+    def test_start_levels_bound_what_is_expanded(self):
+        pg = C.cd_to_programmed(C.build_s3_cd3(), 1, "exactly")
+        assert sorted(V.nsf_check(pg, 1).inferred_counts) == ["3_1", "3_1_1"]
+
     def test_violation_lines_format(self):
         rep = V.NsfReport(violations=[(1, "start symbol appears twice")])
         assert rep.lines() == ["VIOLATION 1 start symbol appears twice"]
