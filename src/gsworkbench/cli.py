@@ -241,8 +241,8 @@ def _cmd_nsf_check(args) -> int:
     return EXIT_OK if report.holds else EXIT_DIFF
 
 
-def _add_bounds_args(p, max_len_required=True):
-    p.add_argument("--max-len", type=int, required=max_len_required)
+def _add_bounds_args(p):
+    p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--max-form-len", type=int, default=None)
     p.add_argument("--strict", action="store_true")
 

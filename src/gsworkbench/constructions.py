@@ -538,6 +538,8 @@ def prolong(g: CdSystem, ell: int) -> CdSystem:
 # ---------------------------------------------------------------------------
 
 _FI_PLAIN = ("eq", "ge")
+# nsf_check depth used to establish NSF before simulating a programmed grammar
+NSF_DEPTH = 16
 
 
 def _fi_parameter(target: Mode) -> Optional[int]:
@@ -558,12 +560,7 @@ def _fi_parameter(target: Mode) -> Optional[int]:
     raise ValueError("mode %r is not usable for the NSF simulation" % (target,))
 
 
-def nsf_programmed_to_cdgs(
-    pg: ProgrammedGrammar,
-    m: int,
-    target: Mode,
-    nsf_depth: int = 16,
-) -> CdSystem:
+def nsf_programmed_to_cdgs(pg: ProgrammedGrammar, m: int, target: Mode) -> CdSystem:
     """Simulate an NSF programmed grammar of index <= m by a CD system.
 
     One component per (label p, successor q) pair renames the state tag of
@@ -580,7 +577,7 @@ def nsf_programmed_to_cdgs(
         raise ValueError("m must be positive")
     from .verifier import nsf_check  # deferred: verifier imports engine
 
-    report = nsf_check(pg, nsf_depth)
+    report = nsf_check(pg, NSF_DEPTH)
     if not report.holds:
         raise ValueError("not in NSF: %s" % "; ".join(d for _, d in report.violations))
     counts = pg.nsf_counts if pg.nsf_counts is not None else report.inferred_counts

@@ -1,11 +1,12 @@
 """Derivation engine: single steps, mode predicate, bounded searches.
 
-Two searches run over a successor function per grammar, and a plain CD
-system is searched as the hybrid system with its mode on every component.
-A breadth-first search with parent pointers gives mode steps, enumeration
-and traces; a minimax search gives the index of any number of words at
-once.  Forms are capped by ``max_form_len`` and inner step counts by their
-mode, so every search is finite and exact within the form cap.  For
+Each grammar kind has one search space, and a plain CD system is searched
+as the hybrid system with its mode on every component.  A breadth-first
+search with parent pointers walks the space turn by turn for mode steps,
+enumeration and traces; a minimax search walks it state by state for the
+index of any number of words at once.  Forms are capped by
+``max_form_len`` and inner step counts by their mode's step window, so
+every search is finite and exact within the form cap.  For
 λ-free systems the enumerated language is then exactly the generated
 language intersected with the words of bounded length, because rule
 application never shortens a form.
@@ -14,6 +15,7 @@ application never shortens a form.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
@@ -29,7 +31,7 @@ from .model import (
     Symbol,
     form_text,
     is_terminal_form,
-    mode_step_cap,
+    mode_window,
     nonterminal_count,
 )
 
@@ -173,24 +175,10 @@ def _rewrites(form: Form, table) -> List[Form]:
     return out
 
 
-def _accepts(f: Mode, m: int, table, y: Form) -> bool:
-    """`mode_predicate` on a compiled table."""
-    kind = f.kind
-    if kind == "eq":
-        return m == f.k
-    if kind == "le":
-        return m <= f.k
-    if kind == "ge":
-        return m >= f.k
-    if kind == "*":
-        return m >= 0
-    if kind == "t":
-        return table.keys().isdisjoint(y)
-    if kind == "and":
-        # a step-count test is cheaper than t's scan of the form: run it first
-        first, second = (f.right, f.left) if f.left.kind == "t" else (f.left, f.right)
-        return _accepts(first, m, table, y) and _accepts(second, m, table, y)
-    raise ValueError("unknown mode kind %r" % kind)
+def _accepts(window, m: int, table, y: Form) -> bool:
+    """`mode_predicate` on a compiled mode window and rule table."""
+    lo, hi, t = window
+    return lo <= m <= hi and (not t or table.keys().isdisjoint(y))
 
 
 def one_step(form: Form, ruleset: Sequence[Rule]):
@@ -205,7 +193,7 @@ def applicable(ruleset: Sequence[Rule], form: Form) -> bool:
 
 def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
     """The predicate licensing a component to hand back `y` after m steps."""
-    return _accepts(f, m, _rhs_table(ruleset), y)
+    return _accepts(mode_window(f), m, _rhs_table(ruleset), y)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +276,35 @@ def _minimax(starts, successors, form_of, targets):
     return costs, pruned
 
 
+def _turns(successors, form_of):
+    """Successors of the states between turns, by whole turns.
+
+    An edge from a state between turns to another is a one-edge turn (every
+    programmed step).  An edge into a turn starts a breadth-first search
+    that stops at the states between turns, each reached by its shortest
+    path.  A turn's edge label is the tuple of the labels on its path.
+    """
+
+    def within(state):
+        return successors(state) if form_of(state) is None else ((), False)
+
+    def turns(state):
+        edges, pruned = successors(state)
+        out = []
+        for nxt, form, label in edges:
+            if form_of(nxt) is not None:
+                out.append((nxt, form, (label,)))
+                continue
+            rows, cut = _bfs([(nxt, form)], within)
+            pruned = pruned or cut
+            for j, (y, yform, _, _) in enumerate(rows):
+                if form_of(y) is not None:
+                    out.append((y, yform, (label, *_labels_to(rows, j))))
+        return out, pruned
+
+    return turns
+
+
 # ---------------------------------------------------------------------------
 # Mode steps
 # ---------------------------------------------------------------------------
@@ -308,55 +325,17 @@ class ModeStepResult:
     length_pruned: bool = False
 
 
-def _largest_at_least(f: Mode) -> int:
-    if f.kind == "ge":
-        return f.k
-    if f.kind == "and":
-        return max(_largest_at_least(f.left), _largest_at_least(f.right))
-    return 0
-
-
-def _count_limit(f: Mode) -> Tuple[int, bool]:
-    """How far inner step counts are tracked in mode `f`: ``(limit, bounded)``.
-
-    A bounded mode keeps the exact count and takes no step past its largest
-    admissible count.  An unbounded mode only compares the count with its
-    ``>=k`` constants, so the count saturates at the largest of them and the
-    predicate gives the same verdict on it as on the true count.
-    """
-    cap = mode_step_cap(f)
-    if cap is not None:
-        return cap, True
-    return _largest_at_least(f), False
-
-
 def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> ModeStepResult:
     """All y with form =>^m y via `ruleset` and P(f, m, ruleset, y) true.
 
-    One turn of a one-component system: plain breadth-first reachability
-    over (form, tracked step count) states, finite because forms are capped
-    by ``max_form_len`` and counts by `_count_limit`, and exact within that
-    form cap.
+    The turns of a one-component system from `form`: breadth-first
+    reachability over (form, tracked step count) states, finite because
+    forms are capped by ``max_form_len`` and counts by the mode's step
+    window, and exact within that form cap.
     """
-    return _turn(_inner_steps([(ruleset, f)], bounds), form, 1)
-
-
-def _turn(successors, x: Form, i: int) -> ModeStepResult:
-    """The turns of component `i` from `x`, over `_inner_steps` successors.
-
-    The search starts inside the turn and stops at the closing edges: each
-    form reached between turns maps to the forms on its shortest path.
-    """
-
-    def within(state):
-        return successors(state) if state[1] else ((), False)
-
-    rows, pruned = _bfs([((x, i, 0), x)], within)
-    results: Dict[Form, Tuple[Form, ...]] = {}
-    for j, (state, y, _, _) in enumerate(rows):
-        if not state[1]:
-            results[y] = tuple(_labels_to(rows, j)[:-1])  # drop the closing None
-    return ModeStepResult(results, pruned)
+    turns = _turns(_inner_steps([(ruleset, f)], bounds), _between_turns)
+    edges, pruned = turns((form, 0, 0))
+    return ModeStepResult({y: _turn_segment(labels).forms for _, y, labels in edges}, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -405,50 +384,81 @@ def programmed_successors(pg: ProgrammedGrammar, form: Form, label: str):
             yield form, q, True
 
 
-def _programmed_steps(pg: ProgrammedGrammar, bounds: Bounds):
-    """States are (form, next label); an edge is one derivation step.
+def _space(g, bounds: Bounds):
+    """The search space of a grammar from `_search_view`.
 
-    The search starts from (axiom, r) for every label r, per the existential
-    over the first label in the language definition.  Edge labels are
-    ``(label, forms, appearance checking flag)`` trace segments.
+    Returns ``(starts, successors, form_of, segment)``: the start states
+    with their forms, the successor function, the form of a state between
+    turns (``None`` inside a CD turn), and the map from a turn's edge
+    labels to its trace segment.
+
+    A programmed grammar's states are (form, next label), and an edge is
+    one derivation step.  The search starts from (axiom, r) for every label
+    r, per the existential over the first label in the language definition.
+    A hybrid CD system's states are those of `_inner_steps`.
     """
+    start: Form = (g.axiom,)
+    if isinstance(g, ProgrammedGrammar):
 
-    def successors(state):
-        form, label = state
-        edges, pruned = [], False
-        for y, q, ac in programmed_successors(pg, form, label):
-            if len(y) > bounds.max_form_len:
-                pruned = True
-            else:
-                edges.append(((y, q), y, (label, (y,), ac)))
-        return edges, pruned
+        def successors(state):
+            form, label = state
+            edges, pruned = [], False
+            for y, q, ac in programmed_successors(g, form, label):
+                if len(y) > bounds.max_form_len:
+                    pruned = True
+                else:
+                    edges.append(((y, q), y, (label, y, ac)))
+            return edges, pruned
 
-    start: Form = (pg.axiom,)
-    return [((start, r), start) for r in pg.labels], successors
+        starts = [((start, r), start) for r in g.labels]
+        return starts, successors, itemgetter(0), _programmed_segment
+    steps = _inner_steps(zip(g.components, g.modes), bounds)
+    return [((start, 0, 0), start)], steps, _between_turns, _turn_segment
+
+
+def _programmed_segment(labels) -> TraceSegment:
+    ((label, y, ac),) = labels
+    return TraceSegment(label, (y,), ac)
+
+
+def _turn_segment(labels) -> TraceSegment:
+    # the component index, the inner forms and the closing None
+    return TraceSegment(labels[0], labels[1:-1])
+
+
+def _between_turns(state) -> Optional[Form]:
+    form, i, _ = state
+    return None if i else form
 
 
 def _inner_steps(components, bounds: Bounds):
     """Successors of (form, active component or 0, tracked inner step count).
 
-    `components` holds ``(rules, mode)`` pairs, each compiled once here.  An
-    edge opens a turn of any component between turns (labelled with its
-    index), applies one rule of the active component (labelled with the new
-    form), or closes the active turn when its mode predicate holds
-    (labelled None).
+    `components` holds ``(rules, mode)`` pairs, each compiled once here to
+    a rule table and a step window.  An edge opens a turn of any component
+    between turns (labelled with its index), applies one rule of the active
+    component (labelled with the new form), or closes the active turn when
+    its mode predicate holds (labelled None).  A count below the window's
+    top may take another step; it saturates at the top, or at the bottom
+    when the window is unbounded, where the predicate gives the same
+    verdict as on the true count.
     """
-    compiled = [(_rhs_table(rules), mode) + _count_limit(mode) for rules, mode in components]
+    compiled = []
+    for rules, mode in components:
+        lo, hi, _ = window = mode_window(mode)
+        compiled.append((_rhs_table(rules), window, hi, hi if hi < math.inf else lo))
     opened = range(1, len(compiled) + 1)
 
     def successors(state):
         form, i, m = state
         if i == 0:
             return [((form, j, 0), form, j) for j in opened], False
-        table, mode, limit, bounded = compiled[i - 1]
+        table, window, hi, top = compiled[i - 1]
         edges, pruned = [], False
-        if _accepts(mode, m, table, form):
+        if _accepts(window, m, table, form):
             edges.append(((form, 0, 0), form, None))
-        if m < limit or not bounded:
-            n = min(m + 1, limit)  # an unbounded mode's count saturates at its limit
+        if m < hi:
+            n = min(m + 1, top)
             for y in _rewrites(form, table):
                 if len(y) > bounds.max_form_len:
                     pruned = True
@@ -457,27 +467,6 @@ def _inner_steps(components, bounds: Bounds):
         return edges, pruned
 
     return successors
-
-
-def _turns(system: HcdSystem, bounds: Bounds):
-    """States are inter-turn forms; an edge is one turn of a component.
-
-    Edge labels are ``(component index, inner forms, False)`` trace segments.
-    """
-    steps = _inner_steps(zip(system.components, system.modes), bounds)
-    indices = range(1, system.degree + 1)
-
-    def successors(x):
-        edges, pruned = [], False
-        for i in indices:
-            turn = _turn(steps, x, i)
-            pruned = pruned or turn.length_pruned
-            for y, path in turn.results.items():
-                edges.append((y, y, (i, path, False)))
-        return edges, pruned
-
-    start: Form = (system.axiom,)
-    return [(start, start)], successors
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +488,18 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     word within the bound.
     """
     g = _search_view(grammar, mode)
-    if isinstance(g, ProgrammedGrammar):
-        starts, successors = _programmed_steps(g, bounds)
-    else:
-        starts, successors = _turns(g, bounds)
-    rows, pruned = _bfs(starts, successors)
+    starts, successors, form_of, segment = _space(g, bounds)
+    rows, pruned = _bfs(starts, _turns(successors, form_of))
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
-        if is_terminal_form(form) and 0 < len(form) <= bounds.max_word_len:
+        if is_terminal_form(form):
             word_rows.setdefault(tuple(s.name for s in form), i)
     language = make_language(word_rows, bounds, pruned and not g.lambda_free)
     result = EnumerationResult(language)
     if with_traces:
         start: Form = (g.axiom,)
         for word in language.words:
-            segments = tuple(
-                TraceSegment(actor, tuple(forms), ac)
-                for actor, forms, ac in _labels_to(rows, word_rows[word])
-            )
+            segments = tuple(map(segment, _labels_to(rows, word_rows[word])))
             result.traces[word] = DerivationTrace(start, segments)
     return result
 
@@ -636,24 +619,21 @@ def word_indices(
     Returns the indices in the order of `words` (``None`` where no
     derivation was found within the bounds) and one truncation flag, set
     when the grammar can erase and a branch was pruned by form length.  The
-    search stops as soon as every word has been reached.
+    search stops as soon as every word has been reached.  An empty word, a
+    word longer than ``max_word_len`` or an unknown terminal raises
+    ValueError.
     """
     if any(len(word) > bounds.max_word_len for word in words):
         raise ValueError("word longer than max_word_len")
+    if not all(words):
+        raise ValueError("empty word: bounded languages never hold it")
     g = _search_view(grammar, mode)
     name_to_sym = {s.name: s for s in g.terminals}
     try:
         targets = [tuple(name_to_sym[n] for n in word) for word in words]
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
-    if isinstance(g, ProgrammedGrammar):
-        starts, successors = _programmed_steps(g, bounds)
-        form_of = itemgetter(0)
-    else:
-        start: Form = (g.axiom,)
-        starts = [((start, 0, 0), start)]
-        successors = _inner_steps(zip(g.components, g.modes), bounds)
-        form_of = lambda state: None if state[1] else state[0]  # between turns
+    starts, successors, form_of, _ = _space(g, bounds)
     costs, pruned = _minimax(starts, successors, form_of, targets)
     return [costs.get(t) for t in targets], pruned and not g.lambda_free
 

@@ -9,6 +9,7 @@ with success/failure fields).  All values are immutable after construction;
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -177,15 +178,29 @@ def mode_text(mode: Mode) -> str:
     return "(%s & %s)" % (mode_text(mode.left), mode_text(mode.right))
 
 
+def mode_window(mode: Mode) -> Tuple[int, float, bool]:
+    """The mode as a step window ``(lo, hi, t)``.
+
+    A component may hand back form y after m steps iff ``lo <= m <= hi``
+    and, when ``t`` is set, no rule of the component applies to y.  ``hi``
+    is ``math.inf`` for an unbounded mode.  A conjunction takes the larger
+    ``lo``, the smaller ``hi`` and either ``t``.
+    """
+    if mode.kind == "and":
+        (llo, lhi, lt), (rlo, rhi, rt) = mode_window(mode.left), mode_window(mode.right)
+        return max(llo, rlo), min(lhi, rhi), lt or rt
+    k, inf = mode.k, math.inf
+    windows = {"*": (0, inf, False), "t": (0, inf, True), "le": (0, k, False),
+               "eq": (k, k, False), "ge": (k, inf, False)}
+    if mode.kind not in windows:
+        raise ValueError("unknown mode kind %r" % mode.kind)
+    return windows[mode.kind]
+
+
 def mode_step_cap(mode: Mode) -> Optional[int]:
     """Largest inner step count the mode can accept, or None if unbounded."""
-    if mode.kind in ("le", "eq"):
-        return mode.k
-    if mode.kind in ("*", "t", "ge"):
-        return None
-    caps = [mode_step_cap(m) for m in (mode.left, mode.right)]
-    caps = [c for c in caps if c is not None]
-    return min(caps) if caps else None
+    hi = mode_window(mode)[1]
+    return None if hi == math.inf else hi
 
 
 def is_in_mode_set_d(mode: Mode) -> bool:

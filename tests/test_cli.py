@@ -146,6 +146,18 @@ class TestIndex:
         assert code == 3
         assert capsys.readouterr().out == "UNKNOWN\n"
 
+    def test_empty_word_is_an_error(self, tmp_path, capsys):
+        # no bounded language holds the empty word, even where the grammar
+        # derives it: here S => A => λ in one t-turn
+        path = tmp_path / "erasing.gsw"
+        path.write_text(
+            "grammar er cdgs\nnonterminals S A\nterminals a\naxiom S\nmode t\n"
+            "component\n  S -> A\n  A -> #\n  A -> a\n",
+            encoding="utf-8",
+        )
+        assert main(["index", str(path), "--word", "", "--max-len", "3"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestNsfCheck:
     def test_clean_grammar(self, tmp_path, pg_abc, capsys):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import pytest
@@ -17,11 +18,13 @@ from gsworkbench.model import (
     at_least,
     at_most,
     between,
+    conj,
     exactly,
     form_text,
     is_in_mode_set_d,
     is_terminal_form,
     mode_step_cap,
+    mode_window,
     mode_text,
     nonterminal,
     nonterminal_count,
@@ -116,6 +119,25 @@ class TestModes:
         assert mode_step_cap(t_and(at_most(2))) == 2
         assert mode_step_cap(T_MODE) is None
         assert mode_step_cap(between(2, 5)) == 5
+        inf = math.inf
+        table = [
+            (STAR, (0, inf, False)),
+            (T_MODE, (0, inf, True)),
+            (at_most(2), (0, 2, False)),
+            (exactly(3), (3, 3, False)),
+            (at_least(2), (2, inf, False)),
+            (between(2, 5), (2, 5, False)),
+            (t_and(at_most(2)), (0, 2, True)),
+            (t_and(exactly(3)), (3, 3, True)),
+            (t_and(at_least(2)), (2, inf, True)),
+            # a conjunction: the larger lo, the smaller hi, either t
+            (conj(exactly(2), at_most(1)), (2, 1, False)),
+            (conj(conj(T_MODE, at_least(1)), conj(at_least(3), STAR)), (3, inf, True)),
+        ]
+        for mode, window in table:
+            assert mode_window(mode) == window, mode
+        with pytest.raises(ValueError):
+            mode_window(Mode("?"))
 
 
 class TestValidation:

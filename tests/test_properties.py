@@ -53,6 +53,31 @@ modes = st.one_of(
 )
 
 
+def conj_trees(depth):
+    """Conjunction trees over every basic mode, nested at most `depth` deep."""
+    leaves = st.one_of(st.just(STAR), st.just(T_MODE), basic_bounded)
+    if depth == 0:
+        return leaves
+    sub = conj_trees(depth - 1)
+    return leaves | st.builds(conj, sub, sub)
+
+
+mode_trees = conj_trees(3)
+
+
+def reference_predicate(f, m, rs, y):
+    """The mode predicate by recursion on the mode tree."""
+    if f.kind == "and":
+        return reference_predicate(f.left, m, rs, y) and reference_predicate(f.right, m, rs, y)
+    return {
+        "*": True,
+        "t": not any(rule.lhs == s for rule in rs for s in y),
+        "le": m <= f.k,
+        "eq": m == f.k,
+        "ge": m >= f.k,
+    }[f.kind]
+
+
 class TestModeAlgebra:
     @given(forms, rulesets, ms, ks)
     def test_between_kk_is_exactly_k(self, y, rs, m, k):
@@ -81,6 +106,10 @@ class TestModeAlgebra:
     @given(modes)
     def test_mode_text_parses_back(self, f):
         assert F.parse_mode(mode_text(f)) == f
+
+    @given(forms, rulesets, ms, mode_trees)
+    def test_predicate_matches_recursive_reference(self, y, rs, m, f):
+        assert mode_predicate(f, m, rs, y) == reference_predicate(f, m, rs, y)
 
 
 def naive_one_step(x, rs):

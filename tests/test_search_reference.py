@@ -20,6 +20,7 @@ from gsworkbench.engine import (
     enumerate_grammar,
     mode_predicate,
     mode_step,
+    trace_index,
     WordIndexResult,
     validate_trace,
     word_index,
@@ -124,11 +125,41 @@ def test_enumerated_words_are_traced_and_indexed(comps, mode):
 
 
 # rules that may erase, for systems that are not λ-free
-erasing_components = st.lists(
-    st.builds(Rule, st.sampled_from((S, A)), st.lists(symbols, max_size=3).map(tuple)),
-    min_size=1,
-    max_size=3,
-).map(tuple)
+any_rules = st.builds(Rule, st.sampled_from((S, A)), st.lists(symbols, max_size=3).map(tuple))
+
+
+@st.composite
+def programmed_grammars(draw):
+    """Up to 4 labels with rules that may erase and drawn failure fields."""
+    labels = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
+    fields = st.frozensets(st.sampled_from(labels))
+    rule_of = {p: draw(any_rules) for p in labels}
+    return ProgrammedGrammar(
+        nonterminals=frozenset({S, A}),
+        terminals=frozenset({a}),
+        axiom=S,
+        labels=tuple(labels),
+        rule_of=rule_of,
+        success={p: draw(fields) for p in labels},
+        failure={p: draw(fields) for p in labels},
+        lambda_free=all(rule.rhs for rule in rule_of.values()),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(programmed_grammars())
+def test_programmed_words_are_traced_and_indexed(pg):
+    res = enumerate_grammar(pg, BOUNDS, with_traces=True)
+    words = res.language.words
+    assert set(res.traces) == set(words)
+    indices, _ = word_indices(pg, words, BOUNDS)
+    for word, index in zip(words, indices):
+        trace = res.traces[word]
+        assert validate_trace(pg, trace) == []
+        assert index is not None and index <= trace_index(trace)
+
+
+erasing_components = st.lists(any_rules, min_size=1, max_size=3).map(tuple)
 ALL_WORDS = tuple(("a",) * n for n in range(1, BOUNDS.max_word_len + 1))
 
 
@@ -184,6 +215,9 @@ def test_word_indices_check_every_word(pg_abc):
         word_indices(pg_abc, [tuple("abc"), tuple("aabbcc")], bounds)
     with pytest.raises(ValueError, match="unknown terminal"):
         word_indices(pg_abc, [tuple("abc"), tuple("abd")], bounds)
+    # bounded languages are λ-normalized, so the empty word is never listed
+    with pytest.raises(ValueError, match="empty word"):
+        word_indices(pg_abc, [tuple("abc"), ()], bounds)
 
 
 @pytest.mark.parametrize(
