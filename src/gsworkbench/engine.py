@@ -3,10 +3,11 @@
 Each grammar kind has one search space, and a plain CD system is searched
 as the hybrid system with its mode on every component.  A breadth-first
 search with parent pointers walks the space turn by turn for mode steps,
-enumeration and traces; a minimax search walks it state by state for the
-index of any number of words at once.  Forms are capped by
-``max_form_len`` and inner step counts by their mode's step window, so
-every search is finite and exact within the form cap.  For
+enumeration and traces; a breadth-first search over one bucket per cost
+walks it state by state for the index of any number of words at once, or,
+run to exhaustion, for the bounded language with every word's index.
+Forms are capped by ``max_form_len`` and inner step counts by their mode's
+step window, so every search is finite and exact within the form cap.  For
 λ-free systems the enumerated language is then exactly the generated
 language intersected with the words of bounded length, because rule
 application never shortens a form.
@@ -14,10 +15,8 @@ application never shortens a form.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import count
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -236,44 +235,56 @@ def _labels_to(rows, i: int) -> list:
     return labels
 
 
-def _minimax(starts, successors, form_of, targets):
+def _minimax(starts, successors, form_of, targets=None):
     """Least cost of each reachable target form, and whether a branch was pruned.
 
-    The cost of a path is the largest nonterminal count of a form on it; the
-    search is a Dijkstra search, sound because extending a path never lowers
-    its cost.  ``form_of`` maps a state to its form, or to ``None`` where the
-    state is not a place to stop (inside a CD turn).  A target's cost is
-    recorded when a state with its form is popped, and the search returns as
-    soon as every target has one; unreached targets have no entry.
+    The cost of a path is the largest nonterminal count of a form on it.
+    Costs are small integers that never drop along an edge, so the search
+    is a breadth-first search over one FIFO bucket per cost, walked in
+    increasing order: a state's first push already carries its least cost.
+    ``form_of`` maps a state to its form, or to ``None`` where the state is
+    not a place to stop (inside a CD turn).  A form's cost is recorded when
+    the first state with that form is popped.  With ``targets`` the search
+    returns as soon as every target has a cost, and unreached targets have
+    no entry; without, it runs to exhaustion and prices every form between
+    turns.
     """
     costs = {}
-    left = set(targets)
-    best = {}
-    heap = []
-    tie = count()  # FIFO among equal costs; states are never compared
+    left = None if targets is None else set(targets)
+    if left is not None and not left:
+        return costs, False
+    buckets = []  # buckets[c]: the states first reached at cost c, in push order
+    seen = set()
     for state, form in starts:
-        best[state] = nonterminal_count(form)
-        heap.append((best[state], next(tie), state))
-    heapq.heapify(heap)
+        seen.add(state)
+        _push(buckets, nonterminal_count(form), state)
     pruned = False
-    while heap and left:
-        cost, _, state = heapq.heappop(heap)
-        if cost > best[state]:
-            continue
-        form = form_of(state)
-        if form in left:
-            left.remove(form)
-            costs[form] = cost
-            if not left:
-                break
-        edges, cut = successors(state)
-        pruned = pruned or cut
-        for nxt, form, _ in edges:
-            ncost = max(cost, nonterminal_count(form))
-            if ncost < best.get(nxt, ncost + 1):
-                best[nxt] = ncost
-                heapq.heappush(heap, (ncost, next(tie), nxt))
+    for cost, bucket in enumerate(buckets):  # the walk sees buckets appended later
+        for state in bucket:  # and states appended to the bucket it walks
+            form = form_of(state)
+            if form is not None and form not in costs and (left is None or form in left):
+                costs[form] = cost
+                if left is not None:
+                    left.remove(form)
+                    if not left:
+                        return costs, pruned
+            edges, cut = successors(state)
+            pruned = pruned or cut
+            for nxt, form, _ in edges:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    ncost = nonterminal_count(form)
+                    if ncost <= cost:
+                        bucket.append(nxt)
+                    else:
+                        _push(buckets, ncost, nxt)
     return costs, pruned
+
+
+def _push(buckets, cost: int, state) -> None:
+    while len(buckets) <= cost:
+        buckets.append([])
+    buckets[cost].append(state)
 
 
 def _turns(successors, form_of):
@@ -509,10 +520,6 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
 # ---------------------------------------------------------------------------
 
 
-def _is_one_step(x: Form, y: Form, ruleset) -> bool:
-    return any(y == z for z in one_step(x, ruleset))
-
-
 def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None) -> list:
     """Re-check a derivation trace against the grammar's step semantics.
 
@@ -536,17 +543,22 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
 
 
 def _turn_violations(system: HcdSystem, trace: DerivationTrace) -> list:
+    # each component compiled once, as `_inner_steps` does
+    compiled = [
+        (_rhs_table(rules), mode_window(mode))
+        for rules, mode in zip(system.components, system.modes)
+    ]
     problems = []
     current = trace.start
     for n, seg in enumerate(trace.segments):
         if not isinstance(seg.actor, int) or not (1 <= seg.actor <= system.degree):
             problems.append("segment %d: bad component index %r" % (n, seg.actor))
             continue
-        rules = system.components[seg.actor - 1]
+        table, window = compiled[seg.actor - 1]
         prev = current
         ok = True
         for f in seg.forms:
-            if not _is_one_step(prev, f, rules):
+            if f not in _rewrites(prev, table):
                 problems.append(
                     "segment %d: form not reachable in one step of component %d"
                     % (n, seg.actor)
@@ -556,9 +568,7 @@ def _turn_violations(system: HcdSystem, trace: DerivationTrace) -> list:
             prev = f
         if ok:
             final = seg.forms[-1] if seg.forms else current
-            if not mode_predicate(
-                system.modes[seg.actor - 1], len(seg.forms), rules, final
-            ):
+            if not _accepts(window, len(seg.forms), table, final):
                 problems.append(
                     "segment %d: mode predicate fails for component %d after %d steps"
                     % (n, seg.actor, len(seg.forms))
@@ -636,6 +646,28 @@ def word_indices(
     starts, successors, form_of, _ = _space(g, bounds)
     costs, pruned = _minimax(starts, successors, form_of, targets)
     return [costs.get(t) for t in targets], pruned and not g.lambda_free
+
+
+def indexed_language(
+    grammar, bounds: Bounds, mode: Optional[Mode] = None
+) -> Tuple[BoundedLanguage, Dict[Word, int]]:
+    """The bounded language of `grammar` and the `word_index` of each word.
+
+    One exhaustive index search finds the words and prices them: it expands
+    every state that `enumerate_grammar` expands, so the language and its
+    truncation flag are the ones enumeration gives, and the pop order does
+    not depend on targets, so each index is the one `word_indices` gives.
+    """
+    g = _search_view(grammar, mode)
+    starts, successors, form_of, _ = _space(g, bounds)
+    costs, pruned = _minimax(starts, successors, form_of)
+    indices = {
+        tuple(s.name for s in form): cost
+        for form, cost in costs.items()
+        if is_terminal_form(form)
+    }
+    language = make_language(indices, bounds, pruned and not g.lambda_free)
+    return language, {word: indices[word] for word in language.words}
 
 
 def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None) -> WordIndexResult:

@@ -16,12 +16,11 @@ from .engine import (
     BoundedLanguage,
     Word,
     _bfs,
-    enumerate_grammar,
+    indexed_language,
     length_lex,
     make_language,
     programmed_successors,
     word_index,  # re-exported: the benchmark's tracer patches this binding
-    word_indices,
 )
 from .model import ProgrammedGrammar, is_terminal_form, nonterminal_count, parikh
 
@@ -345,18 +344,13 @@ class IndexCertificate:
 def certify_index_bound(grammar, bound: int, bounds: Bounds, mode=None) -> IndexCertificate:
     """Check that every word found within bounds has word index <= bound.
 
-    One enumeration finds the words and one index search over all of them
-    gives their indices.  A pass is desk-scale evidence, not a proof: only
+    One exhaustive index search finds the words and gives their indices
+    (`indexed_language`).  A pass is desk-scale evidence, not a proof: only
     words and derivations inside the bounds are examined.
     """
-    language = enumerate_grammar(grammar, bounds, mode=mode).language
-    indices, truncated = word_indices(grammar, language.words, bounds, mode=mode)
-    cert = IndexCertificate(bound, len(language), truncated=language.truncated or truncated)
-    for word, index in zip(language.words, indices):
-        if index is None:
-            # enumeration found it, so the index search must too; treat a
-            # miss as a truncation artifact rather than silently passing
-            cert.truncated = True
-        elif index > bound:
-            cert.counterexamples.append((word, index))
+    language, indices = indexed_language(grammar, bounds, mode=mode)
+    cert = IndexCertificate(bound, len(language), truncated=language.truncated)
+    for word in language.words:
+        if indices[word] > bound:
+            cert.counterexamples.append((word, indices[word]))
     return cert
