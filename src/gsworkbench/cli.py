@@ -77,17 +77,22 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
         return tuple(parts)
     if len(parts) != 1:
         raise CliError("word symbols %r not in the terminal alphabet" % text)
-    # greedy longest-match segmentation of a glued word like "aabb"
+    # segment a glued word like "aabb": the first success of a depth-first
+    # search that tries the longest terminal first.  ends[i] holds whether
+    # the suffix from i segments, so the walk never takes a dead end, and
+    # where greedy longest match succeeds it gives the same segmentation.
+    glued = parts[0]
+    ends = [False] * len(glued) + [True]
+    for i in reversed(range(len(glued))):
+        ends[i] = any(glued.startswith(n, i) and ends[i + len(n)] for n in names)
+    if not ends[0]:
+        raise CliError("cannot segment word %r over the terminal alphabet" % text)
     out: List[str] = []
-    rest = parts[0]
-    while rest:
-        for name in names:
-            if rest.startswith(name):
-                out.append(name)
-                rest = rest[len(name):]
-                break
-        else:
-            raise CliError("cannot segment word %r over the terminal alphabet" % text)
+    i = 0
+    while i < len(glued):
+        name = next(n for n in names if glued.startswith(n, i) and ends[i + len(n)])
+        out.append(name)
+        i += len(name)
     return tuple(out)
 
 

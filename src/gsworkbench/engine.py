@@ -11,12 +11,25 @@ step window, so every search is finite and exact within the form cap.  For
 λ-free systems the enumerated language is then exactly the generated
 language intersected with the words of bounded length, because rule
 application never shortens a form.
+
+A search runs on forms encoded as strings: each symbol of the grammar is
+one character, the nonterminals first.  Strings cache their hash, and
+slicing, concatenation and scanning run in C.  Rule tables and the
+nonterminal count are regex character classes over those characters.
+Encoded forms never leave the engine: words, traces, mode-step results and
+index targets are encoded or decoded at the boundary, each distinct form
+decoded once per search, and the helpers on symbol tuples (`one_step`,
+`mode_predicate`, `programmed_successors`, ...) encode on entry and decode
+on return.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +40,6 @@ from .model import (
     Mode,
     ProgrammedGrammar,
     Rule,
-    Symbol,
     form_text,
     is_terminal_form,
     mode_window,
@@ -128,71 +140,126 @@ def trace_index(trace: DerivationTrace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Single steps and the mode predicate
+# The encoding, single steps and the mode predicate
 # ---------------------------------------------------------------------------
+
+
+def _char_class(chars):
+    """A compiled regex matching any one of `chars`; it never matches when empty."""
+    chars = "".join(chars)
+    return re.compile("[%s]" % re.escape(chars) if chars else "(?!)")
+
+
+class _Encoding:
+    """One character per symbol: ``chr(i)``, the nonterminals first.
+
+    Searches run on forms encoded as strings, which cache their hash and
+    slice, join and scan in C.  One character class of the nonterminals
+    gives a form's nonterminal count (``cost``) and the terminal-form test.
+    """
+
+    def __init__(self, symbols):
+        symbols = set(symbols)
+        nonterminals = sorted(s for s in symbols if not s.is_terminal())
+        ordered = nonterminals + sorted(symbols.difference(nonterminals))
+        self.char = char = {s: chr(i) for i, s in enumerate(ordered)}
+        self.symbol = dict(zip(char.values(), ordered))
+        self.nonterminal = _char_class(map(char.get, nonterminals))
+        # bound once, as the searches call them on every edge
+        find_nonterminals = self.nonterminal.findall
+        self.cost = lambda code: len(find_nonterminals(code))
+        self.encode = lambda form: "".join(map(char.__getitem__, form))
+
+    def decoder(self):
+        """A decode function that maps each distinct string to one tuple.
+
+        A search decodes through one decoder, so the forms it hands back
+        share tuples as the forms of a search over tuples would.
+        """
+        symbol, forms = self.symbol.__getitem__, {}
+
+        def decode(code: str) -> Form:
+            form = forms.get(code)
+            if form is None:
+                form = forms[code] = tuple(map(symbol, code))
+            return form
+
+        return decode
+
+    def is_word(self, code: str) -> bool:
+        return self.nonterminal.search(code) is None
+
+    def word(self, code: str) -> Word:
+        return tuple(self.symbol[c].name for c in code)
+
+
+def _rhs_table(code: _Encoding, ruleset: Sequence[Rule]):
+    """Each nonterminal lhs of `ruleset` mapped to its rhs in rule order,
+    all encoded, and the character class of those lhs.
+
+    A component is compiled to this table once per search: a rewrite then
+    costs one scan of the form and one dict lookup per match, and ``t`` one
+    scan.  Terminals are never rewritten, so a rule with a terminal lhs
+    (which `validate` rejects) is left out.
+    """
+    rhss: Dict[str, List[str]] = {}
+    for rule in ruleset:
+        if not rule.lhs.is_terminal():
+            rhss.setdefault(code.char[rule.lhs], []).append(code.encode(rule.rhs))
+    return rhss, _char_class(rhss)
+
+
+def _local_encoding(forms, rules) -> _Encoding:
+    """An encoding of the symbols of `forms` and `rules`."""
+    return _Encoding(chain.from_iterable(chain(forms, ((r.lhs, *r.rhs) for r in rules))))
+
+
+def _rewrites(form: str, table) -> List[str]:
+    """`one_step` on a rule table: positions left to right, rules in order."""
+    rhss, lhs = table
+    out = []
+    for match in lhs.finditer(form):
+        i = match.start()
+        head, tail = form[:i], form[i + 1 :]
+        for rhs in rhss[form[i]]:
+            out.append(head + rhs + tail)
+    return out
+
+
+def _accepts(window, m: int, table, y: str) -> bool:
+    """`mode_predicate` on a step window and rule table."""
+    lo, hi, t = window
+    return lo <= m <= hi and (not t or table[1].search(y) is None)
+
+
+def one_step(form: Form, ruleset: Sequence[Rule]):
+    """All forms reachable by one rule application at any occurrence."""
+    code = _local_encoding((form,), ruleset)
+    return list(map(code.decoder(), _rewrites(code.encode(form), _rhs_table(code, ruleset))))
 
 
 def apply_at(form: Form, rule: Rule, position: int) -> Form:
     """Replace the `position`-th occurrence (1-based) of rule.lhs in `form`."""
     if position < 1:
         raise ValueError("occurrence index is 1-based")
-    seen = 0
-    for i, s in enumerate(form):
-        if s == rule.lhs:
-            seen += 1
-            if seen == position:
-                return form[:i] + rule.rhs + form[i + 1 :]
-    raise ValueError(
-        "occurrence %d of %s not present in form" % (position, rule.lhs.name)
-    )
-
-
-def _rhs_table(ruleset: Sequence[Rule]) -> Dict[Symbol, List[Form]]:
-    """Each nonterminal lhs of `ruleset` mapped to its rhs in rule order.
-
-    A component is compiled to this table once per search: a rewrite then
-    costs one dict lookup per position, and ``t`` one set test per form.
-    Terminals are never rewritten, so a rule with a terminal lhs (which
-    `validate` rejects) is left out.
-    """
-    table: Dict[Symbol, List[Form]] = {}
-    for rule in ruleset:
-        if not rule.lhs.is_terminal():
-            table.setdefault(rule.lhs, []).append(rule.rhs)
-    return table
-
-
-def _rewrites(form: Form, table) -> List[Form]:
-    """`one_step` on a compiled table: positions left to right, rules in order."""
-    out = []
-    for i, s in enumerate(form):
-        rhss = table.get(s)
-        if rhss:
-            head, tail = form[:i], form[i + 1 :]
-            for rhs in rhss:
-                out.append(head + rhs + tail)
-    return out
-
-
-def _accepts(window, m: int, table, y: Form) -> bool:
-    """`mode_predicate` on a compiled mode window and rule table."""
-    lo, hi, t = window
-    return lo <= m <= hi and (not t or table.keys().isdisjoint(y))
-
-
-def one_step(form: Form, ruleset: Sequence[Rule]):
-    """All forms reachable by one rule application at any occurrence."""
-    return _rewrites(form, _rhs_table(ruleset))
+    ys = one_step(form, (rule,))  # one form per occurrence, left to right
+    if position > len(ys):
+        raise ValueError(
+            "occurrence %d of %s not present in form" % (position, rule.lhs.name)
+        )
+    return ys[position - 1]
 
 
 def applicable(ruleset: Sequence[Rule], form: Form) -> bool:
     """True iff some rule's lhs occurs in `form`."""
-    return not _rhs_table(ruleset).keys().isdisjoint(form)
+    code = _local_encoding((form,), ruleset)
+    return _rhs_table(code, ruleset)[1].search(code.encode(form)) is not None
 
 
 def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
     """The predicate licensing a component to hand back `y` after m steps."""
-    return _accepts(mode_window(f), m, _rhs_table(ruleset), y)
+    code = _local_encoding((y,), ruleset)
+    return _accepts(mode_window(f), m, _rhs_table(code, ruleset), code.encode(y))
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +302,14 @@ def _labels_to(rows, i: int) -> list:
     return labels
 
 
-def _minimax(starts, successors, form_of, targets=None):
+def _minimax(starts, successors, form_of, cost_of, targets=None):
     """Least cost of each reachable target form, and whether a branch was pruned.
 
-    The cost of a path is the largest nonterminal count of a form on it.
-    Costs are small integers that never drop along an edge, so the search
-    is a breadth-first search over one FIFO bucket per cost, walked in
-    increasing order: a state's first push already carries its least cost.
+    The cost of a path is the largest `cost_of` (the nonterminal count) of
+    a form on it.  Costs are small integers that never drop along an edge,
+    so the search is a breadth-first search over one FIFO bucket per cost,
+    walked in increasing order: a state's first push already carries its
+    least cost.
     ``form_of`` maps a state to its form, or to ``None`` where the state is
     not a place to stop (inside a CD turn).  A form's cost is recorded when
     the first state with that form is popped.  With ``targets`` the search
@@ -257,7 +325,7 @@ def _minimax(starts, successors, form_of, targets=None):
     seen = set()
     for state, form in starts:
         seen.add(state)
-        _push(buckets, nonterminal_count(form), state)
+        _push(buckets, cost_of(form), state)
     pruned = False
     for cost, bucket in enumerate(buckets):  # the walk sees buckets appended later
         for state in bucket:  # and states appended to the bucket it walks
@@ -273,7 +341,7 @@ def _minimax(starts, successors, form_of, targets=None):
             for nxt, form, _ in edges:
                 if nxt not in seen:
                     seen.add(nxt)
-                    ncost = nonterminal_count(form)
+                    ncost = cost_of(form)
                     if ncost <= cost:
                         bucket.append(nxt)
                     else:
@@ -344,9 +412,13 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     forms are capped by ``max_form_len`` and counts by the mode's step
     window, and exact within that form cap.
     """
-    turns = _turns(_inner_steps([(ruleset, f)], bounds), _between_turns)
-    edges, pruned = turns((form, 0, 0))
-    return ModeStepResult({y: _turn_segment(labels).forms for _, y, labels in edges}, pruned)
+    code = _local_encoding((form,), ruleset)
+    steps = _inner_steps([(_rhs_table(code, ruleset), mode_window(f))], bounds)
+    edges, pruned = _turns(steps, _between_turns)((code.encode(form), 0, 0))
+    decode = code.decoder()
+    return ModeStepResult(
+        {decode(y): _turn_segment(labels, decode).forms for _, y, labels in edges}, pruned
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,67 +449,115 @@ def _search_view(grammar, mode: Optional[Mode]):
     raise TypeError("not a grammar: %r" % (grammar,))
 
 
+def _programmed_step(form: str, table, success, failure):
+    """A step at one label: the next forms, the next labels, and whether it
+    is an appearance-checking step.
+
+    When the rule applies, each distinct rewrite goes on to every success
+    label; otherwise the unchanged form goes on to every failure label.
+    """
+    ys = _rewrites(form, table)
+    if ys:
+        return list(dict.fromkeys(ys)), success, False
+    return [form], failure, True
+
+
+def _label(code: _Encoding, rule: Rule, success, failure):
+    """A label compiled for `_programmed_step`."""
+    return _rhs_table(code, (rule,)), sorted(success), sorted(failure)
+
+
+def _labels(pg: ProgrammedGrammar, code: _Encoding):
+    return {p: _label(code, pg.rule_of[p], pg.success[p], pg.failure[p]) for p in pg.labels}
+
+
+@lru_cache(maxsize=256)
+def _label_encoding(nonterminals, terminals, lhs, rhs, success, failure):
+    """An encoding of the symbols of two alphabets and the rule ``lhs ->
+    rhs``, and the label of that rule and fields compiled in it.
+
+    Cached, because a caller such as `verifier.nsf_check` asks
+    `programmed_successors` for the steps of every state of its own search.
+    """
+    rule = Rule(lhs, rhs)
+    code = _local_encoding((nonterminals, terminals), (rule,))
+    return code, _label(code, rule, success, failure)
+
+
 def programmed_successors(pg: ProgrammedGrammar, form: Form, label: str):
-    """Yield (next form, next label, appearance checking flag)."""
+    """The (next form, next label, appearance checking flag) triples of a step."""
     rule = pg.rule_of[label]
-    if rule.lhs in form:
-        seen = set()
-        for i, s in enumerate(form):
-            if s == rule.lhs:
-                y = form[:i] + rule.rhs + form[i + 1 :]
-                if y in seen:
-                    continue
-                seen.add(y)
-                for q in sorted(pg.success[label]):
-                    yield y, q, False
+    fields = (rule.lhs, rule.rhs, pg.success[label], pg.failure[label])
+    code, compiled = _label_encoding(pg.nonterminals, pg.terminals, *fields)
+    try:
+        x = code.encode(form)
+    except KeyError:  # a symbol outside the grammar's alphabets
+        code, compiled = _label_encoding(frozenset(form), frozenset(), *fields)
+        x = code.encode(form)
+    ys, nexts, ac = _programmed_step(x, *compiled)
+    if ac:
+        return [(form, q, True) for q in nexts]
+    symbol = code.symbol.__getitem__
+    forms = [tuple(map(symbol, y)) for y in ys]
+    return [(y, q, False) for y in forms for q in nexts]
+
+
+def _grammar_encoding(g, forms=()) -> _Encoding:
+    """An encoding of the alphabets and rules of `g` and the symbols of `forms`."""
+    if isinstance(g, ProgrammedGrammar):
+        rules = g.rule_of.values()
     else:
-        for q in sorted(pg.failure[label]):
-            yield form, q, True
+        rules = chain.from_iterable(g.components)
+    return _local_encoding((g.nonterminals, g.terminals, (g.axiom,), *forms), rules)
 
 
 def _space(g, bounds: Bounds):
-    """The search space of a grammar from `_search_view`.
+    """The search space of a grammar from `_search_view`, over encoded forms.
 
-    Returns ``(starts, successors, form_of, segment)``: the start states
-    with their forms, the successor function, the form of a state between
-    turns (``None`` inside a CD turn), and the map from a turn's edge
-    labels to its trace segment.
+    Returns ``(code, starts, successors, form_of, segment)``: the grammar's
+    `_Encoding`, the start states with their forms, the successor function,
+    the form of a state between turns (``None`` inside a CD turn), and the
+    map from a turn's edge labels and a decoder to its trace segment.
 
     A programmed grammar's states are (form, next label), and an edge is
     one derivation step.  The search starts from (axiom, r) for every label
     r, per the existential over the first label in the language definition.
     A hybrid CD system's states are those of `_inner_steps`.
     """
-    start: Form = (g.axiom,)
+    code = _grammar_encoding(g)
+    start = code.encode((g.axiom,))
     if isinstance(g, ProgrammedGrammar):
+        labels = _labels(g, code)
 
         def successors(state):
             form, label = state
+            ys, nexts, ac = _programmed_step(form, *labels[label])
             edges, pruned = [], False
-            for y, q, ac in programmed_successors(g, form, label):
-                if len(y) > bounds.max_form_len:
+            for y in ys:
+                if len(y) <= bounds.max_form_len:
+                    edges += [((y, q), y, (label, y, ac)) for q in nexts]
+                elif nexts:  # an edge is dropped
                     pruned = True
-                else:
-                    edges.append(((y, q), y, (label, y, ac)))
             return edges, pruned
 
         starts = [((start, r), start) for r in g.labels]
-        return starts, successors, itemgetter(0), _programmed_segment
-    steps = _inner_steps(zip(g.components, g.modes), bounds)
-    return [((start, 0, 0), start)], steps, _between_turns, _turn_segment
+        return code, starts, successors, itemgetter(0), _programmed_segment
+    components = [_rhs_table(code, rules) for rules in g.components]
+    steps = _inner_steps(list(zip(components, map(mode_window, g.modes))), bounds)
+    return code, [((start, 0, 0), start)], steps, _between_turns, _turn_segment
 
 
-def _programmed_segment(labels) -> TraceSegment:
+def _programmed_segment(labels, decode) -> TraceSegment:
     ((label, y, ac),) = labels
-    return TraceSegment(label, (y,), ac)
+    return TraceSegment(label, (decode(y),), ac)
 
 
-def _turn_segment(labels) -> TraceSegment:
+def _turn_segment(labels, decode) -> TraceSegment:
     # the component index, the inner forms and the closing None
-    return TraceSegment(labels[0], labels[1:-1])
+    return TraceSegment(labels[0], tuple(map(decode, labels[1:-1])))
 
 
-def _between_turns(state) -> Optional[Form]:
+def _between_turns(state) -> Optional[str]:
     form, i, _ = state
     return None if i else form
 
@@ -445,19 +565,18 @@ def _between_turns(state) -> Optional[Form]:
 def _inner_steps(components, bounds: Bounds):
     """Successors of (form, active component or 0, tracked inner step count).
 
-    `components` holds ``(rules, mode)`` pairs, each compiled once here to
-    a rule table and a step window.  An edge opens a turn of any component
-    between turns (labelled with its index), applies one rule of the active
-    component (labelled with the new form), or closes the active turn when
-    its mode predicate holds (labelled None).  A count below the window's
-    top may take another step; it saturates at the top, or at the bottom
-    when the window is unbounded, where the predicate gives the same
-    verdict as on the true count.
+    `components` holds ``(rule table, step window)`` pairs.  An edge opens
+    a turn of any component between turns (labelled with its index),
+    applies one rule of the active component (labelled with the new form),
+    or closes the active turn when its mode predicate holds (labelled
+    None).  A count below the window's top may take another step; it
+    saturates at the top, or at the bottom when the window is unbounded,
+    where the predicate gives the same verdict as on the true count.
     """
     compiled = []
-    for rules, mode in components:
-        lo, hi, _ = window = mode_window(mode)
-        compiled.append((_rhs_table(rules), window, hi, hi if hi < math.inf else lo))
+    for table, window in components:
+        lo, hi, _ = window
+        compiled.append((table, window, hi, hi if hi < math.inf else lo))
     opened = range(1, len(compiled) + 1)
 
     def successors(state):
@@ -499,18 +618,20 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     word within the bound.
     """
     g = _search_view(grammar, mode)
-    starts, successors, form_of, segment = _space(g, bounds)
+    code, starts, successors, form_of, segment = _space(g, bounds)
     rows, pruned = _bfs(starts, _turns(successors, form_of))
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
-        if is_terminal_form(form):
-            word_rows.setdefault(tuple(s.name for s in form), i)
+        if code.is_word(form):
+            word_rows.setdefault(code.word(form), i)
     language = make_language(word_rows, bounds, pruned and not g.lambda_free)
     result = EnumerationResult(language)
     if with_traces:
         start: Form = (g.axiom,)
+        decode = code.decoder()  # one per search, so traces share tuples
         for word in language.words:
-            segments = tuple(map(segment, _labels_to(rows, word_rows[word])))
+            path = _labels_to(rows, word_rows[word])
+            segments = tuple(segment(labels, decode) for labels in path)
             result.traces[word] = DerivationTrace(start, segments)
     return result
 
@@ -530,34 +651,40 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     fields is verified.
     """
     g = _search_view(grammar, mode)
+    if isinstance(g, ProgrammedGrammar):
+        violations = _programmed_violations
+    else:
+        violations = _turn_violations
+    try:
+        found = violations(g, trace, _grammar_encoding(g))
+    except KeyError:  # a form of the trace has a symbol outside the grammar
+        found = violations(g, trace, _grammar_encoding(g, trace.all_forms()))
     problems = []
     if trace.start != (g.axiom,):
         problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
-    if isinstance(g, ProgrammedGrammar):
-        problems += _programmed_violations(g, trace)
-    else:
-        problems += _turn_violations(g, trace)
+    problems += found
     if not is_terminal_form(trace.final_form()):
         problems.append("end: final form %s is not terminal" % form_text(trace.final_form()))
     return problems
 
 
-def _turn_violations(system: HcdSystem, trace: DerivationTrace) -> list:
-    # each component compiled once, as `_inner_steps` does
+def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding) -> list:
+    # each component compiled once, as `_space` does
     compiled = [
-        (_rhs_table(rules), mode_window(mode))
+        (_rhs_table(code, rules), mode_window(mode))
         for rules, mode in zip(system.components, system.modes)
     ]
     problems = []
-    current = trace.start
+    current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
         if not isinstance(seg.actor, int) or not (1 <= seg.actor <= system.degree):
             problems.append("segment %d: bad component index %r" % (n, seg.actor))
             continue
         table, window = compiled[seg.actor - 1]
+        forms = list(map(code.encode, seg.forms))
         prev = current
         ok = True
-        for f in seg.forms:
+        for f in forms:
             if f not in _rewrites(prev, table):
                 problems.append(
                     "segment %d: form not reachable in one step of component %d"
@@ -567,8 +694,8 @@ def _turn_violations(system: HcdSystem, trace: DerivationTrace) -> list:
                 break
             prev = f
         if ok:
-            final = seg.forms[-1] if seg.forms else current
-            if not _accepts(window, len(seg.forms), table, final):
+            final = forms[-1] if forms else current
+            if not _accepts(window, len(forms), table, final):
                 problems.append(
                     "segment %d: mode predicate fails for component %d after %d steps"
                     % (n, seg.actor, len(seg.forms))
@@ -577,11 +704,12 @@ def _turn_violations(system: HcdSystem, trace: DerivationTrace) -> list:
     return problems
 
 
-def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace) -> list:
-    # each segment must be a step that programmed_successors offers at its
+def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace, code: _Encoding) -> list:
+    # each segment must be a step that _programmed_step offers at its
     # label, leading to the next segment's label
+    compiled = _labels(pg, code)
     problems = []
-    current = trace.start
+    current = code.encode(trace.start)
     labels = [seg.actor for seg in trace.segments]
     for n, seg in enumerate(trace.segments):
         if seg.actor not in pg.rule_of:
@@ -591,12 +719,13 @@ def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace) -> lis
             problems.append("segment %d: programmed steps are single steps" % n)
             continue
         nxt = labels[n + 1 : n + 2]  # the next label, if any
-        steps = {
-            (y, ac)
-            for y, q, ac in programmed_successors(pg, current, seg.actor)
-            if not nxt or q == nxt[0]
-        }
-        if (seg.forms[0], seg.appearance_checking) not in steps:
+        ys, nexts, ac = _programmed_step(current, *compiled[seg.actor])
+        form = code.encode(seg.forms[0])
+        if not (
+            (nxt[0] in nexts if nxt else nexts)
+            and ac == seg.appearance_checking
+            and form in ys
+        ):
             problems.append(
                 "segment %d: not a %s step at label %r%s"
                 % (
@@ -606,7 +735,7 @@ def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace) -> lis
                     " on to label %r" % nxt[0] if nxt else "",
                 )
             )
-        current = seg.forms[0]
+        current = form
     return problems
 
 
@@ -643,8 +772,9 @@ def word_indices(
         targets = [tuple(name_to_sym[n] for n in word) for word in words]
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
-    starts, successors, form_of, _ = _space(g, bounds)
-    costs, pruned = _minimax(starts, successors, form_of, targets)
+    code, starts, successors, form_of, _ = _space(g, bounds)
+    targets = list(map(code.encode, targets))
+    costs, pruned = _minimax(starts, successors, form_of, code.cost, targets)
     return [costs.get(t) for t in targets], pruned and not g.lambda_free
 
 
@@ -659,13 +789,9 @@ def indexed_language(
     not depend on targets, so each index is the one `word_indices` gives.
     """
     g = _search_view(grammar, mode)
-    starts, successors, form_of, _ = _space(g, bounds)
-    costs, pruned = _minimax(starts, successors, form_of)
-    indices = {
-        tuple(s.name for s in form): cost
-        for form, cost in costs.items()
-        if is_terminal_form(form)
-    }
+    code, starts, successors, form_of, _ = _space(g, bounds)
+    costs, pruned = _minimax(starts, successors, form_of, code.cost)
+    indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
     language = make_language(indices, bounds, pruned and not g.lambda_free)
     return language, {word: indices[word] for word in language.words}
 

@@ -272,6 +272,8 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     level = dict.fromkeys(starts, 0)
     applied_vectors: Dict[str, Dict] = {}
     seen_forms = {start}
+    # in name order, so the report does not depend on the string hash seed
+    nonterminals = sorted(pg.nonterminals)
 
     def successors(state):
         form, label = state
@@ -280,7 +282,7 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
             return (), False
         rule = pg.rule_of[label]
         if rule.lhs in form:
-            vec = parikh(form, pg.nonterminals)
+            vec = parikh(form, nonterminals)
             prev = applied_vectors.get(label)
             if prev is None:
                 applied_vectors[label] = vec
@@ -295,7 +297,7 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
             level.setdefault(st, steps + 1)
             if y not in seen_forms:
                 seen_forms.add(y)
-                for sym, c in parikh(y, pg.nonterminals).items():
+                for sym, c in parikh(y, nonterminals).items():
                     if c > 1:
                         report.violations.append(
                             (3, "nonterminal %s occurs %d times in form %s"

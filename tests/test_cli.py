@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gsworkbench import constructions as C
@@ -130,6 +135,20 @@ class TestIndex:
     def test_unsegmentable_word(self, anbnambm_file, capsys):
         assert main(["index", anbnambm_file, "--word", "abz", "--max-len", "8"]) == 2
 
+    def test_segmentation_backtracks(self, tmp_path, capsys):
+        # longest match takes abc and is left with d; ab cd is the only split
+        path = tmp_path / "seg.gsw"
+        path.write_text(
+            "grammar seg cdgs\nnonterminals S\nterminals ab abc cd\naxiom S\n"
+            "mode t\ncomponent\n  S -> ab cd\n",
+            encoding="utf-8",
+        )
+        for word in ("abcd", "ab cd"):
+            assert main(["index", str(path), "--word", word, "--max-len", "4"]) == 0
+            assert capsys.readouterr().out == "1\n"
+        assert main(["index", str(path), "--word", "abcda", "--max-len", "5"]) == 2
+        assert "cannot segment" in capsys.readouterr().err
+
     def test_length_pruned_erasing_search_is_truncated(self, tmp_path, capsys):
         S, A, a = nonterminal("S"), nonterminal("A"), terminal("a")
         g = CdSystem(
@@ -183,3 +202,29 @@ class TestNsfCheck:
 
     def test_needs_programmed_grammar(self, example1_file):
         assert main(["nsf-check", example1_file, "--depth", "4"]) == 2
+
+    def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # property-3 violations of several nonterminals in one form are
+        # listed in name order, not in the order of a frozenset of symbols
+        path = tmp_path / "four.gsw"
+        path.write_text(
+            "grammar four programmed\nnonterminals B S A\nterminals a b\naxiom B\n"
+            "rule t : B -> A S ; succ q ; fail p r t\n"
+            "rule r : B -> a b ; succ q t ; fail t\n"
+            "rule q : S -> S B ; succ q t ; fail q\n"
+            "rule p : S -> A ; succ p ; fail q\n",
+            encoding="utf-8",
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-m", "gsworkbench.cli", "nsf-check", str(path), "--depth", "6"],
+                env=env, capture_output=True, check=False,
+            )
+            assert run.returncode == 1, run.stderr
+            outputs.append(run.stdout)
+        assert b"VIOLATION 3" in outputs[0]
+        assert outputs[0] == outputs[1]

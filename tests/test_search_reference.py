@@ -243,7 +243,7 @@ def test_certificates_on_programmed_grammars(pg):
     check_against_per_word(pg, BOUNDS)
 
 
-def heap_minimax(starts, successors, form_of, targets=None):
+def heap_minimax(starts, successors, form_of, cost_of, targets=None):
     """`_minimax` as a Dijkstra search on a heap ordered by (cost, push)."""
     costs = {}
     left = None if targets is None else set(targets)
@@ -251,7 +251,7 @@ def heap_minimax(starts, successors, form_of, targets=None):
     heap = []
     tie = count()
     for state, form in starts:
-        best[state] = nonterminal_count(form)
+        best[state] = cost_of(form)
         heap.append((best[state], next(tie), state))
     heapq.heapify(heap)
     pruned = False
@@ -269,7 +269,7 @@ def heap_minimax(starts, successors, form_of, targets=None):
         edges, cut = successors(state)
         pruned = pruned or cut
         for nxt, form, _ in edges:
-            ncost = max(cost, nonterminal_count(form))
+            ncost = max(cost, cost_of(form))
             if ncost < best.get(nxt, ncost + 1):
                 best[nxt] = ncost
                 heapq.heappush(heap, (ncost, next(tie), nxt))
@@ -286,16 +286,20 @@ def logged(successors, log):
 
 def check_against_heap(grammar, mode=None):
     """`_minimax` expands the states the heap search expands, in its order,
-    and gives the same costs and pruned flag, with and without targets."""
-    starts, successors, form_of, _ = _space(_search_view(grammar, mode), BOUNDS)
+    and gives the same costs and pruned flag, with and without targets.
+    Both run on the space's encoded forms and its cost function."""
+    code, starts, successors, form_of, _ = _space(_search_view(grammar, mode), BOUNDS)
     language = enumerate_grammar(grammar, BOUNDS, mode=mode).language
     word_sets = [language.words, ALL_WORDS[::-1], ALL_WORDS[:1], ()]
-    for targets in [None] + [[tuple(terminal(n) for n in w) for w in ws] for ws in word_sets]:
+    for targets in [None] + [[code.encode(map(terminal, w)) for w in ws] for ws in word_sets]:
         got_log, ref_log = [], []
-        got = _minimax(starts, logged(successors, got_log), form_of, targets)
-        ref = heap_minimax(starts, logged(successors, ref_log), form_of, targets)
+        got = _minimax(starts, logged(successors, got_log), form_of, code.cost, targets)
+        ref = heap_minimax(starts, logged(successors, ref_log), form_of, code.cost, targets)
         assert got == ref
         assert got_log == ref_log
+        decode = code.decoder()
+        for state in got_log:  # the encoded cost is the nonterminal count
+            assert code.cost(state[0]) == nonterminal_count(decode(state[0]))
 
 
 @settings(max_examples=100, deadline=None)
