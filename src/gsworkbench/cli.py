@@ -39,7 +39,7 @@ def _load(path: str) -> fileformat.GrammarFile:
 
 
 def _bounds(args) -> engine.Bounds:
-    form_len = args.max_form_len if args.max_form_len else args.max_len
+    form_len = args.max_len if args.max_form_len is None else args.max_form_len
     try:
         return engine.Bounds(args.max_len, form_len)
     except ValueError as err:
@@ -134,7 +134,7 @@ def _cmd_transform(args) -> int:
             if not args.words:
                 raise CliError("finite-to-cd1 needs at least one --words entry")
             out = constructions.finite_to_cd1(
-                [tuple(w.split()) for w in args.words], args.k or 1
+                [tuple(w.split()) for w in args.words], 1 if args.k is None else args.k
             )
         elif name in ("linear-to-cd2", "cf-to-cd2"):
             gf = _load(_require_file(args))
@@ -235,6 +235,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_nsf_check(args) -> int:
+    if args.depth < 0:
+        raise CliError("--depth must not be negative")
     gf = _load(args.file)
     if not isinstance(gf.grammar, ProgrammedGrammar):
         raise CliError("nsf-check needs a programmed grammar file")

@@ -16,11 +16,11 @@ A search runs on forms encoded as strings: each symbol of the grammar is
 one character, the nonterminals first.  Strings cache their hash, and
 slicing, concatenation and scanning run in C.  Rule tables and the
 nonterminal count are regex character classes over those characters.
-Encoded forms never leave the engine: words, traces, mode-step results and
-index targets are encoded or decoded at the boundary, each distinct form
-decoded once per search, and the helpers on symbol tuples (`one_step`,
-`mode_predicate`, `programmed_successors`, ...) encode on entry and decode
-on return.
+Words, traces, mode-step results and index targets are encoded or decoded
+at the boundary, each distinct form decoded once per search, and the
+helpers on symbol tuples (`one_step`, `mode_predicate`, `mode_step`, ...)
+encode on entry and decode on return.  `verifier.nsf_check` walks the
+programmed space of `_space` and decodes only the forms it reports.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -413,7 +412,7 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     window, and exact within that form cap.
     """
     code = _local_encoding((form,), ruleset)
-    steps = _inner_steps([(_rhs_table(code, ruleset), mode_window(f))], bounds)
+    steps = _inner_steps([(_rhs_table(code, ruleset), mode_window(f))], bounds.max_form_len)
     edges, pruned = _turns(steps, _between_turns)((code.encode(form), 0, 0))
     decode = code.decoder()
     return ModeStepResult(
@@ -462,44 +461,12 @@ def _programmed_step(form: str, table, success, failure):
     return [form], failure, True
 
 
-def _label(code: _Encoding, rule: Rule, success, failure):
-    """A label compiled for `_programmed_step`."""
-    return _rhs_table(code, (rule,)), sorted(success), sorted(failure)
-
-
 def _labels(pg: ProgrammedGrammar, code: _Encoding):
-    return {p: _label(code, pg.rule_of[p], pg.success[p], pg.failure[p]) for p in pg.labels}
-
-
-@lru_cache(maxsize=256)
-def _label_encoding(nonterminals, terminals, lhs, rhs, success, failure):
-    """An encoding of the symbols of two alphabets and the rule ``lhs ->
-    rhs``, and the label of that rule and fields compiled in it.
-
-    Cached, because a caller such as `verifier.nsf_check` asks
-    `programmed_successors` for the steps of every state of its own search.
-    """
-    rule = Rule(lhs, rhs)
-    code = _local_encoding((nonterminals, terminals), (rule,))
-    return code, _label(code, rule, success, failure)
-
-
-def programmed_successors(pg: ProgrammedGrammar, form: Form, label: str):
-    """The (next form, next label, appearance checking flag) triples of a step."""
-    rule = pg.rule_of[label]
-    fields = (rule.lhs, rule.rhs, pg.success[label], pg.failure[label])
-    code, compiled = _label_encoding(pg.nonterminals, pg.terminals, *fields)
-    try:
-        x = code.encode(form)
-    except KeyError:  # a symbol outside the grammar's alphabets
-        code, compiled = _label_encoding(frozenset(form), frozenset(), *fields)
-        x = code.encode(form)
-    ys, nexts, ac = _programmed_step(x, *compiled)
-    if ac:
-        return [(form, q, True) for q in nexts]
-    symbol = code.symbol.__getitem__
-    forms = [tuple(map(symbol, y)) for y in ys]
-    return [(y, q, False) for y in forms for q in nexts]
+    """Each label compiled for `_programmed_step`."""
+    return {
+        p: (_rhs_table(code, (pg.rule_of[p],)), sorted(pg.success[p]), sorted(pg.failure[p]))
+        for p in pg.labels
+    }
 
 
 def _grammar_encoding(g, forms=()) -> _Encoding:
@@ -511,8 +478,9 @@ def _grammar_encoding(g, forms=()) -> _Encoding:
     return _local_encoding((g.nonterminals, g.terminals, (g.axiom,), *forms), rules)
 
 
-def _space(g, bounds: Bounds):
-    """The search space of a grammar from `_search_view`, over encoded forms.
+def _space(g, max_form_len):
+    """The search space of a grammar from `_search_view`, over encoded forms
+    of at most `max_form_len` symbols.
 
     Returns ``(code, starts, successors, form_of, segment)``: the grammar's
     `_Encoding`, the start states with their forms, the successor function,
@@ -534,7 +502,7 @@ def _space(g, bounds: Bounds):
             ys, nexts, ac = _programmed_step(form, *labels[label])
             edges, pruned = [], False
             for y in ys:
-                if len(y) <= bounds.max_form_len:
+                if len(y) <= max_form_len:
                     edges += [((y, q), y, (label, y, ac)) for q in nexts]
                 elif nexts:  # an edge is dropped
                     pruned = True
@@ -543,7 +511,7 @@ def _space(g, bounds: Bounds):
         starts = [((start, r), start) for r in g.labels]
         return code, starts, successors, itemgetter(0), _programmed_segment
     components = [_rhs_table(code, rules) for rules in g.components]
-    steps = _inner_steps(list(zip(components, map(mode_window, g.modes))), bounds)
+    steps = _inner_steps(list(zip(components, map(mode_window, g.modes))), max_form_len)
     return code, [((start, 0, 0), start)], steps, _between_turns, _turn_segment
 
 
@@ -562,7 +530,7 @@ def _between_turns(state) -> Optional[str]:
     return None if i else form
 
 
-def _inner_steps(components, bounds: Bounds):
+def _inner_steps(components, max_form_len):
     """Successors of (form, active component or 0, tracked inner step count).
 
     `components` holds ``(rule table, step window)`` pairs.  An edge opens
@@ -590,7 +558,7 @@ def _inner_steps(components, bounds: Bounds):
         if m < hi:
             n = min(m + 1, top)
             for y in _rewrites(form, table):
-                if len(y) > bounds.max_form_len:
+                if len(y) > max_form_len:
                     pruned = True
                 else:
                     edges.append(((y, i, n), y, y))
@@ -618,7 +586,7 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     word within the bound.
     """
     g = _search_view(grammar, mode)
-    code, starts, successors, form_of, segment = _space(g, bounds)
+    code, starts, successors, form_of, segment = _space(g, bounds.max_form_len)
     rows, pruned = _bfs(starts, _turns(successors, form_of))
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
@@ -772,7 +740,7 @@ def word_indices(
         targets = [tuple(name_to_sym[n] for n in word) for word in words]
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
-    code, starts, successors, form_of, _ = _space(g, bounds)
+    code, starts, successors, form_of, _ = _space(g, bounds.max_form_len)
     targets = list(map(code.encode, targets))
     costs, pruned = _minimax(starts, successors, form_of, code.cost, targets)
     return [costs.get(t) for t in targets], pruned and not g.lambda_free
@@ -789,7 +757,7 @@ def indexed_language(
     not depend on targets, so each index is the one `word_indices` gives.
     """
     g = _search_view(grammar, mode)
-    code, starts, successors, form_of, _ = _space(g, bounds)
+    code, starts, successors, form_of, _ = _space(g, bounds.max_form_len)
     costs, pruned = _minimax(starts, successors, form_of, code.cost)
     indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
     language = make_language(indices, bounds, pruned and not g.lambda_free)

@@ -8,21 +8,22 @@ beyond the bound is never claimed: a passing check is evidence, not proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .engine import (
     Bounds,
     BoundedLanguage,
     Word,
     _bfs,
+    _space,
     indexed_language,
     length_lex,
     make_language,
-    programmed_successors,
     word_index,  # re-exported: the benchmark's tracer patches this binding
 )
-from .model import ProgrammedGrammar, is_terminal_form, nonterminal_count, parikh
+from .model import ProgrammedGrammar, form_text
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,9 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     Exploration runs from (axiom, r) for every label r, like enumeration,
     up to `depth` derivation steps, as a breadth-first search that does not
     expand states `depth` steps from a start; ``inconclusive`` is set when
-    such a state was reached.
+    such a state was reached.  It walks the engine's programmed search space
+    without a form cap, on encoded forms, and decodes only the forms it
+    reports.
     """
     report = NsfReport()
     axiom = pg.axiom
@@ -265,51 +268,49 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
             (1, "the only production mentioning the start symbol does not rewrite it")
         )
 
-    start = (axiom,)
-    starts = [(start, r) for r in pg.labels]
+    code, starts, steps, _, _ = _space(pg, math.inf)
+    decode = code.decoder()
     # every start is on level 0 before the search: an appearance-checking
     # step can reach another start before that start is visited
-    level = dict.fromkeys(starts, 0)
-    applied_vectors: Dict[str, Dict] = {}
-    seen_forms = {start}
+    level = {state: 0 for state, _ in starts}
+    applied_vectors: Dict[str, Tuple[int, ...]] = {}
+    seen_forms = {form for _, form in starts}
     # in name order, so the report does not depend on the string hash seed
     nonterminals = sorted(pg.nonterminals)
+    chars = [code.char[n] for n in nonterminals]
+    lhs = {p: code.char[pg.rule_of[p].lhs] for p in pg.labels}
 
     def successors(state):
         form, label = state
-        steps = level[state]
-        if steps >= depth:
+        n = level[state]
+        if n >= depth:
             return (), False
-        rule = pg.rule_of[label]
-        if rule.lhs in form:
-            vec = parikh(form, nonterminals)
-            prev = applied_vectors.get(label)
-            if prev is None:
-                applied_vectors[label] = vec
-            elif prev != vec:
+        if lhs[label] in form:
+            vec = tuple(map(form.count, chars))
+            if applied_vectors.setdefault(label, vec) != vec:
                 report.violations.append(
                     (2, "label %s applied to forms with different nonterminal "
                         "vectors" % label)
                 )
-        edges = []
-        for y, q, _ in programmed_successors(pg, form, label):
-            st = (y, q)
-            level.setdefault(st, steps + 1)
+        edges, _ = steps(state)
+        for st, y, _ in edges:
+            level.setdefault(st, n + 1)
             if y not in seen_forms:
                 seen_forms.add(y)
-                for sym, c in parikh(y, nonterminals).items():
+                for sym, c in zip(nonterminals, map(y.count, chars)):
                     if c > 1:
                         report.violations.append(
                             (3, "nonterminal %s occurs %d times in form %s"
-                             % (sym.name, c, " ".join(s.name for s in y) or "#"))
+                             % (sym.name, c, form_text(decode(y))))
                         )
-            edges.append((st, y, None))
         return edges, False
 
-    _bfs([(st, start) for st in starts], successors)
+    _bfs(starts, successors)
     report.inconclusive = any(n >= depth for n in level.values())
     report.violations = list(dict.fromkeys(report.violations))  # dedupe, keep order
-    report.inferred_counts = applied_vectors
+    report.inferred_counts = {
+        label: dict(zip(nonterminals, vec)) for label, vec in applied_vectors.items()
+    }
     return report
 
 

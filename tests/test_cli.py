@@ -62,6 +62,13 @@ class TestEnumerate:
         code = main(["enumerate", example1_file, "--max-len", "5"])
         assert code == 2
 
+    def test_zero_max_form_len_is_not_the_default(self, anbnambm_file, capsys):
+        code = main(["enumerate", anbnambm_file, "--max-len", "4", "--max-form-len", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bounds must be positive" in captured.err
+
     def test_bad_file_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.gsw"
         bad.write_text("grammar g cdgs\n", encoding="utf-8")
@@ -96,6 +103,12 @@ class TestTransform:
         code = main(["transform", "prolong", example1_file,
                      "-o", str(tmp_path / "x.gsw")])
         assert code == 2
+
+    def test_zero_k_is_not_the_default(self, tmp_path, capsys):
+        code = main(["transform", "finite-to-cd1", "--words", "a b", "--k", "0",
+                     "-o", str(tmp_path / "x.gsw")])
+        assert code == 2
+        assert "k must be positive" in capsys.readouterr().err
 
 
 class TestCheckEquiv:
@@ -202,6 +215,12 @@ class TestNsfCheck:
 
     def test_needs_programmed_grammar(self, example1_file):
         assert main(["nsf-check", example1_file, "--depth", "4"]) == 2
+
+    def test_negative_depth_is_an_error(self, example1_prog_file, capsys):
+        assert main(["nsf-check", example1_prog_file, "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "INCONCLUSIVE" not in captured.out
+        assert "depth" in captured.err
 
     def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
         # property-3 violations of several nonterminals in one form are

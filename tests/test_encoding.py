@@ -20,7 +20,6 @@ from gsworkbench.engine import (
     enumerate_grammar,
     mode_step,
     one_step,
-    programmed_successors,
     validate_trace,
     word_indices,
 )
@@ -84,7 +83,7 @@ def closed_form(max_len):
 
 
 def test_the_alphabet_reaches_the_awkward_code_points():
-    code = _space(_search_view(CD, T_MODE), BOUNDS)[0]
+    code = _space(_search_view(CD, T_MODE), BOUNDS.max_form_len)[0]
     assert [code.char[s] for s in (DASH, BACKSLASH, BRACKET, CARET)] == list("-\\]^")
     assert ord(code.char[HIGH]) > 255 and ord(code.char[T7]) > 255
     assert code.char[TWIN] != code.char[CARET]
@@ -117,16 +116,6 @@ def test_a_trace_with_a_symbol_outside_the_grammar_is_rejected():
     assert validate_trace(CD, bad, T_MODE) == [
         "segment 0: form not reachable in one step of component 1"
     ]
-
-
-def test_programmed_successors_take_symbols_outside_the_grammar():
-    stranger = terminal("zz")
-    x = (DASH, stranger, DASH)
-    left, right = (BACKSLASH, BRACKET, stranger, DASH), (DASH, stranger, BACKSLASH, BRACKET)
-    assert list(programmed_successors(PROGRAMMED, x, "p1")) == [
-        (left, "p2", False), (left, "p3", False), (right, "p2", False), (right, "p3", False)
-    ]
-    assert list(programmed_successors(PROGRAMMED, (stranger,), "p1")) == []  # empty failure
 
 
 def naive_one_step(form, rules):

@@ -12,7 +12,8 @@ one single-target `word_index` search per word.  The reference for the
 bucket queue inside them is a heap-based Dijkstra search, which must pop
 the same states in the same order.  The reference for
 `certify_index_bound`, one exhaustive index search, is an enumeration
-followed by `word_indices` over the words it found.
+followed by `word_indices` over the words it found.  The reference for
+`nsf_check` is a level-by-level search over symbol tuples.
 
 Criteria 2 and 6 of the acceptance suite are also checked here on the
 random systems, not only on the named examples.
@@ -55,7 +56,7 @@ from gsworkbench.model import (
     t_and,
     terminal,
 )
-from gsworkbench.verifier import certify_index_bound
+from gsworkbench.verifier import certify_index_bound, nsf_check
 
 S, A = nonterminal("S"), nonterminal("A")
 a = terminal("a")
@@ -174,6 +175,63 @@ def test_programmed_words_are_traced_and_indexed(pg):
         assert index is not None and index <= trace_index(trace)
 
 
+def reference_nsf(pg, depth):
+    """Properties 2 and 3 of the NSF check, on symbol tuples.
+
+    A breadth-first search level by level from (axiom, r) for every label
+    r, which does not expand the states on level `depth`.  Returns the
+    violations in the order found, the vector of the first form each label
+    rewrote, and whether a state on level `depth` was reached.
+    """
+    nonterminals = sorted(pg.nonterminals)
+    violations, vectors = [], {}
+
+    def report(item, detail):
+        if (item, detail) not in violations:
+            violations.append((item, detail))
+
+    start = (pg.axiom,)
+    frontier = [(start, r) for r in pg.labels]
+    visited, seen_forms = set(frontier), {start}
+    for _ in range(depth):
+        reached = []
+        for form, label in frontier:
+            rule = pg.rule_of[label]
+            if rule.lhs in form:
+                vector = {s: form.count(s) for s in nonterminals}
+                if vectors.setdefault(label, vector) != vector:
+                    report(2, "label %s applied to forms with different nonterminal vectors" % label)
+            ys = list(dict.fromkeys(successors(form, (rule,))))
+            nexts = pg.success[label] if ys else pg.failure[label]
+            for y in ys or [form]:
+                for q in sorted(nexts):
+                    if y not in seen_forms:
+                        seen_forms.add(y)
+                        for s in nonterminals:
+                            if y.count(s) > 1:
+                                text = " ".join(z.name for z in y) or "#"
+                                report(3, "nonterminal %s occurs %d times in form %s"
+                                       % (s.name, y.count(s), text))
+                    if (y, q) not in visited:
+                        visited.add((y, q))
+                        reached.append((y, q))
+        frontier = reached
+    return violations, vectors, bool(frontier)
+
+
+@settings(max_examples=150, deadline=None)
+@given(programmed_grammars(), st.integers(min_value=0, max_value=6))
+def test_nsf_check_matches_reference(pg, depth):
+    report = nsf_check(pg, depth)
+    violations, vectors, inconclusive = reference_nsf(pg, depth)
+    assert [v for v in report.violations if v[0] != 1] == violations
+    assert report.inferred_counts == vectors
+    assert list(report.inferred_counts) == list(vectors)
+    for vector in report.inferred_counts.values():  # in name order
+        assert list(vector) == sorted(pg.nonterminals)
+    assert report.inconclusive == inconclusive
+
+
 erasing_components = st.lists(any_rules, min_size=1, max_size=3).map(tuple)
 ALL_WORDS = tuple(("a",) * n for n in range(1, BOUNDS.max_word_len + 1))
 
@@ -288,7 +346,7 @@ def check_against_heap(grammar, mode=None):
     """`_minimax` expands the states the heap search expands, in its order,
     and gives the same costs and pruned flag, with and without targets.
     Both run on the space's encoded forms and its cost function."""
-    code, starts, successors, form_of, _ = _space(_search_view(grammar, mode), BOUNDS)
+    code, starts, successors, form_of, _ = _space(_search_view(grammar, mode), BOUNDS.max_form_len)
     language = enumerate_grammar(grammar, BOUNDS, mode=mode).language
     word_sets = [language.words, ALL_WORDS[::-1], ALL_WORDS[:1], ()]
     for targets in [None] + [[code.encode(map(terminal, w)) for w in ws] for ws in word_sets]:
