@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 from . import constructions, engine, fileformat, verifier
 from .fileformat import GswParseError
-from .model import CdSystem, Mode, ProgrammedGrammar
+from .model import CdSystem, Mode, ProgrammedGrammar, form_text
 
 EXIT_OK = 0
 EXIT_DIFF = 1
@@ -63,11 +63,24 @@ def _mode_for(gf: fileformat.GrammarFile, flag: Optional[str]) -> Optional[Mode]
     return gf.uniform_mode
 
 
-def _enumerate(gf: fileformat.GrammarFile, mode_flag, bounds):
+def _enumerate(gf: fileformat.GrammarFile, mode_flag, bounds, with_traces: bool):
     try:
-        return engine.enumerate_grammar(gf.grammar, bounds, mode=_mode_for(gf, mode_flag))
+        return engine.enumerate_grammar(
+            gf.grammar, bounds, mode=_mode_for(gf, mode_flag), with_traces=with_traces
+        )
     except ValueError as err:
         raise CliError(str(err))
+
+
+def _trace_lines(trace: engine.DerivationTrace):
+    """One line per segment: the actor, then the form after each step.
+
+    A zero-step turn prints ``(0 steps)``, and an appearance-checking step
+    ends in `` [ac]``.  The trace starts at the axiom, which is not printed.
+    """
+    for seg in trace.segments:
+        forms = " => ".join(map(form_text, seg.forms)) or "(0 steps)"
+        yield "  %s: %s%s" % (seg.actor, forms, " [ac]" if seg.appearance_checking else "")
 
 
 def _parse_word(text: str, grammar) -> Tuple[str, ...]:
@@ -98,9 +111,12 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
 
 def _cmd_enumerate(args) -> int:
     gf = _load(args.file)
-    result = _enumerate(gf, args.mode, _bounds(args))
+    result = _enumerate(gf, args.mode, _bounds(args), args.traces)
     for word in result.language.words:
         print(" ".join(word))
+        if args.traces:
+            for line in _trace_lines(result.traces[word]):
+                print(line)
     if result.language.truncated and args.strict:
         print("TRUNCATED", file=sys.stderr)
         return EXIT_TRUNCATED
@@ -204,8 +220,8 @@ def _require_file(args) -> str:
 def _cmd_check_equiv(args) -> int:
     gf_a, gf_b = _load(args.file_a), _load(args.file_b)
     bounds = _bounds(args)
-    res_a = _enumerate(gf_a, args.mode_a or args.mode, bounds)
-    res_b = _enumerate(gf_b, args.mode_b or args.mode, bounds)
+    res_a = _enumerate(gf_a, args.mode_a or args.mode, bounds, False)
+    res_b = _enumerate(gf_b, args.mode_b or args.mode, bounds, False)
     report = verifier.bounded_equal(res_a.language, res_b.language)
     for line in report.lines():
         print(line)
@@ -265,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="print the bounded language, length-lex")
     p.add_argument("file")
     p.add_argument("--mode", default=None)
+    p.add_argument("--traces", action="store_true",
+                   help="after each word, print its derivation, one line per turn or step")
     _add_bounds_args(p)
     p.set_defaults(func=_cmd_enumerate)
 

@@ -1,11 +1,17 @@
 """Derivation engine: single steps, mode predicate, bounded searches.
 
 Each grammar kind has one search space, and a plain CD system is searched
-as the hybrid system with its mode on every component.  A breadth-first
-search with parent pointers walks the space turn by turn for mode steps,
-enumeration and traces; a breadth-first search over one bucket per cost
-walks it state by state for the index of any number of words at once, or,
-run to exhaustion, for the bounded language with every word's index.
+as the hybrid system with its mode on every component.  There are three
+search loops.  `_turn` is one CD turn: a breadth-first search over the
+(form, step count) pairs of one component, which gives the forms the
+component may hand back with shortest witnesses; `mode_step` is `_turn`,
+and a CD system's turn-level successors run it per component.  `_bfs`, a
+breadth-first search with parent pointers, walks a space turn by turn for
+enumeration and traces (a programmed step is a one-edge turn).  `_minimax`,
+a breadth-first search over one bucket per cost, walks it state by state
+for the index of any number of words at once, or, run to exhaustion, for
+the bounded language with every word's index.
+
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
 λ-free systems the enumerated language is then exactly the generated
@@ -354,35 +360,6 @@ def _push(buckets, cost: int, state) -> None:
     buckets[cost].append(state)
 
 
-def _turns(successors, form_of):
-    """Successors of the states between turns, by whole turns.
-
-    An edge from a state between turns to another is a one-edge turn (every
-    programmed step).  An edge into a turn starts a breadth-first search
-    that stops at the states between turns, each reached by its shortest
-    path.  A turn's edge label is the tuple of the labels on its path.
-    """
-
-    def within(state):
-        return successors(state) if form_of(state) is None else ((), False)
-
-    def turns(state):
-        edges, pruned = successors(state)
-        out = []
-        for nxt, form, label in edges:
-            if form_of(nxt) is not None:
-                out.append((nxt, form, (label,)))
-                continue
-            rows, cut = _bfs([(nxt, form)], within)
-            pruned = pruned or cut
-            for j, (y, yform, _, _) in enumerate(rows):
-                if form_of(y) is not None:
-                    out.append((y, yform, (label, *_labels_to(rows, j))))
-        return out, pruned
-
-    return turns
-
-
 # ---------------------------------------------------------------------------
 # Mode steps
 # ---------------------------------------------------------------------------
@@ -406,18 +383,15 @@ class ModeStepResult:
 def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> ModeStepResult:
     """All y with form =>^m y via `ruleset` and P(f, m, ruleset, y) true.
 
-    The turns of a one-component system from `form`: breadth-first
-    reachability over (form, tracked step count) states, finite because
-    forms are capped by ``max_form_len`` and counts by the mode's step
-    window, and exact within that form cap.
+    One `_turn` of the component from `form`: breadth-first reachability
+    over (form, tracked step count) states, finite because forms are capped
+    by ``max_form_len`` and counts by the mode's step window, and exact
+    within that form cap.
     """
     code = _local_encoding((form,), ruleset)
-    steps = _inner_steps([(_rhs_table(code, ruleset), mode_window(f))], bounds.max_form_len)
-    edges, pruned = _turns(steps, _between_turns)((code.encode(form), 0, 0))
+    handed, pruned = _turn(_component(code, ruleset, f), code.encode(form), bounds.max_form_len)
     decode = code.decoder()
-    return ModeStepResult(
-        {decode(y): _turn_segment(labels, decode).forms for _, y, labels in edges}, pruned
-    )
+    return ModeStepResult({decode(y): tuple(map(decode, forms)) for y, forms in handed}, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +456,20 @@ def _space(g, max_form_len):
     """The search space of a grammar from `_search_view`, over encoded forms
     of at most `max_form_len` symbols.
 
-    Returns ``(code, starts, successors, form_of, segment)``: the grammar's
-    `_Encoding`, the start states with their forms, the successor function,
-    the form of a state between turns (``None`` inside a CD turn), and the
-    map from a turn's edge labels and a decoder to its trace segment.
+    Returns ``(code, starts, successors, form_of, turns, segment)``: the
+    grammar's `_Encoding`, the start states with their forms, the successor
+    function, the form of a state between turns (``None`` inside a CD
+    turn), the successor function of the states between turns by whole
+    turns, and the map from a turn's edge label and a decoder to its trace
+    segment.
 
     A programmed grammar's states are (form, next label), and an edge is
-    one derivation step.  The search starts from (axiom, r) for every label
-    r, per the existential over the first label in the language definition.
-    A hybrid CD system's states are those of `_inner_steps`.
+    one derivation step, which is also a whole turn.  The search starts
+    from (axiom, r) for every label r, per the existential over the first
+    label in the language definition.  A hybrid CD system's states are
+    those of `_inner_steps`; a turn edge runs `_turn` for each component
+    in order, and is labelled with the component index, the witness forms
+    and a closing ``None``.
     """
     code = _grammar_encoding(g)
     start = code.encode((g.axiom,))
@@ -509,14 +488,26 @@ def _space(g, max_form_len):
             return edges, pruned
 
         starts = [((start, r), start) for r in g.labels]
-        return code, starts, successors, itemgetter(0), _programmed_segment
-    components = [_rhs_table(code, rules) for rules in g.components]
-    steps = _inner_steps(list(zip(components, map(mode_window, g.modes))), max_form_len)
-    return code, [((start, 0, 0), start)], steps, _between_turns, _turn_segment
+        return code, starts, successors, itemgetter(0), successors, _programmed_segment
+    components = [_component(code, rules, mode) for rules, mode in zip(g.components, g.modes)]
+
+    def turns(state):
+        x = state[0]
+        edges, pruned = [], False
+        for j, component in enumerate(components, 1):
+            if component[0][1].search(x) is None:
+                continue  # a dead turn could only hand back x itself
+            handed, cut = _turn(component, x, max_form_len)
+            pruned = pruned or cut
+            edges += [((y, 0, 0), y, (j, *forms, None)) for y, forms in handed]
+        return edges, pruned
+
+    steps = _inner_steps(components, max_form_len)
+    return code, [((start, 0, 0), start)], steps, _between_turns, turns, _turn_segment
 
 
-def _programmed_segment(labels, decode) -> TraceSegment:
-    ((label, y, ac),) = labels
+def _programmed_segment(edge, decode) -> TraceSegment:
+    label, y, ac = edge
     return TraceSegment(label, (decode(y),), ac)
 
 
@@ -530,28 +521,80 @@ def _between_turns(state) -> Optional[str]:
     return None if i else form
 
 
+def _component(code: _Encoding, rules: Sequence[Rule], mode: Mode):
+    """A component compiled for the turn searches: ``(table, window, hi, top)``.
+
+    ``table`` is its `_rhs_table` and ``window`` its mode's step window
+    ``(lo, hi, t)``.  A step count below ``hi`` may take another step, and
+    it saturates at ``top``: at ``hi``, or at ``lo`` when the window is
+    unbounded, where the predicate gives the same verdict as on the true
+    count.
+    """
+    lo, hi, _ = window = mode_window(mode)
+    return _rhs_table(code, rules), window, hi, hi if hi < math.inf else lo
+
+
+def _turn(component, x: str, max_form_len):
+    """The turns of a compiled component on form `x`.
+
+    A breadth-first search over (form, step count) pairs from ``(x, 0)``,
+    with counts saturated as `_component` says.  Returns the forms the
+    component may hand back, in the order their first accepting pair is
+    visited, each with the forms of the shortest witness path to that pair
+    (the forms after each step), and whether a rewrite was dropped because
+    its form exceeded `max_form_len`.
+    """
+    table, window, hi, top = component
+    rows = [(x, 0, -1)]  # (form, step count, parent row)
+    seen = [{x}]  # seen[n]: the forms reached with step count n
+    accepted = {}  # handed-back form -> its first accepting row
+    pruned = False
+    for i, (form, m, _) in enumerate(rows):  # the loop visits the rows it appends
+        if form not in accepted and _accepts(window, m, table, form):
+            accepted[form] = i
+        if m < hi:
+            n = min(m + 1, top)
+            if n == len(seen):  # counts never drop along the rows
+                seen.append(set())
+            level = seen[n]
+            for y in _rewrites(form, table):
+                if len(y) > max_form_len:
+                    pruned = True
+                elif y not in level:
+                    level.add(y)
+                    rows.append((y, n, i))
+    return [(y, _witness(rows, i)) for y, i in accepted.items()], pruned
+
+
+def _witness(rows, i: int) -> list:
+    """The forms on the parent-pointer path from the start row 0 to rows[i]."""
+    forms = []
+    while i:
+        forms.append(rows[i][0])
+        i = rows[i][2]
+    forms.reverse()
+    return forms
+
+
 def _inner_steps(components, max_form_len):
     """Successors of (form, active component or 0, tracked inner step count).
 
-    `components` holds ``(rule table, step window)`` pairs.  An edge opens
-    a turn of any component between turns (labelled with its index),
-    applies one rule of the active component (labelled with the new form),
-    or closes the active turn when its mode predicate holds (labelled
-    None).  A count below the window's top may take another step; it
-    saturates at the top, or at the bottom when the window is unbounded,
-    where the predicate gives the same verdict as on the true count.
+    `components` holds the `_component` of each component.  An edge opens
+    a turn of a component between turns (labelled with its index), applies
+    one rule of the active component (labelled with the new form), or
+    closes the active turn when its mode predicate holds (labelled None).
+    A turn opens only when one of the component's rules applies: otherwise
+    it could only close on the unchanged form, whose state is the one being
+    expanded.  This is the state-by-state form of `_turn`, for `_minimax`,
+    which must price the forms inside a turn.
     """
-    compiled = []
-    for table, window in components:
-        lo, hi, _ = window
-        compiled.append((table, window, hi, hi if hi < math.inf else lo))
-    opened = range(1, len(compiled) + 1)
+    opened = [(j, table[1].search) for j, (table, _, _, _) in enumerate(components, 1)]
 
     def successors(state):
         form, i, m = state
         if i == 0:
-            return [((form, j, 0), form, j) for j in opened], False
-        table, window, hi, top = compiled[i - 1]
+            return [((form, j, 0), form, j) for j, applies in opened if applies(form)], False
+        table, window, hi, top = components[i - 1]
         edges, pruned = [], False
         if _accepts(window, m, table, form):
             edges.append(((form, 0, 0), form, None))
@@ -586,8 +629,8 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     word within the bound.
     """
     g = _search_view(grammar, mode)
-    code, starts, successors, form_of, segment = _space(g, bounds.max_form_len)
-    rows, pruned = _bfs(starts, _turns(successors, form_of))
+    code, starts, _, _, turns, segment = _space(g, bounds.max_form_len)
+    rows, pruned = _bfs(starts, turns)
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
         if code.is_word(form):
@@ -599,7 +642,7 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
         decode = code.decoder()  # one per search, so traces share tuples
         for word in language.words:
             path = _labels_to(rows, word_rows[word])
-            segments = tuple(segment(labels, decode) for labels in path)
+            segments = tuple(segment(label, decode) for label in path)
             result.traces[word] = DerivationTrace(start, segments)
     return result
 
@@ -638,17 +681,14 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
 
 def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding) -> list:
     # each component compiled once, as `_space` does
-    compiled = [
-        (_rhs_table(code, rules), mode_window(mode))
-        for rules, mode in zip(system.components, system.modes)
-    ]
+    compiled = [_component(code, rules, mode) for rules, mode in zip(system.components, system.modes)]
     problems = []
     current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
         if not isinstance(seg.actor, int) or not (1 <= seg.actor <= system.degree):
             problems.append("segment %d: bad component index %r" % (n, seg.actor))
             continue
-        table, window = compiled[seg.actor - 1]
+        table, window, _, _ = compiled[seg.actor - 1]
         forms = list(map(code.encode, seg.forms))
         prev = current
         ok = True
@@ -740,7 +780,7 @@ def word_indices(
         targets = [tuple(name_to_sym[n] for n in word) for word in words]
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
-    code, starts, successors, form_of, _ = _space(g, bounds.max_form_len)
+    code, starts, successors, form_of, _, _ = _space(g, bounds.max_form_len)
     targets = list(map(code.encode, targets))
     costs, pruned = _minimax(starts, successors, form_of, code.cost, targets)
     return [costs.get(t) for t in targets], pruned and not g.lambda_free
@@ -757,7 +797,7 @@ def indexed_language(
     not depend on targets, so each index is the one `word_indices` gives.
     """
     g = _search_view(grammar, mode)
-    code, starts, successors, form_of, _ = _space(g, bounds.max_form_len)
+    code, starts, successors, form_of, _, _ = _space(g, bounds.max_form_len)
     costs, pruned = _minimax(starts, successors, form_of, code.cost)
     indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
     language = make_language(indices, bounds, pruned and not g.lambda_free)

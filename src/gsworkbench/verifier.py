@@ -268,7 +268,7 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
             (1, "the only production mentioning the start symbol does not rewrite it")
         )
 
-    code, starts, steps, _, _ = _space(pg, math.inf)
+    code, starts, steps, _, _, _ = _space(pg, math.inf)
     decode = code.decoder()
     # every start is on level 0 before the search: an appearance-checking
     # step can reach another start before that start is visited

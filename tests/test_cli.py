@@ -7,7 +7,14 @@ import pytest
 
 from gsworkbench import constructions as C
 from gsworkbench import fileformat as F
-from gsworkbench.cli import main
+from gsworkbench.cli import _trace_lines, main
+from gsworkbench.engine import (
+    Bounds,
+    DerivationTrace,
+    TraceSegment,
+    enumerate_grammar,
+    validate_trace,
+)
 from gsworkbench.model import CdSystem, Rule, exactly, nonterminal, t_and, terminal
 
 
@@ -73,6 +80,62 @@ class TestEnumerate:
         bad = tmp_path / "bad.gsw"
         bad.write_text("grammar g cdgs\n", encoding="utf-8")
         assert main(["enumerate", str(bad), "--max-len", "5"]) == 2
+
+
+def parse_traces(out, grammar):
+    """The words of `gsw enumerate --traces` output, each with its trace."""
+    symbols = {s.name: s for s in grammar.nonterminals | grammar.terminals}
+    segments = {}
+    for line in out.splitlines():
+        if not line.startswith("  "):
+            word = tuple(line.split())
+            segments[word] = []
+            continue
+        actor, forms = line.strip().split(": ", 1)
+        ac = forms.endswith(" [ac]")
+        forms = forms[: -len(" [ac]")] if ac else forms
+        if forms == "(0 steps)":
+            forms = ()
+        else:
+            forms = tuple(
+                tuple(symbols[n] for n in f.split()) if f != "#" else ()
+                for f in forms.split(" => ")
+            )
+        actor = int(actor) if isinstance(grammar, CdSystem) else actor
+        segments[word].append(TraceSegment(actor, forms, ac))
+    return {w: DerivationTrace((grammar.axiom,), tuple(s)) for w, s in segments.items()}
+
+
+class TestEnumerateTraces:
+    @pytest.mark.parametrize(
+        "fixture, mode, max_len",
+        [("example1_file", "(t & =2)", 9), ("example1_prog_file", None, 6)],
+    )
+    def test_printed_traces_reparse_and_validate(self, request, fixture, mode, max_len, capsys):
+        path = request.getfixturevalue(fixture)
+        grammar = F.parse_file(Path(path).read_text(encoding="utf-8")).grammar
+        argv = ["enumerate", path, "--max-len", str(max_len)] + (["--mode", mode] if mode else [])
+        assert main(argv) == 0
+        words = capsys.readouterr().out
+        assert main(argv + ["--traces"]) == 0
+        out = capsys.readouterr().out
+        # the words are the lines the plain command prints, in its order
+        assert [line for line in out.splitlines() if not line.startswith("  ")] == words.splitlines()
+        traces = parse_traces(out, grammar)
+        assert traces
+        mode = F.parse_mode(mode) if mode else None
+        assert traces == enumerate_grammar(
+            grammar, Bounds.for_words(max_len), mode=mode, with_traces=True
+        ).traces
+        for trace in traces.values():
+            assert validate_trace(grammar, trace, mode) == []
+
+    def test_zero_step_and_appearance_checking_segments(self):
+        S, a = nonterminal("S"), terminal("a")
+        trace = DerivationTrace(
+            (S,), (TraceSegment(2, ()), TraceSegment(1, ((a, S), (a,))), TraceSegment("p", ((a,),), True))
+        )
+        assert list(_trace_lines(trace)) == ["  2: (0 steps)", "  1: a S => a", "  p: a [ac]"]
 
 
 class TestTransform:

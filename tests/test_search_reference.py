@@ -7,6 +7,13 @@ longer derivation repeats a form after its first k steps, and cutting out
 the cycle leaves a derivation of at least k steps to the same form.  The
 least accepting m of a form is the length of its shortest witness.
 
+The reference for a CD turn (`_turn`, under enumeration and `mode_step`)
+is the turn as a nested breadth-first search over the state-level
+successors (form, active component, step count), one search per opened
+component, which stops at the states between turns.  It must give the
+same words, truncation flag, traces and `mode_step` results in the same
+order.
+
 The reference for the one multi-target index search (`word_indices`) is
 one single-target `word_index` search per word.  The reference for the
 bucket queue inside them is a heap-based Dijkstra search, which must pop
@@ -20,6 +27,7 @@ random systems, not only on the named examples.
 """
 
 import heapq
+import math
 from itertools import count
 
 import pytest
@@ -28,11 +36,21 @@ from hypothesis import example, given, settings, strategies as st
 from gsworkbench import constructions as C
 from gsworkbench.engine import (
     Bounds,
+    DerivationTrace,
+    TraceSegment,
+    _accepts,
+    _between_turns,
+    _bfs,
+    _labels_to,
+    _local_encoding,
     _minimax,
+    _rewrites,
+    _rhs_table,
     _search_view,
     _space,
     enumerate_grammar,
     indexed_language,
+    make_language,
     mode_predicate,
     mode_step,
     trace_index,
@@ -43,6 +61,7 @@ from gsworkbench.engine import (
 )
 from gsworkbench.model import (
     CdSystem,
+    HcdSystem,
     ProgrammedGrammar,
     Rule,
     STAR,
@@ -51,6 +70,7 @@ from gsworkbench.model import (
     at_most,
     between,
     exactly,
+    mode_window,
     nonterminal,
     nonterminal_count,
     t_and,
@@ -346,7 +366,7 @@ def check_against_heap(grammar, mode=None):
     """`_minimax` expands the states the heap search expands, in its order,
     and gives the same costs and pruned flag, with and without targets.
     Both run on the space's encoded forms and its cost function."""
-    code, starts, successors, form_of, _ = _space(_search_view(grammar, mode), BOUNDS.max_form_len)
+    code, starts, successors, form_of, _, _ = _space(_search_view(grammar, mode), BOUNDS.max_form_len)
     language = enumerate_grammar(grammar, BOUNDS, mode=mode).language
     word_sets = [language.words, ALL_WORDS[::-1], ALL_WORDS[:1], ()]
     for targets in [None] + [[code.encode(map(terminal, w)) for w in ws] for ws in word_sets]:
@@ -370,6 +390,140 @@ def test_minimax_matches_heap_search_on_cd_systems(g, mode):
 @given(programmed_grammars())
 def test_minimax_matches_heap_search_on_programmed_grammars(pg):
     check_against_heap(pg)
+
+
+def reference_inner_steps(components, max_form_len):
+    """Successors of (form, active component or 0, step count), where every
+    component opens on every form.  `components` holds (rule table, step
+    window) pairs."""
+    compiled = []
+    for table, window in components:
+        lo, hi, _ = window
+        compiled.append((table, window, hi, hi if hi < math.inf else lo))
+    opened = range(1, len(compiled) + 1)
+
+    def successors(state):
+        form, i, m = state
+        if i == 0:
+            return [((form, j, 0), form, j) for j in opened], False
+        table, window, hi, top = compiled[i - 1]
+        edges, pruned = [], False
+        if _accepts(window, m, table, form):
+            edges.append(((form, 0, 0), form, None))
+        if m < hi:
+            n = min(m + 1, top)
+            for y in _rewrites(form, table):
+                if len(y) > max_form_len:
+                    pruned = True
+                else:
+                    edges.append(((y, i, n), y, y))
+        return edges, pruned
+
+    return successors
+
+
+def reference_turns(successors, form_of):
+    """Successors of the states between turns, by whole turns: an edge into
+    a turn starts a breadth-first search that stops at the states between
+    turns, each reached by its shortest path, labelled with the labels on
+    that path."""
+
+    def within(state):
+        return successors(state) if form_of(state) is None else ((), False)
+
+    def turns(state):
+        edges, pruned = successors(state)
+        out = []
+        for nxt, form, label in edges:
+            if form_of(nxt) is not None:
+                out.append((nxt, form, (label,)))
+                continue
+            rows, cut = _bfs([(nxt, form)], within)
+            pruned = pruned or cut
+            for j, (y, yform, _, _) in enumerate(rows):
+                if form_of(y) is not None:
+                    out.append((y, yform, (label, *_labels_to(rows, j))))
+        return out, pruned
+
+    return turns
+
+
+def reference_enumerate(g, bounds):
+    """The bounded language and traces of a hybrid system by `reference_turns`."""
+    code, starts, _, _, _, _ = _space(g, bounds.max_form_len)
+    components = [(_rhs_table(code, rules), mode_window(m)) for rules, m in zip(g.components, g.modes)]
+    steps = reference_inner_steps(components, bounds.max_form_len)
+    rows, pruned = _bfs(starts, reference_turns(steps, _between_turns))
+    word_rows = {}
+    for i, (_, form, _, _) in enumerate(rows):
+        if code.is_word(form):
+            word_rows.setdefault(code.word(form), i)
+    language = make_language(word_rows, bounds, pruned and not g.lambda_free)
+    decode = code.decoder()
+    traces = {}
+    for word in language.words:
+        segments = tuple(
+            # the component index, the inner forms and the closing None
+            TraceSegment(labels[0], tuple(map(decode, labels[1:-1])))
+            for labels in _labels_to(rows, word_rows[word])
+        )
+        traces[word] = DerivationTrace((g.axiom,), segments)
+    return language, traces
+
+
+def reference_turn_results(form, ruleset, mode, bounds):
+    """`mode_step`'s results in order, and its pruned flag, by `reference_turns`."""
+    code = _local_encoding((form,), ruleset)
+    steps = reference_inner_steps([(_rhs_table(code, ruleset), mode_window(mode))], bounds.max_form_len)
+    edges, pruned = reference_turns(steps, _between_turns)((code.encode(form), 0, 0))
+    decode = code.decoder()
+    return [(decode(y), tuple(map(decode, labels[1:-1]))) for _, y, labels in edges], pruned
+
+
+TURN_BOUNDS = Bounds(4, 5)
+
+
+def check_turns_against_reference(grammar, form, mode=None):
+    res = enumerate_grammar(grammar, TURN_BOUNDS, mode=mode, with_traces=True)
+    g = _search_view(grammar, mode)
+    language, traces = reference_enumerate(g, TURN_BOUNDS)
+    assert res.language == language
+    assert list(res.traces.items()) == list(traces.items())
+    for rules, m in zip(g.components, g.modes):
+        for x in ((g.axiom,), form):
+            got = mode_step(x, rules, m, TURN_BOUNDS)
+            assert (list(got.results.items()), got.length_pruned) == (
+                reference_turn_results(x, rules, m, TURN_BOUNDS)
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cd_systems(), modes, forms)
+def test_turns_match_nested_reference_on_cd_systems(g, mode, form):
+    check_turns_against_reference(g, form, mode)
+
+
+@st.composite
+def hybrid_systems(draw):
+    """One to three components, each in its own mode; a quarter may erase."""
+    lambda_free = draw(st.integers(min_value=0, max_value=3)) > 0
+    comps = draw(
+        st.lists(components if lambda_free else erasing_components, min_size=1, max_size=3)
+    )
+    return HcdSystem(
+        nonterminals=frozenset({S, A}),
+        terminals=frozenset({a}),
+        axiom=S,
+        components=tuple(comps),
+        modes=tuple(draw(modes) for _ in comps),
+        lambda_free=lambda_free,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hybrid_systems(), forms)
+def test_turns_match_nested_reference_on_hybrid_systems(g, form):
+    check_turns_against_reference(g, form)
 
 
 hybrid = st.tuples(st.integers(min_value=1, max_value=2), st.sampled_from((C.VARIANT_EXACTLY, C.VARIANT_ATMOST)))
