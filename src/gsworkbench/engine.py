@@ -27,6 +27,13 @@ at the boundary, each distinct form decoded once per search, and the
 helpers on symbol tuples (`one_step`, `mode_predicate`, `mode_step`, ...)
 encode on entry and decode on return.  `verifier.nsf_check` walks the
 programmed space of `_space` and decodes only the forms it reports.
+
+Each piece of work is done once where it repeats.  A turn builds the
+rewrites of a form once, however many step counts it meets the form at,
+and drops them when the turn ends.  `validate_trace` keeps the compiled
+grammars of its last few calls, so the traces of one enumeration compile
+their grammar once, and tests each step with `_is_rewrite` rather than
+building every rewrite of the previous form.
 """
 
 from __future__ import annotations
@@ -229,6 +236,23 @@ def _rewrites(form: str, table) -> List[str]:
         for rhs in rhss[form[i]]:
             out.append(head + rhs + tail)
     return out
+
+
+def _is_rewrite(x: str, y: str, table) -> bool:
+    """Whether `y` is in `_rewrites(x, table)`, without building that list.
+
+    A rewrite at position i replaces x[i] by a rhs of d = len(y) - len(x) + 1
+    symbols and keeps the prefix and suffix around it.
+    """
+    rhss, lhs = table
+    d = len(y) - len(x) + 1
+    if d < 0:
+        return False
+    for match in lhs.finditer(x):
+        i = match.start()
+        if y[i : i + d] in rhss[x[i]] and y[:i] == x[:i] and y[i + d :] == x[i + 1 :]:
+            return True
+    return False
 
 
 def _accepts(window, m: int, table, y: str) -> bool:
@@ -435,12 +459,16 @@ def _programmed_step(form: str, table, success, failure):
     return [form], failure, True
 
 
-def _labels(pg: ProgrammedGrammar, code: _Encoding):
-    """Each label compiled for `_programmed_step`."""
-    return {
-        p: (_rhs_table(code, (pg.rule_of[p],)), sorted(pg.success[p]), sorted(pg.failure[p]))
-        for p in pg.labels
-    }
+def _compile(g, code: _Encoding):
+    """A grammar from `_search_view` compiled for the searches: each label of
+    a programmed grammar for `_programmed_step`, or the `_component` of each
+    component of a hybrid CD system."""
+    if isinstance(g, ProgrammedGrammar):
+        return {
+            p: (_rhs_table(code, (g.rule_of[p],)), sorted(g.success[p]), sorted(g.failure[p]))
+            for p in g.labels
+        }
+    return [_component(code, rules, mode) for rules, mode in zip(g.components, g.modes)]
 
 
 def _grammar_encoding(g, forms=()) -> _Encoding:
@@ -474,7 +502,7 @@ def _space(g, max_form_len):
     code = _grammar_encoding(g)
     start = code.encode((g.axiom,))
     if isinstance(g, ProgrammedGrammar):
-        labels = _labels(g, code)
+        labels = _compile(g, code)
 
         def successors(state):
             form, label = state
@@ -489,7 +517,7 @@ def _space(g, max_form_len):
 
         starts = [((start, r), start) for r in g.labels]
         return code, starts, successors, itemgetter(0), successors, _programmed_segment
-    components = [_component(code, rules, mode) for rules, mode in zip(g.components, g.modes)]
+    components = _compile(g, code)
 
     def turns(state):
         x = state[0]
@@ -543,11 +571,16 @@ def _turn(component, x: str, max_form_len):
     visited, each with the forms of the shortest witness path to that pair
     (the forms after each step), and whether a rewrite was dropped because
     its form exceeded `max_form_len`.
+
+    A form met again at another step count reuses the rewrites built for
+    it.  That memo lives only as long as the turn's rows: kept for a whole
+    search, it holds every form of every turn at once.
     """
     table, window, hi, top = component
     rows = [(x, 0, -1)]  # (form, step count, parent row)
     seen = [{x}]  # seen[n]: the forms reached with step count n
     accepted = {}  # handed-back form -> its first accepting row
+    steps = {}  # form -> its rewrites
     pruned = False
     for i, (form, m, _) in enumerate(rows):  # the loop visits the rows it appends
         if form not in accepted and _accepts(window, m, table, form):
@@ -557,7 +590,10 @@ def _turn(component, x: str, max_form_len):
             if n == len(seen):  # counts never drop along the rows
                 seen.append(set())
             level = seen[n]
-            for y in _rewrites(form, table):
+            ys = steps.get(form)
+            if ys is None:
+                ys = steps[form] = _rewrites(form, table)
+            for y in ys:
                 if len(y) > max_form_len:
                     pruned = True
                 elif y not in level:
@@ -667,9 +703,10 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     else:
         violations = _turn_violations
     try:
-        found = violations(g, trace, _grammar_encoding(g))
+        found = violations(g, trace, *_compiled(g))
     except KeyError:  # a form of the trace has a symbol outside the grammar
-        found = violations(g, trace, _grammar_encoding(g, trace.all_forms()))
+        code = _grammar_encoding(g, trace.all_forms())
+        found = violations(g, trace, code, _compile(g, code))
     problems = []
     if trace.start != (g.axiom,):
         problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
@@ -679,21 +716,48 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     return problems
 
 
-def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding) -> list:
-    # each component compiled once, as `_space` does
-    compiled = [_component(code, rules, mode) for rules, mode in zip(system.components, system.modes)]
+# The encoding and `_compile` of the last few search views validated, so
+# that the traces of one enumeration compile their grammar once.  It is
+# emptied when full.
+_COMPILED: Dict[object, tuple] = {}
+_COMPILED_SIZE = 16
+
+
+def _compiled(g) -> tuple:
+    """``(code, compiled)`` for `g`, from the cache.
+
+    A hybrid CD system is its own key.  A programmed grammar holds dicts, so
+    its key is built from the fields its encoding and labels compile from.
+    """
+    if isinstance(g, ProgrammedGrammar):
+        key = (g.nonterminals, g.terminals, g.axiom, g.labels) + tuple(
+            frozenset(d.items()) for d in (g.rule_of, g.success, g.failure)
+        )
+    else:
+        key = g
+    hit = _COMPILED.get(key)
+    if hit is None:
+        code = _grammar_encoding(g)
+        hit = code, _compile(g, code)
+        if len(_COMPILED) >= _COMPILED_SIZE:
+            _COMPILED.clear()
+        _COMPILED[key] = hit
+    return hit
+
+
+def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding, components) -> list:
     problems = []
     current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
         if not isinstance(seg.actor, int) or not (1 <= seg.actor <= system.degree):
             problems.append("segment %d: bad component index %r" % (n, seg.actor))
             continue
-        table, window, _, _ = compiled[seg.actor - 1]
+        table, window, _, _ = components[seg.actor - 1]
         forms = list(map(code.encode, seg.forms))
         prev = current
         ok = True
         for f in forms:
-            if f not in _rewrites(prev, table):
+            if not _is_rewrite(prev, f, table):
                 problems.append(
                     "segment %d: form not reachable in one step of component %d"
                     % (n, seg.actor)
@@ -712,10 +776,9 @@ def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding)
     return problems
 
 
-def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace, code: _Encoding) -> list:
+def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace, code: _Encoding, compiled) -> list:
     # each segment must be a step that _programmed_step offers at its
     # label, leading to the next segment's label
-    compiled = _labels(pg, code)
     problems = []
     current = code.encode(trace.start)
     labels = [seg.actor for seg in trace.segments]

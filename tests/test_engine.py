@@ -17,6 +17,7 @@ from gsworkbench.engine import (
 from gsworkbench.model import (
     CdSystem,
     HcdSystem,
+    ProgrammedGrammar,
     Rule,
     STAR,
     T_MODE,
@@ -249,6 +250,47 @@ class TestTraces:
             # a legal one-step turn a S b => a a b b, but not from the axiom
             bad = DerivationTrace((a, S, b), (TraceSegment(1, ((a, a, b, b),)),))
         assert validate_trace(g, bad, mode) != []
+
+    def test_each_grammar_gets_its_own_verdict(self):
+        # validate_trace compiles each grammar once and keeps it; grammars
+        # with the same name and alphabets must still not share the compile
+        def programmed(p_failure):
+            return ProgrammedGrammar(
+                nonterminals=frozenset({S, A}),
+                terminals=frozenset({a}),
+                axiom=S,
+                labels=("p", "q"),
+                rule_of={"p": Rule(A, (a,)), "q": Rule(S, (a,))},
+                success={"p": frozenset(), "q": frozenset({"q"})},
+                failure={"p": frozenset(p_failure), "q": frozenset()},
+                name="same",
+            )
+
+        # p does not apply to S, so the step may go on only to a failure label
+        checked = DerivationTrace(
+            (S,), (TraceSegment("p", ((S,),), True), TraceSegment("q", ((a,),)))
+        )
+        g = cd([[Rule(S, (A,)), Rule(A, (a,))]], name="same")
+        two_steps = DerivationTrace((S,), (TraceSegment(1, ((A,), (a,))),))
+        cases = [
+            (programmed({"q"}), checked, None, []),
+            (
+                programmed(()),
+                checked,
+                None,
+                ["segment 0: not a appearance-checking step at label 'p' on to label 'q'"],
+            ),
+            (g, two_steps, t_and(exactly(2)), []),
+            (
+                g,
+                two_steps,
+                t_and(exactly(1)),
+                ["segment 0: mode predicate fails for component 1 after 2 steps"],
+            ),
+        ]
+        for _ in range(2):
+            for grammar, trace, mode, expected in cases:
+                assert validate_trace(grammar, trace, mode) == expected
 
 
 class TestWordIndex:

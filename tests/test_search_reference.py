@@ -22,6 +22,9 @@ the same states in the same order.  The reference for
 followed by `word_indices` over the words it found.  The reference for
 `nsf_check` is a level-by-level search over symbol tuples.
 
+The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
+membership in the list of all rewrites (`_rewrites`).
+
 Criteria 2 and 6 of the acceptance suite are also checked here on the
 random systems, not only on the named examples.
 """
@@ -41,6 +44,7 @@ from gsworkbench.engine import (
     _accepts,
     _between_turns,
     _bfs,
+    _is_rewrite,
     _labels_to,
     _local_encoding,
     _minimax,
@@ -141,6 +145,22 @@ def test_mode_step_matches_reference(form, ruleset, mode):
         for x, z in zip((form,) + path, path):
             assert z in set(successors(x, ruleset))
         assert (path[-1] if path else form) == y
+
+
+def test_a_cut_form_that_comes_back_keeps_the_cut():
+    # Under (t & =3) at form cap 2, a S is met at counts 1, 2 and 3, and its
+    # rewrite a a S is cut each time; a turn builds its rewrites once
+    rules = (Rule(S, (S,)), Rule(S, (a, S)), Rule(S, (a,)))
+    mode = t_and(exactly(3))
+    bounds = Bounds(2, 2)
+    got = mode_step((S,), rules, mode, bounds)
+    assert got.length_pruned
+    assert set(got.results) == {(a,), (a, a)}
+    assert (list(got.results.items()), got.length_pruned) == (
+        reference_turn_results((S,), rules, mode, bounds)
+    )
+    least = reference_mode_step((S,), rules, mode, bounds.max_form_len)
+    assert {y: len(path) for y, path in got.results.items()} == least
 
 
 @settings(max_examples=50, deadline=None)
@@ -614,3 +634,65 @@ def test_search_stops_when_the_last_word_is_popped(q_rule, r_rule, truncated):
     bounds = Bounds(1, 2)
     assert word_indices(pg, [("a",)], bounds) == ([1], truncated)
     assert word_index(pg, ("a",), bounds) == WordIndexResult(1, truncated)
+
+
+b = terminal("b")
+STEP_ALPHABET = ALPHABET + (b,)
+step_rules = st.one_of(
+    any_rules,  # erasing rules among them
+    st.sampled_from((S, A)).map(lambda s: Rule(s, (s,))),  # unit self-loops
+    st.builds(  # a rhs that holds its own lhs
+        lambda s, pre, post: Rule(s, (*pre, s, *post)),
+        st.sampled_from((S, A)),
+        st.lists(st.sampled_from(STEP_ALPHABET), max_size=1).map(tuple),
+        st.lists(st.sampled_from(STEP_ALPHABET), max_size=1).map(tuple),
+    ),
+)
+
+
+def one_symbol_edits(form: str, chars: str):
+    """Every string one substitution, insertion or deletion away from `form`."""
+    out = set()
+    for i in range(len(form) + 1):
+        out.update(form[:i] + c + form[i:] for c in chars)
+        if i < len(form):
+            out.update(form[:i] + c + form[i + 1 :] for c in chars)
+            out.add(form[:i] + form[i + 1 :])
+    return out
+
+
+def check_is_rewrite(x, ruleset):
+    code = _local_encoding((STEP_ALPHABET,), ruleset)
+    table = _rhs_table(code, ruleset)
+    x = code.encode(x)
+    ys = _rewrites(x, table)
+    chars = "".join(map(code.char.get, STEP_ALPHABET))
+    candidates = set(ys).union(*(one_symbol_edits(y, chars) for y in ys + [x]))
+    for y in sorted(candidates):
+        assert _is_rewrite(x, y, table) == (y in ys), (x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(STEP_ALPHABET), max_size=5).map(tuple),
+    st.lists(step_rules, min_size=1, max_size=4).map(tuple),
+)
+def test_is_rewrite_matches_rewrites(x, ruleset):
+    check_is_rewrite(x, ruleset)
+
+
+def test_is_rewrite_tries_every_occurrence():
+    # the two occurrences of A in A A give two different rewrites
+    rule = Rule(A, (a, A))
+    code = _local_encoding((STEP_ALPHABET,), (rule,))
+    table = _rhs_table(code, (rule,))
+    x = code.encode((A, A))
+    for y, expected in [
+        ((a, A, A), True),
+        ((A, a, A), True),
+        ((A, A, a), False),
+        ((a, A), False),
+        ((A, A), False),
+    ]:
+        assert _is_rewrite(x, code.encode(y), table) is expected
+    check_is_rewrite((A, A), (rule,))
