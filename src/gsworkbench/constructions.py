@@ -16,6 +16,7 @@ from .model import (
     CdSystem,
     Form,
     Mode,
+    NAME_PATTERN,
     ProgrammedGrammar,
     Rule,
     Symbol,
@@ -117,6 +118,9 @@ def finite_to_cd1(words: Iterable[Tuple[str, ...]], k: int) -> CdSystem:
     if k < 1:
         raise ValueError("k must be positive")
     term_names = sorted({name for w in word_list for name in w})
+    bad = [name for name in term_names if not NAME_PATTERN.match(name)]
+    if bad:
+        raise ValueError("terminal name %r is not an identifier" % bad[0])
     taken = set(term_names)
     stage_names = [_fresh("S__%d" % i, taken) for i in range(1, k + 1)]
     stages = [nonterminal(n) for n in stage_names]

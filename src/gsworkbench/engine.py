@@ -25,15 +25,18 @@ nonterminal count are regex character classes over those characters.
 Words, traces, mode-step results and index targets are encoded or decoded
 at the boundary, each distinct form decoded once per search, and the
 helpers on symbol tuples (`one_step`, `mode_predicate`, `mode_step`, ...)
-encode on entry and decode on return.  `verifier.nsf_check` walks the
-programmed space of `_space` and decodes only the forms it reports.
+encode on entry and decode on return.  `verifier.nsf_check` walks a
+`_programmed_space` and decodes only the forms it reports.
 
-Each piece of work is done once where it repeats.  A turn builds the
-rewrites of a form once, however many step counts it meets the form at,
-and drops them when the turn ends.  `validate_trace` keeps the compiled
-grammars of its last few calls, so the traces of one enumeration compile
-their grammar once, and tests each step with `_is_rewrite` rather than
-building every rewrite of the previous form.
+Each piece of work is done once where it repeats.  `_compile` is the one
+place that tells the grammar kinds apart: it compiles a grammar to its
+encoding, its search space and its trace check.  Every search and
+`validate_trace` read one cache of the compiles of the last few grammar
+objects and modes, so an enumeration and the traces it gives compile their
+grammar once.  A turn builds the rewrites of a form once, however many
+step counts it meets the form at, and drops them when the turn ends.
+`validate_trace` tests each step with `_is_rewrite` rather than building
+every rewrite of the previous form.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -267,18 +271,6 @@ def one_step(form: Form, ruleset: Sequence[Rule]):
     return list(map(code.decoder(), _rewrites(code.encode(form), _rhs_table(code, ruleset))))
 
 
-def apply_at(form: Form, rule: Rule, position: int) -> Form:
-    """Replace the `position`-th occurrence (1-based) of rule.lhs in `form`."""
-    if position < 1:
-        raise ValueError("occurrence index is 1-based")
-    ys = one_step(form, (rule,))  # one form per occurrence, left to right
-    if position > len(ys):
-        raise ValueError(
-            "occurrence %d of %s not present in form" % (position, rule.lhs.name)
-        )
-    return ys[position - 1]
-
-
 def applicable(ruleset: Sequence[Rule], form: Form) -> bool:
     """True iff some rule's lhs occurs in `form`."""
     code = _local_encoding((form,), ruleset)
@@ -419,31 +411,65 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
 
 
 # ---------------------------------------------------------------------------
-# Search spaces
+# Compiled grammars and their search spaces
 # ---------------------------------------------------------------------------
 
 
-def _search_view(grammar, mode: Optional[Mode]):
-    """The grammar as the searches see it: hybrid CD or programmed.
+def _compile(grammar, mode: Optional[Mode], forms=()):
+    """`grammar` compiled for the searches: ``(code, space, violations)``.
 
-    A plain CD system becomes the hybrid system with `mode` on every
-    component; the other kinds ignore `mode`.
+    ``code`` is the `_Encoding` of the grammar's alphabets and rules and of
+    the symbols of `forms`.  ``space(max_form_len)`` is the grammar's search
+    space over encoded forms of at most `max_form_len` symbols, from
+    `_programmed_space` or `_hybrid_space`.  ``violations(trace)`` lists
+    the steps of `trace` that the grammar does not allow.
+
+    This is the one place that tells the grammar kinds apart.  A plain CD
+    system is compiled as the hybrid system with `mode` on every component;
+    the other kinds ignore `mode`.
     """
-    if isinstance(grammar, CdSystem):
-        if mode is None:
-            raise ValueError("a CD system needs a derivation mode")
-        return HcdSystem(
-            nonterminals=grammar.nonterminals,
-            terminals=grammar.terminals,
-            axiom=grammar.axiom,
-            components=grammar.components,
-            modes=(mode,) * grammar.degree,
-            lambda_free=grammar.lambda_free,
-            name=grammar.name,
-        )
-    if isinstance(grammar, (HcdSystem, ProgrammedGrammar)):
-        return grammar
-    raise TypeError("not a grammar: %r" % (grammar,))
+    if isinstance(grammar, ProgrammedGrammar):
+        modes, rules = None, grammar.rule_of.values()
+    else:
+        if isinstance(grammar, CdSystem):
+            if mode is None:
+                raise ValueError("a CD system needs a derivation mode")
+            modes = (mode,) * len(grammar.components)
+        elif isinstance(grammar, HcdSystem):
+            modes = grammar.modes
+        else:
+            raise TypeError("not a grammar: %r" % (grammar,))
+        rules = chain.from_iterable(grammar.components)
+    code = _local_encoding((grammar.nonterminals, grammar.terminals, (grammar.axiom,), *forms), rules)
+    start = code.encode((grammar.axiom,))
+    if modes is None:
+        labels = {
+            p: (_rhs_table(code, (grammar.rule_of[p],)), sorted(grammar.success[p]), sorted(grammar.failure[p]))
+            for p in grammar.labels
+        }
+        return code, partial(_programmed_space, labels, start), partial(_programmed_violations, code, labels)
+    components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
+    return code, partial(_hybrid_space, components, start), partial(_turn_violations, code, components)
+
+
+# The compiles of the last few grammar objects and modes, so that the
+# searches and trace checks on one grammar compile it once.  An entry holds
+# its grammar, so that the grammar's id is not reused while the entry is
+# cached.  The cache is emptied when full.
+_COMPILED: Dict[tuple, tuple] = {}
+_COMPILED_SIZE = 16
+
+
+def _compiled(grammar, mode: Optional[Mode]) -> tuple:
+    """`_compile(grammar, mode)`, from the cache."""
+    key = id(grammar), mode
+    hit = _COMPILED.get(key)
+    if hit is None:
+        hit = grammar, _compile(grammar, mode)
+        if len(_COMPILED) >= _COMPILED_SIZE:
+            _COMPILED.clear()
+        _COMPILED[key] = hit
+    return hit[1]
 
 
 def _programmed_step(form: str, table, success, failure):
@@ -459,65 +485,44 @@ def _programmed_step(form: str, table, success, failure):
     return [form], failure, True
 
 
-def _compile(g, code: _Encoding):
-    """A grammar from `_search_view` compiled for the searches: each label of
-    a programmed grammar for `_programmed_step`, or the `_component` of each
-    component of a hybrid CD system."""
-    if isinstance(g, ProgrammedGrammar):
-        return {
-            p: (_rhs_table(code, (g.rule_of[p],)), sorted(g.success[p]), sorted(g.failure[p]))
-            for p in g.labels
-        }
-    return [_component(code, rules, mode) for rules, mode in zip(g.components, g.modes)]
+def _programmed_space(labels, start: str, max_form_len):
+    """The search space of a programmed grammar: ``(starts, successors,
+    form_of, turns)``.
 
-
-def _grammar_encoding(g, forms=()) -> _Encoding:
-    """An encoding of the alphabets and rules of `g` and the symbols of `forms`."""
-    if isinstance(g, ProgrammedGrammar):
-        rules = g.rule_of.values()
-    else:
-        rules = chain.from_iterable(g.components)
-    return _local_encoding((g.nonterminals, g.terminals, (g.axiom,), *forms), rules)
-
-
-def _space(g, max_form_len):
-    """The search space of a grammar from `_search_view`, over encoded forms
-    of at most `max_form_len` symbols.
-
-    Returns ``(code, starts, successors, form_of, turns, segment)``: the
-    grammar's `_Encoding`, the start states with their forms, the successor
-    function, the form of a state between turns (``None`` inside a CD
-    turn), the successor function of the states between turns by whole
-    turns, and the map from a turn's edge label and a decoder to its trace
-    segment.
-
-    A programmed grammar's states are (form, next label), and an edge is
-    one derivation step, which is also a whole turn.  The search starts
-    from (axiom, r) for every label r, per the existential over the first
-    label in the language definition.  A hybrid CD system's states are
-    those of `_inner_steps`; a turn edge runs `_turn` for each component
-    in order, and is labelled with the component index, the witness forms
-    and a closing ``None``.
+    `labels` maps each label to its ``(table, success, failure)`` for
+    `_programmed_step`.  A state is (form, next label), and an edge is one
+    derivation step, which is also a whole turn, labelled with the label,
+    the new form and whether the step is appearance checking.  The search
+    starts from (axiom, r) for every label r, per the existential over the
+    first label in the language definition.
     """
-    code = _grammar_encoding(g)
-    start = code.encode((g.axiom,))
-    if isinstance(g, ProgrammedGrammar):
-        labels = _compile(g, code)
 
-        def successors(state):
-            form, label = state
-            ys, nexts, ac = _programmed_step(form, *labels[label])
-            edges, pruned = [], False
-            for y in ys:
-                if len(y) <= max_form_len:
-                    edges += [((y, q), y, (label, y, ac)) for q in nexts]
-                elif nexts:  # an edge is dropped
-                    pruned = True
-            return edges, pruned
+    def successors(state):
+        form, label = state
+        ys, nexts, ac = _programmed_step(form, *labels[label])
+        edges, pruned = [], False
+        for y in ys:
+            if len(y) <= max_form_len:
+                edge = label, (y,), ac
+                edges += [((y, q), y, edge) for q in nexts]
+            elif nexts:  # an edge is dropped
+                pruned = True
+        return edges, pruned
 
-        starts = [((start, r), start) for r in g.labels]
-        return code, starts, successors, itemgetter(0), successors, _programmed_segment
-    components = _compile(g, code)
+    return [((start, r), start) for r in labels], successors, itemgetter(0), successors
+
+
+def _hybrid_space(components, start: str, max_form_len):
+    """The search space of a hybrid CD system: ``(starts, successors,
+    form_of, turns)``.
+
+    `components` holds the `_component` of each component.  A state is one
+    of `_inner_steps`, and ``successors`` is its successor function;
+    ``form_of`` gives the form of a state between turns, ``None`` inside a
+    turn.  ``turns`` gives the successors of a state between turns by whole
+    turns: it runs `_turn` for each component in order, and labels each
+    edge with the component index and the witness forms.
+    """
 
     def turns(state):
         x = state[0]
@@ -527,21 +532,11 @@ def _space(g, max_form_len):
                 continue  # a dead turn could only hand back x itself
             handed, cut = _turn(component, x, max_form_len)
             pruned = pruned or cut
-            edges += [((y, 0, 0), y, (j, *forms, None)) for y, forms in handed]
+            edges += [((y, 0, 0), y, (j, forms, False)) for y, forms in handed]
         return edges, pruned
 
     steps = _inner_steps(components, max_form_len)
-    return code, [((start, 0, 0), start)], steps, _between_turns, turns, _turn_segment
-
-
-def _programmed_segment(edge, decode) -> TraceSegment:
-    label, y, ac = edge
-    return TraceSegment(label, (decode(y),), ac)
-
-
-def _turn_segment(labels, decode) -> TraceSegment:
-    # the component index, the inner forms and the closing None
-    return TraceSegment(labels[0], tuple(map(decode, labels[1:-1])))
+    return [((start, 0, 0), start)], steps, _between_turns, turns
 
 
 def _between_turns(state) -> Optional[str]:
@@ -664,21 +659,23 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     grammar can erase; otherwise a pruned form can never shrink back to a
     word within the bound.
     """
-    g = _search_view(grammar, mode)
-    code, starts, _, _, turns, segment = _space(g, bounds.max_form_len)
+    code, space, _ = _compiled(grammar, mode)
+    starts, _, _, turns = space(bounds.max_form_len)
     rows, pruned = _bfs(starts, turns)
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
         if code.is_word(form):
             word_rows.setdefault(code.word(form), i)
-    language = make_language(word_rows, bounds, pruned and not g.lambda_free)
+    language = make_language(word_rows, bounds, pruned and not grammar.lambda_free)
     result = EnumerationResult(language)
     if with_traces:
-        start: Form = (g.axiom,)
+        start: Form = (grammar.axiom,)
         decode = code.decoder()  # one per search, so traces share tuples
         for word in language.words:
-            path = _labels_to(rows, word_rows[word])
-            segments = tuple(segment(label, decode) for label in path)
+            segments = tuple(
+                TraceSegment(actor, tuple(map(decode, forms)), ac)
+                for actor, forms, ac in _labels_to(rows, word_rows[word])
+            )
             result.traces[word] = DerivationTrace(start, segments)
     return result
 
@@ -697,18 +694,12 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     programmed grammars the label chaining through success and failure
     fields is verified.
     """
-    g = _search_view(grammar, mode)
-    if isinstance(g, ProgrammedGrammar):
-        violations = _programmed_violations
-    else:
-        violations = _turn_violations
     try:
-        found = violations(g, trace, *_compiled(g))
+        found = _compiled(grammar, mode)[2](trace)
     except KeyError:  # a form of the trace has a symbol outside the grammar
-        code = _grammar_encoding(g, trace.all_forms())
-        found = violations(g, trace, code, _compile(g, code))
+        found = _compile(grammar, mode, trace.all_forms())[2](trace)
     problems = []
-    if trace.start != (g.axiom,):
+    if trace.start != (grammar.axiom,):
         problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
     problems += found
     if not is_terminal_form(trace.final_form()):
@@ -716,40 +707,11 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     return problems
 
 
-# The encoding and `_compile` of the last few search views validated, so
-# that the traces of one enumeration compile their grammar once.  It is
-# emptied when full.
-_COMPILED: Dict[object, tuple] = {}
-_COMPILED_SIZE = 16
-
-
-def _compiled(g) -> tuple:
-    """``(code, compiled)`` for `g`, from the cache.
-
-    A hybrid CD system is its own key.  A programmed grammar holds dicts, so
-    its key is built from the fields its encoding and labels compile from.
-    """
-    if isinstance(g, ProgrammedGrammar):
-        key = (g.nonterminals, g.terminals, g.axiom, g.labels) + tuple(
-            frozenset(d.items()) for d in (g.rule_of, g.success, g.failure)
-        )
-    else:
-        key = g
-    hit = _COMPILED.get(key)
-    if hit is None:
-        code = _grammar_encoding(g)
-        hit = code, _compile(g, code)
-        if len(_COMPILED) >= _COMPILED_SIZE:
-            _COMPILED.clear()
-        _COMPILED[key] = hit
-    return hit
-
-
-def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding, components) -> list:
+def _turn_violations(code: _Encoding, components, trace: DerivationTrace) -> list:
     problems = []
     current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
-        if not isinstance(seg.actor, int) or not (1 <= seg.actor <= system.degree):
+        if not isinstance(seg.actor, int) or not (1 <= seg.actor <= len(components)):
             problems.append("segment %d: bad component index %r" % (n, seg.actor))
             continue
         table, window, _, _ = components[seg.actor - 1]
@@ -776,21 +738,21 @@ def _turn_violations(system: HcdSystem, trace: DerivationTrace, code: _Encoding,
     return problems
 
 
-def _programmed_violations(pg: ProgrammedGrammar, trace: DerivationTrace, code: _Encoding, compiled) -> list:
+def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> list:
     # each segment must be a step that _programmed_step offers at its
     # label, leading to the next segment's label
     problems = []
     current = code.encode(trace.start)
-    labels = [seg.actor for seg in trace.segments]
+    actors = [seg.actor for seg in trace.segments]
     for n, seg in enumerate(trace.segments):
-        if seg.actor not in pg.rule_of:
+        if seg.actor not in labels:
             problems.append("segment %d: unknown label %r" % (n, seg.actor))
             continue
         if len(seg.forms) != 1:
             problems.append("segment %d: programmed steps are single steps" % n)
             continue
-        nxt = labels[n + 1 : n + 2]  # the next label, if any
-        ys, nexts, ac = _programmed_step(current, *compiled[seg.actor])
+        nxt = actors[n + 1 : n + 2]  # the next label, if any
+        ys, nexts, ac = _programmed_step(current, *labels[seg.actor])
         form = code.encode(seg.forms[0])
         if not (
             (nxt[0] in nexts if nxt else nexts)
@@ -837,16 +799,16 @@ def word_indices(
         raise ValueError("word longer than max_word_len")
     if not all(words):
         raise ValueError("empty word: bounded languages never hold it")
-    g = _search_view(grammar, mode)
-    name_to_sym = {s.name: s for s in g.terminals}
+    code, space, _ = _compiled(grammar, mode)
+    name_to_sym = {s.name: s for s in grammar.terminals}
     try:
         targets = [tuple(name_to_sym[n] for n in word) for word in words]
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
-    code, starts, successors, form_of, _, _ = _space(g, bounds.max_form_len)
+    starts, successors, form_of, _ = space(bounds.max_form_len)
     targets = list(map(code.encode, targets))
     costs, pruned = _minimax(starts, successors, form_of, code.cost, targets)
-    return [costs.get(t) for t in targets], pruned and not g.lambda_free
+    return [costs.get(t) for t in targets], pruned and not grammar.lambda_free
 
 
 def indexed_language(
@@ -859,11 +821,11 @@ def indexed_language(
     truncation flag are the ones enumeration gives, and the pop order does
     not depend on targets, so each index is the one `word_indices` gives.
     """
-    g = _search_view(grammar, mode)
-    code, starts, successors, form_of, _, _ = _space(g, bounds.max_form_len)
+    code, space, _ = _compiled(grammar, mode)
+    starts, successors, form_of, _ = space(bounds.max_form_len)
     costs, pruned = _minimax(starts, successors, form_of, code.cost)
     indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
-    language = make_language(indices, bounds, pruned and not g.lambda_free)
+    language = make_language(indices, bounds, pruned and not grammar.lambda_free)
     return language, {word: indices[word] for word in language.words}
 
 

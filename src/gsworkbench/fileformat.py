@@ -8,7 +8,7 @@ failure fields (those lines cannot carry comments).  Inside a component
 block a line whose second token is ``->`` is always a rule, so symbols may
 be named like the keywords.
 
-Layout::
+Layout (the header comes first, once)::
 
     grammar <name> <kind> [lambda-free]     kind in {cdgs, hcdgs, programmed}
     nonterminals <sym> ...
@@ -191,6 +191,9 @@ def parse_file(text: str) -> GrammarFile:
         tokens = line.split()
         if not tokens:
             continue
+        if kind is None and tokens[0] != "grammar":
+            # the header is the first line that is not blank or a comment
+            raise GswParseError("missing grammar header", lineno)
         # a rule line wins over the keyword heads (see the module docstring)
         if components and tokens[1:2] == ["->"]:
             if len(tokens) < 3:
@@ -205,6 +208,8 @@ def parse_file(text: str) -> GrammarFile:
         if raw.split(None, 1)[0] == "rule":
             line = raw  # ';' separates a programmed rule's fields
         if head == "grammar":
+            if kind is not None:
+                raise GswParseError("second grammar header", lineno)
             if len(tokens) < 3:
                 raise GswParseError("grammar header needs a name and a kind", lineno)
             name, kind = tokens[1], tokens[2]

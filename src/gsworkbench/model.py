@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_'<>,()\-]+\Z")
 # the .gsw header name of a grammar whose name is "", so not a name itself
@@ -197,12 +197,6 @@ def mode_window(mode: Mode) -> Tuple[int, float, bool]:
     return windows[mode.kind]
 
 
-def mode_step_cap(mode: Mode) -> Optional[int]:
-    """Largest inner step count the mode can accept, or None if unbounded."""
-    hi = mode_window(mode)[1]
-    return None if hi == math.inf else hi
-
-
 def is_in_mode_set_d(mode: Mode) -> bool:
     """True iff the mode belongs to the mode set D usable by components."""
     if mode.kind in ("*", "t", "le", "eq", "ge"):
@@ -321,15 +315,6 @@ class ProgrammedGrammar:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def parikh(form: Form, over: Iterable[Symbol]) -> Dict[Symbol, int]:
-    """Occurrence counts of each symbol in `over` within `form`."""
-    counts = {s: 0 for s in over}
-    for s in form:
-        if s in counts:
-            counts[s] += 1
-    return counts
 
 
 def nonterminal_count(form: Form) -> int:

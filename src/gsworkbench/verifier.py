@@ -17,7 +17,7 @@ from .engine import (
     BoundedLanguage,
     Word,
     _bfs,
-    _space,
+    _compiled,
     indexed_language,
     length_lex,
     make_language,
@@ -268,7 +268,8 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
             (1, "the only production mentioning the start symbol does not rewrite it")
         )
 
-    code, starts, steps, _, _, _ = _space(pg, math.inf)
+    code, space, _ = _compiled(pg, None)
+    starts, steps, _, _ = space(math.inf)
     decode = code.decoder()
     # every start is on level 0 before the search: an appearance-checking
     # step can reach another start before that start is visited

@@ -81,6 +81,16 @@ class TestEnumerate:
         bad.write_text("grammar g cdgs\n", encoding="utf-8")
         assert main(["enumerate", str(bad), "--max-len", "5"]) == 2
 
+    def test_second_grammar_header_is_parse_error(self, tmp_path, capsys):
+        dup = tmp_path / "dup.gsw"
+        dup.write_text(
+            "grammar x cdgs\nnonterminals S\nterminals a\naxiom S\n"
+            "component\n  S -> a\ngrammar y hcdgs\n",
+            encoding="utf-8",
+        )
+        assert main(["enumerate", str(dup), "--max-len", "3"]) == 2
+        assert "second grammar header (line 7)" in capsys.readouterr().err
+
 
 def parse_traces(out, grammar):
     """The words of `gsw enumerate --traces` output, each with its trace."""
@@ -172,6 +182,11 @@ class TestTransform:
                      "-o", str(tmp_path / "x.gsw")])
         assert code == 2
         assert "k must be positive" in capsys.readouterr().err
+
+    def test_bad_terminal_name_is_an_error(self, capsys):
+        code = main(["transform", "finite-to-cd1", "--words", "a b#", "-o", "-"])
+        assert code == 2
+        assert "error: terminal name 'b#' is not an identifier" in capsys.readouterr().err
 
 
 class TestCheckEquiv:

@@ -53,6 +53,10 @@ class TestFiniteToCd1:
         with pytest.raises(ValueError):
             C.finite_to_cd1({()}, 1)
 
+    def test_rejects_a_terminal_name_that_is_not_an_identifier(self):
+        with pytest.raises(ValueError, match="'b#' is not an identifier"):
+            C.finite_to_cd1({("a", "b#")}, 1)
+
 
 def random_linear(rng, n):
     nts = [nonterminal("N%d" % i) for i in range(n)]

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsworkbench.engine import (
     Bounds,
-    _search_view,
-    _space,
+    _compile,
     enumerate_grammar,
     mode_step,
     one_step,
@@ -83,7 +82,7 @@ def closed_form(max_len):
 
 
 def test_the_alphabet_reaches_the_awkward_code_points():
-    code = _space(_search_view(CD, T_MODE), BOUNDS.max_form_len)[0]
+    code = _compile(CD, T_MODE)[0]
     assert [code.char[s] for s in (DASH, BACKSLASH, BRACKET, CARET)] == list("-\\]^")
     assert ord(code.char[HIGH]) > 255 and ord(code.char[T7]) > 255
     assert code.char[TWIN] != code.char[CARET]

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
+from gsworkbench import engine
 from gsworkbench.engine import (
     Bounds,
     DerivationTrace,
     TraceSegment,
-    apply_at,
     enumerate_grammar,
     make_language,
     mode_predicate,
@@ -13,6 +15,7 @@ from gsworkbench.engine import (
     trace_index,
     validate_trace,
     word_index,
+    word_indices,
 )
 from gsworkbench.model import (
     CdSystem,
@@ -29,6 +32,7 @@ from gsworkbench.model import (
     t_and,
     terminal,
 )
+from gsworkbench.verifier import nsf_check
 
 S = nonterminal("S")
 A = nonterminal("A")
@@ -58,14 +62,6 @@ class TestBounds:
 
 
 class TestSingleSteps:
-    def test_apply_at_positions(self):
-        form = (A, a, A)
-        r = Rule(A, (b,))
-        assert apply_at(form, r, 1) == (b, a, A)
-        assert apply_at(form, r, 2) == (A, a, b)
-        with pytest.raises(ValueError):
-            apply_at(form, r, 3)
-
     def test_one_step_all_occurrences(self):
         got = set(one_step((A, A), [Rule(A, (a,))]))
         assert got == {(a, A), (A, a)}
@@ -321,3 +317,50 @@ class TestWordIndex:
         g = cd([[Rule(S, (a,))]])
         with pytest.raises(ValueError):
             word_index(g, ("a",) * 9, Bounds(3, 3), mode=STAR)
+
+
+class TestSharedCompile:
+    """The searches and trace checks on one grammar object and mode read one
+    cached compile."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        compile_ = engine._compile
+
+        def counted(*args):
+            calls.append(args)
+            return compile_(*args)
+
+        monkeypatch.setattr(engine, "_compile", counted)
+        monkeypatch.setattr(engine, "_COMPILED", {})
+        return calls
+
+    def answers(self, grammar, mode, bounds):
+        res = enumerate_grammar(grammar, bounds, mode=mode, with_traces=True)
+        problems = [validate_trace(grammar, t, mode=mode) for t in res.traces.values()]
+        return res.language, res.traces, problems, word_indices(grammar, res.language.words, bounds, mode)
+
+    def test_a_cd_system_compiles_once(self, compiles):
+        g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
+        first = self.answers(g, STAR, Bounds(8, 8))
+        assert len(compiles) == 1
+        assert len(first[0]) == 4 and not any(first[2])
+        copy = replace(g)  # value-equal, but another object
+        assert copy == g and self.answers(copy, STAR, Bounds(8, 8)) == first
+        assert len(compiles) == 2
+
+    def test_a_programmed_grammar_compiles_once(self, compiles, pg_abc):
+        first = self.answers(pg_abc, None, Bounds(9, 9)), nsf_check(pg_abc, 12).lines()
+        assert len(compiles) == 1
+        assert len(first[0][0]) == 3 and not any(first[0][2])
+        copy = replace(pg_abc)
+        assert copy == pg_abc
+        assert (self.answers(copy, None, Bounds(9, 9)), nsf_check(copy, 12).lines()) == first
+        assert len(compiles) == 2
+
+    def test_the_cache_stays_bounded(self, compiles):
+        for n in range(1, 2 * engine._COMPILED_SIZE):
+            enumerate_grammar(cd([[Rule(S, (a,) * n)]]), Bounds(3, 3), mode=STAR)
+            assert len(engine._COMPILED) <= engine._COMPILED_SIZE
+        assert len(compiles) == 2 * engine._COMPILED_SIZE - 1

@@ -126,6 +126,22 @@ class TestParseGrammar:
         with pytest.raises(F.GswParseError, match="degree"):
             F.parse_grammar(text)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("grammar x cdgs\nnonterminals S\nterminals a\naxiom S\n"
+             "component\n  S -> a\ngrammar y hcdgs\n", 7, "second grammar header"),
+            ("; comment\n\ncomponent\n  S -> a\ngrammar x cdgs\n", 3, "missing grammar header"),
+            ("nonterminals S\nterminals a\naxiom S\n", 1, "missing grammar header"),
+            ("; only a comment\n", 0, "missing grammar header"),
+        ],
+        ids=["second-header", "component-first", "no-header", "empty"],
+    )
+    def test_the_header_comes_first_and_once(self, text, line, message):
+        with pytest.raises(F.GswParseError, match=message) as err:
+            F.parse_grammar(text)
+        assert err.value.line == line
+
     def test_duplicate_symbol_rejected(self):
         text = "grammar g cdgs\nnonterminals S\nterminals S\naxiom S\ncomponent\n  S -> S\n"
         with pytest.raises(F.GswParseError, match="declared twice"):

@@ -23,12 +23,10 @@ from gsworkbench.model import (
     form_text,
     is_in_mode_set_d,
     is_terminal_form,
-    mode_step_cap,
     mode_window,
     mode_text,
     nonterminal,
     nonterminal_count,
-    parikh,
     t_and,
     terminal,
     validate,
@@ -82,10 +80,6 @@ class TestSymbolsAndForms:
         assert form_text(()) == "#"
         assert form_text((a, S, b)) == "a S b"
 
-    def test_parikh(self):
-        counts = parikh((a, S, A, S), {S, A})
-        assert counts[S] == 2 and counts[A] == 1
-
     def test_counts(self):
         assert nonterminal_count((a, S, A)) == 2
         assert is_terminal_form((a, b)) and not is_terminal_form((a, S))
@@ -115,10 +109,6 @@ class TestModes:
         assert not is_in_mode_set_d(Mode("and", left=STAR, right=T_MODE))
 
     def test_step_caps(self):
-        assert mode_step_cap(exactly(3)) == 3
-        assert mode_step_cap(t_and(at_most(2))) == 2
-        assert mode_step_cap(T_MODE) is None
-        assert mode_step_cap(between(2, 5)) == 5
         inf = math.inf
         table = [
             (STAR, (0, inf, False)),

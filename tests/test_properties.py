@@ -23,7 +23,6 @@ from gsworkbench.model import (
     exactly,
     mode_text,
     nonterminal,
-    parikh,
     t_and,
     terminal,
 )
@@ -141,14 +140,6 @@ class TestEngineBasics:
         # the strategies never build erasing rules
         for y in one_step(x, rs):
             assert len(y) >= len(x)
-
-    @given(forms)
-    def test_parikh_is_additive_under_concatenation(self, x):
-        half = len(x) // 2
-        left, right = x[:half], x[half:]
-        total = parikh(x, NTS)
-        pl, pr = parikh(left, NTS), parikh(right, NTS)
-        assert all(total[s] == pl[s] + pr[s] for s in NTS)
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=5).map(tuple)))
     def test_make_language_is_sorted_and_lambda_free(self, raw):

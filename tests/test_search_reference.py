@@ -44,14 +44,13 @@ from gsworkbench.engine import (
     _accepts,
     _between_turns,
     _bfs,
+    _compile,
     _is_rewrite,
     _labels_to,
     _local_encoding,
     _minimax,
     _rewrites,
     _rhs_table,
-    _search_view,
-    _space,
     enumerate_grammar,
     indexed_language,
     make_language,
@@ -386,7 +385,8 @@ def check_against_heap(grammar, mode=None):
     """`_minimax` expands the states the heap search expands, in its order,
     and gives the same costs and pruned flag, with and without targets.
     Both run on the space's encoded forms and its cost function."""
-    code, starts, successors, form_of, _, _ = _space(_search_view(grammar, mode), BOUNDS.max_form_len)
+    code, space, _ = _compile(grammar, mode)
+    starts, successors, form_of, _ = space(BOUNDS.max_form_len)
     language = enumerate_grammar(grammar, BOUNDS, mode=mode).language
     word_sets = [language.words, ALL_WORDS[::-1], ALL_WORDS[:1], ()]
     for targets in [None] + [[code.encode(map(terminal, w)) for w in ws] for ws in word_sets]:
@@ -468,10 +468,12 @@ def reference_turns(successors, form_of):
     return turns
 
 
-def reference_enumerate(g, bounds):
-    """The bounded language and traces of a hybrid system by `reference_turns`."""
-    code, starts, _, _, _, _ = _space(g, bounds.max_form_len)
-    components = [(_rhs_table(code, rules), mode_window(m)) for rules, m in zip(g.components, g.modes)]
+def reference_enumerate(g, mode, modes, bounds):
+    """The bounded language and traces by `reference_turns` of a CD system
+    in `mode` or a hybrid system, whose components run in `modes`."""
+    code, space, _ = _compile(g, mode)
+    starts = space(bounds.max_form_len)[0]
+    components = [(_rhs_table(code, rules), mode_window(m)) for rules, m in zip(g.components, modes)]
     steps = reference_inner_steps(components, bounds.max_form_len)
     rows, pruned = _bfs(starts, reference_turns(steps, _between_turns))
     word_rows = {}
@@ -505,12 +507,12 @@ TURN_BOUNDS = Bounds(4, 5)
 
 def check_turns_against_reference(grammar, form, mode=None):
     res = enumerate_grammar(grammar, TURN_BOUNDS, mode=mode, with_traces=True)
-    g = _search_view(grammar, mode)
-    language, traces = reference_enumerate(g, TURN_BOUNDS)
+    modes = grammar.modes if mode is None else (mode,) * grammar.degree
+    language, traces = reference_enumerate(grammar, mode, modes, TURN_BOUNDS)
     assert res.language == language
     assert list(res.traces.items()) == list(traces.items())
-    for rules, m in zip(g.components, g.modes):
-        for x in ((g.axiom,), form):
+    for rules, m in zip(grammar.components, modes):
+        for x in ((grammar.axiom,), form):
             got = mode_step(x, rules, m, TURN_BOUNDS)
             assert (list(got.results.items()), got.length_pruned) == (
                 reference_turn_results(x, rules, m, TURN_BOUNDS)
