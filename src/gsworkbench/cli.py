@@ -123,21 +123,14 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _linear_from_component(grammar, index_k: Optional[int]):
-    if not isinstance(grammar, CdSystem):
-        raise CliError("source grammar must be a single-component cdgs file")
+def _linear_from_component(grammar: CdSystem, index_k: Optional[int]):
     if grammar.degree != 1:
         raise CliError("source grammar must have exactly one component")
-    fields = dict(
-        nonterminals=grammar.nonterminals,
-        terminals=grammar.terminals,
-        axiom=grammar.axiom,
-        rules=grammar.components[0],
-    )
+    fields = grammar.nonterminals, grammar.terminals, grammar.axiom, grammar.components[0]
     try:
         if index_k is None:
-            return constructions.LinearGrammar(**fields)
-        return constructions.IndexedCfGrammar(index=index_k, **fields)
+            return constructions.LinearGrammar(*fields)
+        return constructions.IndexedCfGrammar(*fields, index_k)
     except ValueError as err:
         raise CliError(str(err))
 
@@ -153,39 +146,29 @@ def _cmd_transform(args) -> int:
                 [tuple(w.split()) for w in args.words], 1 if args.k is None else args.k
             )
         elif name in ("linear-to-cd2", "cf-to-cd2"):
-            gf = _load(_require_file(args))
+            source = _source(args, CdSystem, "source grammar must be a single-component cdgs file")
             if name == "linear-to-cd2":
-                out = constructions.linear_to_cd2(
-                    _linear_from_component(gf.grammar, None)
-                )
+                out = constructions.linear_to_cd2(_linear_from_component(source, None))
             else:
                 if args.k is None:
                     raise CliError("cf-to-cd2 needs --k (the index bound)")
-                out = constructions.cf_indexk_to_cd2(
-                    _linear_from_component(gf.grammar, args.k)
-                )
+                out = constructions.cf_indexk_to_cd2(_linear_from_component(source, args.k))
         elif name == "cd-to-programmed":
-            gf = _load(_require_file(args))
-            if not isinstance(gf.grammar, CdSystem):
-                raise CliError("cd-to-programmed needs a cdgs file")
+            source = _source(args, CdSystem, "cd-to-programmed needs a cdgs file")
             if args.k is None:
                 raise CliError("cd-to-programmed needs --k")
-            out = constructions.cd_to_programmed(gf.grammar, args.k, args.variant)
+            out = constructions.cd_to_programmed(source, args.k, args.variant)
         elif name == "prolong":
-            gf = _load(_require_file(args))
-            if not isinstance(gf.grammar, CdSystem):
-                raise CliError("prolong needs a cdgs file")
+            source = _source(args, CdSystem, "prolong needs a cdgs file")
             if args.ell is None:
                 raise CliError("prolong needs --ell")
-            out = constructions.prolong(gf.grammar, args.ell)
+            out = constructions.prolong(source, args.ell)
         elif name == "nsf-to-cdgs":
-            gf = _load(_require_file(args))
-            if not isinstance(gf.grammar, ProgrammedGrammar):
-                raise CliError("nsf-to-cdgs needs a programmed file")
+            source = _source(args, ProgrammedGrammar, "nsf-to-cdgs needs a programmed file")
             if args.m is None or args.mode is None:
                 raise CliError("nsf-to-cdgs needs --m and --mode")
             target = fileformat.parse_mode(args.mode)
-            out = constructions.nsf_programmed_to_cdgs(gf.grammar, args.m, target)
+            out = constructions.nsf_programmed_to_cdgs(source, args.m, target)
             uniform_mode = target
         elif name == "example1":
             out = constructions.build_example1(args.k if args.k is not None else 2)
@@ -211,10 +194,14 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _require_file(args) -> str:
+def _source(args, kind: type, message: str):
+    """The grammar of the transform's source file; `message` when it is not a `kind`."""
     if not args.file:
         raise CliError("transform %r needs a source grammar file" % args.name)
-    return args.file
+    grammar = _load(args.file).grammar
+    if not isinstance(grammar, kind):
+        raise CliError(message)
+    return grammar
 
 
 def _cmd_check_equiv(args) -> int:

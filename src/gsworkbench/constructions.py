@@ -22,6 +22,7 @@ from .model import (
     Symbol,
     at_most,
     exactly,
+    is_in_mode_set_d,
     nonterminal,
     t_and,
     terminal,
@@ -56,8 +57,8 @@ def _checked(system: _G) -> _G:
 
 
 @dataclass(frozen=True)
-class LinearGrammar:
-    """A context-free grammar whose every right-hand side has <= 1 nonterminal."""
+class _CfGrammar:
+    """A context-free grammar: the fields the CF -> CD2 inputs share."""
 
     nonterminals: FrozenSet[Symbol]
     terminals: FrozenSet[Symbol]
@@ -68,25 +69,27 @@ class LinearGrammar:
         object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
         object.__setattr__(self, "terminals", frozenset(self.terminals))
         object.__setattr__(self, "rules", tuple(self.rules))
+
+
+@dataclass(frozen=True)
+class LinearGrammar(_CfGrammar):
+    """A context-free grammar whose every right-hand side has <= 1 nonterminal."""
+
+    def __post_init__(self):
+        super().__post_init__()
         for rule in self.rules:
             if sum(1 for s in rule.rhs if not s.is_terminal()) > 1:
                 raise ValueError("non-linear rule %r" % rule)
 
 
 @dataclass(frozen=True)
-class IndexedCfGrammar:
+class IndexedCfGrammar(_CfGrammar):
     """A context-free grammar together with a claimed derivation index."""
 
-    nonterminals: FrozenSet[Symbol]
-    terminals: FrozenSet[Symbol]
-    axiom: Symbol
-    rules: Tuple[Rule, ...]
     index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(self, "rules", tuple(self.rules))
+        super().__post_init__()
         if self.index < 1:
             raise ValueError("index must be positive")
         lhs_set = {r.lhs for r in self.rules}
@@ -155,21 +158,7 @@ def linear_to_cd2(g: LinearGrammar) -> CdSystem:
     P1 primes every nonterminal, P2 applies the original productions to the
     primed copies; run in mode (t & =1) or (t & <=1).
     """
-    taken = {s.name for s in g.nonterminals | g.terminals}
-    primed = _primed(g.nonterminals, taken)
-    p1 = tuple(Rule(nt, (primed[nt],)) for nt in sorted(g.nonterminals))
-    p2 = tuple(Rule(primed[r.lhs], r.rhs) for r in g.rules)
-    lambda_free = all(not r.is_erasing() for r in g.rules)
-    return _checked(
-        CdSystem(
-            nonterminals=g.nonterminals | frozenset(primed.values()),
-            terminals=g.terminals,
-            axiom=g.axiom,
-            components=(p1, p2),
-            lambda_free=lambda_free,
-            name="linear_cd2",
-        )
-    )
+    return _cf_to_cd2(g, False, "linear_cd2")
 
 
 def cf_indexk_to_cd2(g: IndexedCfGrammar) -> CdSystem:
@@ -181,26 +170,29 @@ def cf_indexk_to_cd2(g: IndexedCfGrammar) -> CdSystem:
     bounded language matches for words whose derivations stay within
     index k under that discipline.
     """
+    return _cf_to_cd2(g, True, "cf_index%d_cd2" % g.index)
+
+
+def _cf_to_cd2(g: _CfGrammar, self_loops: bool, name: str) -> CdSystem:
+    """Both CF -> CD2 simulations; `self_loops` adds B -> B and B' -> B'."""
     taken = {s.name for s in g.nonterminals | g.terminals}
     primed = _primed(g.nonterminals, taken)
     p1: List[Rule] = []
     for nt in sorted(g.nonterminals):
         p1.append(Rule(nt, (primed[nt],)))
-        p1.append(Rule(nt, (nt,)))
-    p2: List[Rule] = []
-    for r in g.rules:
-        p2.append(Rule(primed[r.lhs], r.rhs))
-    for nt in sorted(g.nonterminals):
-        p2.append(Rule(primed[nt], (primed[nt],)))
-    lambda_free = all(not r.is_erasing() for r in g.rules)
+        if self_loops:
+            p1.append(Rule(nt, (nt,)))
+    p2 = [Rule(primed[r.lhs], r.rhs) for r in g.rules]
+    if self_loops:
+        p2 += [Rule(primed[nt], (primed[nt],)) for nt in sorted(g.nonterminals)]
     return _checked(
         CdSystem(
             nonterminals=g.nonterminals | frozenset(primed.values()),
             terminals=g.terminals,
             axiom=g.axiom,
             components=(tuple(p1), tuple(p2)),
-            lambda_free=lambda_free,
-            name="cf_index%d_cd2" % g.index,
+            lambda_free=all(not r.is_erasing() for r in g.rules),
+            name=name,
         )
     )
 
@@ -541,7 +533,6 @@ def prolong(g: CdSystem, ell: int) -> CdSystem:
 # NSF programmed grammar -> CD grammar system
 # ---------------------------------------------------------------------------
 
-_FI_PLAIN = ("eq", "ge")
 # nsf_check depth used to establish NSF before simulating a programmed grammar
 NSF_DEPTH = 16
 
@@ -553,14 +544,10 @@ def _fi_parameter(target: Mode) -> Optional[int]:
     """
     if target.kind == "t":
         return None
-    if target.kind in _FI_PLAIN:
+    if target.kind in ("eq", "ge"):
         return target.k
-    if target.kind == "and":
-        l, r = target.left, target.right
-        if l.kind == "ge" and r.kind == "le" and l.k <= r.k:
-            return l.k
-        if l.kind == "t" and r.kind in ("eq", "le", "ge"):
-            return r.k
+    if target.kind == "and" and is_in_mode_set_d(target):
+        return target.left.k if target.left.kind == "ge" else target.right.k
     raise ValueError("mode %r is not usable for the NSF simulation" % (target,))
 
 

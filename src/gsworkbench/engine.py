@@ -313,14 +313,16 @@ def _bfs(starts, successors):
     return rows, pruned
 
 
-def _labels_to(rows, i: int) -> list:
-    """Edge labels on the parent-pointer path from a start to rows[i]."""
-    labels = []
-    while rows[i][2] >= 0:
-        labels.append(rows[i][3])
-        i = rows[i][2]
-    labels.reverse()
-    return labels
+def _path(rows, i: int, field: int) -> list:
+    """`field` of each row on the parent-pointer path from a start to rows[i],
+    the start left out: a row holds its parent at index 2, a start -1."""
+    out = []
+    row = rows[i]
+    while row[2] >= 0:
+        out.append(row[field])
+        row = rows[row[2]]
+    out.reverse()
+    return out
 
 
 def _minimax(starts, successors, form_of, cost_of, targets=None):
@@ -594,17 +596,7 @@ def _turn(component, x: str, max_form_len):
                 elif y not in level:
                     level.add(y)
                     rows.append((y, n, i))
-    return [(y, _witness(rows, i)) for y, i in accepted.items()], pruned
-
-
-def _witness(rows, i: int) -> list:
-    """The forms on the parent-pointer path from the start row 0 to rows[i]."""
-    forms = []
-    while i:
-        forms.append(rows[i][0])
-        i = rows[i][2]
-    forms.reverse()
-    return forms
+    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned
 
 
 def _inner_steps(components, max_form_len):
@@ -674,7 +666,7 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
         for word in language.words:
             segments = tuple(
                 TraceSegment(actor, tuple(map(decode, forms)), ac)
-                for actor, forms, ac in _labels_to(rows, word_rows[word])
+                for actor, forms, ac in _path(rows, word_rows[word], 3)
             )
             result.traces[word] = DerivationTrace(start, segments)
     return result

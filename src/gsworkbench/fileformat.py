@@ -170,6 +170,14 @@ def _parse_rhs(tokens: List[str], table: Dict[str, Symbol], lineno: int) -> Tupl
     return tuple(rhs)
 
 
+def _line_mode(tokens: List[str], lineno: int) -> Mode:
+    """The mode expression after the keyword of a ``mode`` or ``component`` line."""
+    try:
+        return parse_mode(" ".join(tokens[1:]))
+    except GswParseError as err:
+        raise GswParseError(str(err), lineno)
+
+
 def parse_file(text: str) -> GrammarFile:
     """Parse a .gsw file into a validated grammar plus any uniform mode."""
     name, kind, lambda_free = None, None, False
@@ -219,29 +227,25 @@ def parse_file(text: str) -> GrammarFile:
             if flags not in ([], ["lambda-free"]):
                 raise GswParseError("unknown header flags %r" % flags, lineno)
             lambda_free = flags == ["lambda-free"]
-        elif head == "nonterminals":
+        elif head in ("nonterminals", "terminals"):
+            make, declared = (nonterminal, nts) if head == "nonterminals" else (terminal, terms)
             for tok in tokens[1:]:
                 if tok in table:
                     raise GswParseError("symbol %r declared twice" % tok, lineno)
-                table[tok] = nonterminal(tok)
-                nts.append(table[tok])
-        elif head == "terminals":
-            for tok in tokens[1:]:
-                if tok in table:
-                    raise GswParseError("symbol %r declared twice" % tok, lineno)
-                table[tok] = terminal(tok)
-                terms.append(table[tok])
+                table[tok] = make(tok)
+                declared.append(table[tok])
         elif head == "axiom":
+            if axiom is not None:
+                raise GswParseError("second axiom line", lineno)
             if len(tokens) != 2 or tokens[1] not in table:
                 raise GswParseError("axiom must be one declared symbol", lineno)
             axiom = table[tokens[1]]
         elif head == "mode":
             if kind != "cdgs":
                 raise GswParseError("uniform mode is only valid for cdgs files", lineno)
-            try:
-                uniform_mode = parse_mode(" ".join(tokens[1:]))
-            except GswParseError as err:
-                raise GswParseError(str(err), lineno)
+            if uniform_mode is not None:
+                raise GswParseError("second mode line", lineno)
+            uniform_mode = _line_mode(tokens, lineno)
         elif head == "component":
             if kind == "programmed":
                 raise GswParseError("component block in a programmed file", lineno)
@@ -251,10 +255,7 @@ def parse_file(text: str) -> GrammarFile:
                     raise GswParseError(
                         "per-component modes are only valid for hcdgs files", lineno
                     )
-                try:
-                    mode = parse_mode(" ".join(tokens[1:]))
-                except GswParseError as err:
-                    raise GswParseError(str(err), lineno)
+                mode = _line_mode(tokens, lineno)
             elif kind == "hcdgs":
                 raise GswParseError("hcdgs component blocks need a mode", lineno)
             components.append([])

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 NAME_PATTERN = re.compile(r"[A-Za-z0-9_'<>,()\-]+\Z")
@@ -294,19 +295,23 @@ class ProgrammedGrammar:
         object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
         object.__setattr__(self, "terminals", frozenset(self.terminals))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "rule_of", dict(self.rule_of))
-        object.__setattr__(
-            self, "success", {p: frozenset(s) for p, s in self.success.items()}
-        )
-        object.__setattr__(
-            self, "failure", {p: frozenset(s) for p, s in self.failure.items()}
-        )
+        # read-only mappings: the searches cache a grammar's compile by id
+        object.__setattr__(self, "rule_of", MappingProxyType(dict(self.rule_of)))
+        for name in ("success", "failure"):
+            fields = {p: frozenset(s) for p, s in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(fields))
         if self.nsf_counts is not None:
-            object.__setattr__(
-                self,
-                "nsf_counts",
-                {p: dict(v) for p, v in self.nsf_counts.items()},
-            )
+            counts = {p: MappingProxyType(dict(v)) for p, v in self.nsf_counts.items()}
+            object.__setattr__(self, "nsf_counts", MappingProxyType(counts))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, so the mappings go as plain dicts
+        counts = self.nsf_counts
+        if counts is not None:
+            counts = {p: dict(v) for p, v in counts.items()}
+        return ProgrammedGrammar, (self.nonterminals, self.terminals, self.axiom, self.labels,
+                                   dict(self.rule_of), dict(self.success), dict(self.failure),
+                                   self.lambda_free, counts, self.name)
 
     def alphabet(self) -> FrozenSet[Symbol]:
         return self.nonterminals | self.terminals

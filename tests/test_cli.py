@@ -91,6 +91,27 @@ class TestEnumerate:
         assert main(["enumerate", str(dup), "--max-len", "3"]) == 2
         assert "second grammar header (line 7)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("axiom S\naxiom A\nmode t\nmode =2\n", "second axiom line (line 5)"),
+            ("axiom S\nmode t\nmode =2\n", "second mode line (line 6)"),
+        ],
+        ids=["axiom", "mode"],
+    )
+    def test_second_axiom_or_mode_line_is_parse_error(self, tmp_path, capsys, lines, message):
+        # the last line used to win without a word
+        dup = tmp_path / "dup.gsw"
+        dup.write_text(
+            "grammar x cdgs\nnonterminals S A\nterminals a\n" + lines
+            + "component\n  S -> a\n  A -> a a\n",
+            encoding="utf-8",
+        )
+        assert main(["enumerate", str(dup), "--max-len", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 def parse_traces(out, grammar):
     """The words of `gsw enumerate --traces` output, each with its trace."""

@@ -6,9 +6,16 @@ from gsworkbench import constructions as C
 from gsworkbench import verifier as V
 from gsworkbench.engine import Bounds, enumerate_grammar
 from gsworkbench.model import (
+    STAR,
+    T_MODE,
+    Mode,
     Rule,
+    at_least,
     at_most,
+    between,
+    conj,
     exactly,
+    mode_text,
     nonterminal,
     t_and,
     terminal,
@@ -250,6 +257,33 @@ class TestNsfToCdgs:
     def test_rejects_non_multiple_parameter(self, pg_abc):
         with pytest.raises(ValueError):
             C.nsf_programmed_to_cdgs(pg_abc, 3, t_and(exactly(4)))
+
+    @pytest.mark.parametrize(
+        "target, name, rules",
+        [(mode, "pg_abc_cdgs", 46) for mode in (
+            T_MODE, exactly(3), at_least(3), between(3, 5),
+            t_and(at_most(3)), t_and(exactly(3)), t_and(at_least(3)),
+        )] + [(mode, "pg_abc_cdgs_x2", 92) for mode in (exactly(6), t_and(at_most(6)))],
+        ids=lambda value: mode_text(value) if isinstance(value, Mode) else None,
+    )
+    def test_every_usable_target_mode(self, pg_abc, target, name, rules):
+        g = C.nsf_programmed_to_cdgs(pg_abc, 3, target)
+        assert (g.name, g.degree, sum(map(len, g.components))) == (name, 10, rules)
+        # the target only picks the prolongation factor: a mode of parameter
+        # 3 gives the (t & =3) system, and one of 6 that system prolonged
+        base = C.nsf_programmed_to_cdgs(pg_abc, 3, t_and(exactly(3)))
+        assert g == (base if rules == 46 else C.prolong(base, 2))
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [(exactly(4), "not a multiple of the index bound 3")]
+        + [(mode, "not usable for the NSF simulation")
+           for mode in (STAR, at_most(3), conj(STAR, exactly(3)))],
+        ids=lambda value: mode_text(value) if isinstance(value, Mode) else None,
+    )
+    def test_rejects_unusable_target_modes(self, pg_abc, target, message):
+        with pytest.raises(ValueError, match=message):
+            C.nsf_programmed_to_cdgs(pg_abc, 3, target)
 
     def test_rejects_non_nsf_input(self):
         from gsworkbench.model import ProgrammedGrammar

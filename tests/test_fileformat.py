@@ -134,8 +134,13 @@ class TestParseGrammar:
             ("; comment\n\ncomponent\n  S -> a\ngrammar x cdgs\n", 3, "missing grammar header"),
             ("nonterminals S\nterminals a\naxiom S\n", 1, "missing grammar header"),
             ("; only a comment\n", 0, "missing grammar header"),
+            ("grammar x cdgs\nnonterminals S A\nterminals a\naxiom S\naxiom A\n"
+             "component\n  S -> a\n  A -> a a\n", 5, "second axiom line"),
+            ("grammar x cdgs\nnonterminals S\nterminals a\naxiom S\nmode t\nmode =2\n"
+             "component\n  S -> a\n", 6, "second mode line"),
         ],
-        ids=["second-header", "component-first", "no-header", "empty"],
+        ids=["second-header", "component-first", "no-header", "empty", "second-axiom",
+             "second-mode"],
     )
     def test_the_header_comes_first_and_once(self, text, line, message):
         with pytest.raises(F.GswParseError, match=message) as err:

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,7 @@ from gsworkbench.model import (
     terminal,
     validate,
 )
+from gsworkbench.verifier import nsf_check, with_inferred_counts
 
 S = nonterminal("S")
 A = nonterminal("A")
@@ -197,3 +199,25 @@ class TestValidation:
 
     def test_validation_is_pure_and_never_raises(self, pg_abc):
         assert validate(pg_abc) == []
+
+
+class TestReadOnlyProgrammedGrammar:
+    def test_mappings_reject_edits(self, pg_abc):
+        # the searches cache a grammar's compile by its id, so an edit in
+        # place would leave them answering for the old rules
+        with pytest.raises(TypeError):
+            pg_abc.rule_of["p6"] = Rule(pg_abc.rule_of["p6"].lhs, (a, a))
+        for field_map in (pg_abc.success, pg_abc.failure):
+            with pytest.raises(TypeError):
+                field_map["p6"] = frozenset()
+        assert replace(pg_abc) == pg_abc
+        assert copy.deepcopy(pg_abc) == pg_abc
+        with pytest.raises(TypeError):
+            hash(pg_abc)
+        counted = with_inferred_counts(pg_abc, nsf_check(pg_abc, 16))
+        assert counted.nsf_counts["p0"][nonterminal("S")] == 1
+        with pytest.raises(TypeError):
+            counted.nsf_counts["p0"][nonterminal("S")] = 2
+        with pytest.raises(TypeError):
+            counted.nsf_counts["p7"] = {}
+        assert pickle.loads(pickle.dumps(counted)) == counted

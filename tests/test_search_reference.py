@@ -46,9 +46,9 @@ from gsworkbench.engine import (
     _bfs,
     _compile,
     _is_rewrite,
-    _labels_to,
     _local_encoding,
     _minimax,
+    _path,
     _rewrites,
     _rhs_table,
     enumerate_grammar,
@@ -462,7 +462,7 @@ def reference_turns(successors, form_of):
             pruned = pruned or cut
             for j, (y, yform, _, _) in enumerate(rows):
                 if form_of(y) is not None:
-                    out.append((y, yform, (label, *_labels_to(rows, j))))
+                    out.append((y, yform, (label, *_path(rows, j, 3))))
         return out, pruned
 
     return turns
@@ -487,7 +487,7 @@ def reference_enumerate(g, mode, modes, bounds):
         segments = tuple(
             # the component index, the inner forms and the closing None
             TraceSegment(labels[0], tuple(map(decode, labels[1:-1])))
-            for labels in _labels_to(rows, word_rows[word])
+            for labels in _path(rows, word_rows[word], 3)
         )
         traces[word] = DerivationTrace((g.axiom,), segments)
     return language, traces
