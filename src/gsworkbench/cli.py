@@ -49,18 +49,19 @@ def _bounds(args) -> engine.Bounds:
 def _mode_for(gf: fileformat.GrammarFile, flag: Optional[str]) -> Optional[Mode]:
     """The mode a plain CD system runs in: the --mode flag, else the file's.
 
-    Other grammar kinds need no mode, so they get None.
+    Other grammar kinds need no mode, so they get None; a malformed flag is
+    an error for every kind.
     """
+    try:
+        mode = None if flag is None else fileformat.parse_mode(flag)
+    except GswParseError as err:
+        raise CliError(str(err))
     if not isinstance(gf.grammar, CdSystem):
         return None
-    if flag is not None:
-        try:
-            return fileformat.parse_mode(flag)
-        except GswParseError as err:
-            raise CliError(str(err))
-    if gf.uniform_mode is None:
+    mode = mode or gf.uniform_mode
+    if mode is None:
         raise CliError("a cdgs file needs a mode (file 'mode' line or --mode)")
-    return gf.uniform_mode
+    return mode
 
 
 def _enumerate(gf: fileformat.GrammarFile, mode_flag, bounds, with_traces: bool):

@@ -20,6 +20,7 @@ from .model import (
     ProgrammedGrammar,
     Rule,
     Symbol,
+    _Grammar,
     at_most,
     exactly,
     is_in_mode_set_d,
@@ -57,17 +58,13 @@ def _checked(system: _G) -> _G:
 
 
 @dataclass(frozen=True)
-class _CfGrammar:
+class _CfGrammar(_Grammar):
     """A context-free grammar: the fields the CF -> CD2 inputs share."""
 
-    nonterminals: FrozenSet[Symbol]
-    terminals: FrozenSet[Symbol]
-    axiom: Symbol
     rules: Tuple[Rule, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
+        super().__post_init__()
         object.__setattr__(self, "rules", tuple(self.rules))
 
 

@@ -271,12 +271,6 @@ def one_step(form: Form, ruleset: Sequence[Rule]):
     return list(map(code.decoder(), _rewrites(code.encode(form), _rhs_table(code, ruleset))))
 
 
-def applicable(ruleset: Sequence[Rule], form: Form) -> bool:
-    """True iff some rule's lhs occurs in `form`."""
-    code = _local_encoding((form,), ruleset)
-    return _rhs_table(code, ruleset)[1].search(code.encode(form)) is not None
-
-
 def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
     """The predicate licensing a component to hand back `y` after m steps."""
     code = _local_encoding((y,), ruleset)

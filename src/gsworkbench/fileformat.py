@@ -19,9 +19,12 @@ Layout (the header comes first, once)::
       <sym> -> <sym> ... | #
     rule <label> : <sym> -> <rhs> ; succ <labels> ; fail <labels>
 
-Mode expressions follow the grammar
-``mode := "*" | "t" | cmp | "(" ">=" INT "&" "<=" INT ")" | "(" "t" "&" cmp ")"``
-with ``cmp := ("<="|"="|">=") INT``; whitespace inside is optional.
+Mode expressions are read by the grammar
+``mode := "*" | "t" | cmp | "(" mode "&" mode ")"`` with
+``cmp := ("<="|"="|">=") INT``; whitespace inside is optional.  A mode must
+also lie in the paper's mode set D (`model.is_in_mode_set_d`), which
+narrows the conjunctions to ``(>=k & <=l)`` with k <= l and ``(t & cmp)``
+and makes every bound positive.
 """
 
 from __future__ import annotations
@@ -37,21 +40,20 @@ from .model import (
     ProgrammedGrammar,
     Rule,
     Symbol,
-    at_least,
-    at_most,
-    between,
-    exactly,
+    conj,
+    is_in_mode_set_d,
     mode_text,
     nonterminal,
     STAR,
     T_MODE,
     UNNAMED,
-    t_and,
     terminal,
     validate,
 )
 
 Grammar = Union[CdSystem, HcdSystem, ProgrammedGrammar]
+# the header name of each grammar kind
+_KINDS = {"cdgs": CdSystem, "hcdgs": HcdSystem, "programmed": ProgrammedGrammar}
 
 
 class GswParseError(ValueError):
@@ -88,56 +90,44 @@ def _mode_tokens(text: str) -> List[str]:
     return tokens
 
 
-_CMP = {"<=": at_most, "=": exactly, ">=": at_least}
+_CMP = {"<=": "le", "=": "eq", ">=": "ge"}
 
 
 def parse_mode(text: str) -> Mode:
-    """Parse a mode expression like ``t``, ``=2`` or ``(t & <=3)``."""
+    """Parse a mode expression like ``t``, ``=2`` or ``(t & <=3)`` in D."""
     tokens = _mode_tokens(text)
     if not tokens:
         raise GswParseError("empty mode expression")
 
-    def cmp_at(i: int) -> Tuple[Mode, int]:
-        if i + 1 >= len(tokens) or tokens[i] not in _CMP or not tokens[i + 1].isdigit():
-            raise GswParseError("expected comparison in mode expression %r" % text)
-        k = int(tokens[i + 1])
-        if k < 1:
-            raise GswParseError("step count must be positive in %r" % text)
-        return _CMP[tokens[i]](k), i + 2
+    def expect(token: str, i: int) -> int:
+        if tokens[i : i + 1] != [token]:
+            raise GswParseError("expected %r in mode expression %r" % (token, text))
+        return i + 1
 
-    if tokens[0] == "(":
-        if tokens[1:2] == ["t"]:
-            if tokens[2:3] != ["&"]:
-                raise GswParseError("expected '&' in mode expression %r" % text)
-            inner, i = cmp_at(3)
-            mode = t_and(inner)
+    # read left to right; `opened` holds the left operand of each open "(",
+    # or None until that operand is read
+    opened: List[Optional[Mode]] = []
+    i = 0
+    while True:
+        while tokens[i : i + 1] == ["("]:
+            opened.append(None)
+            i += 1
+        tok = tokens[i] if i < len(tokens) else ""
+        if tok in ("*", "t"):
+            mode, i = STAR if tok == "*" else T_MODE, i + 1
+        elif tok in _CMP and tokens[i + 1 : i + 2] and tokens[i + 1].isdigit():
+            mode, i = Mode(_CMP[tok], int(tokens[i + 1])), i + 2
         else:
-            left, i = cmp_at(1)
-            if left.kind != "ge":
-                raise GswParseError(
-                    "left side of a bounded conjunction must be '>=' in %r" % text
-                )
-            if tokens[i : i + 1] != ["&"]:
-                raise GswParseError("expected '&' in mode expression %r" % text)
-            right, i = cmp_at(i + 1)
-            if right.kind != "le":
-                raise GswParseError(
-                    "right side of a bounded conjunction must be '<=' in %r" % text
-                )
-            if left.k > right.k:
-                raise GswParseError("k ≤ ℓ required in mode expression %r" % text)
-            mode = between(left.k, right.k)
-        if tokens[i : i + 1] != [")"]:
-            raise GswParseError("expected ')' in mode expression %r" % text)
-        i += 1
-    elif tokens[0] == "*":
-        mode, i = STAR, 1
-    elif tokens[0] == "t":
-        mode, i = T_MODE, 1
-    else:
-        mode, i = cmp_at(0)
+            raise GswParseError("expected comparison in mode expression %r" % text)
+        while opened and opened[-1] is not None:
+            mode, i = conj(opened.pop(), mode), expect(")", i)
+        if not opened:
+            break
+        opened[-1], i = mode, expect("&", i)
     if i != len(tokens):
         raise GswParseError("trailing tokens in mode expression %r" % text)
+    if not is_in_mode_set_d(mode):
+        raise GswParseError("mode expression %r is outside the mode set D" % text)
     return mode
 
 
@@ -221,7 +211,7 @@ def parse_file(text: str) -> GrammarFile:
             if len(tokens) < 3:
                 raise GswParseError("grammar header needs a name and a kind", lineno)
             name, kind = tokens[1], tokens[2]
-            if kind not in ("cdgs", "hcdgs", "programmed"):
+            if kind not in _KINDS:
                 raise GswParseError("unknown grammar kind %r" % kind, lineno)
             flags = tokens[3:]
             if flags not in ([], ["lambda-free"]):
@@ -308,29 +298,13 @@ def parse_file(text: str) -> GrammarFile:
         lambda_free=lambda_free,
         name="" if name == UNNAMED else name,
     )
-    if kind == "cdgs":
-        grammar: Grammar = CdSystem(
-            components=tuple(tuple(c) for c in components), **common
-        )
-    elif kind == "hcdgs":
-        grammar = HcdSystem(
-            components=tuple(tuple(c) for c in components),
-            modes=tuple(component_modes),
-            **common,
-        )
+    if kind == "programmed":
+        fields = dict(labels=labels, rule_of=rule_of, success=success, failure=failure)
     else:
-        undefined = sorted(
-            set().union(*success.values(), *failure.values()) - set(labels)
-        ) if labels else []
-        if undefined:
-            raise GswParseError("undefined labels in fields: %s" % " ".join(undefined))
-        grammar = ProgrammedGrammar(
-            labels=tuple(labels),
-            rule_of=rule_of,
-            success=success,
-            failure=failure,
-            **common,
-        )
+        fields = dict(components=components)
+        if kind == "hcdgs":
+            fields["modes"] = component_modes
+    grammar = _KINDS[kind](**common, **fields)
     report = validate(grammar)
     if report:
         raise GswParseError("invalid grammar: %s" % "; ".join(report))
@@ -353,13 +327,8 @@ def _rhs_text(rule: Rule) -> str:
 def serialize(grammar: Grammar, uniform_mode: Optional[Mode] = None) -> str:
     """Canonical text for a grammar; parse(serialize(g)) equals g."""
     out: List[str] = []
-    if isinstance(grammar, HcdSystem):
-        kind = "hcdgs"
-    elif isinstance(grammar, CdSystem):
-        kind = "cdgs"
-    elif isinstance(grammar, ProgrammedGrammar):
-        kind = "programmed"
-    else:
+    kind = next((k for k, cls in _KINDS.items() if isinstance(grammar, cls)), None)
+    if kind is None:
         raise TypeError("not a grammar: %r" % (grammar,))
     header = "grammar %s %s" % (grammar.name or UNNAMED, kind)
     if grammar.lambda_free:

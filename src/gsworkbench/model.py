@@ -199,16 +199,24 @@ def mode_window(mode: Mode) -> Tuple[int, float, bool]:
 
 
 def is_in_mode_set_d(mode: Mode) -> bool:
-    """True iff the mode belongs to the mode set D usable by components."""
-    if mode.kind in ("*", "t", "le", "eq", "ge"):
-        return True
+    """True iff the mode belongs to the mode set D usable by components.
+
+    D holds ``*``, ``t``, ``<=k``, ``=k``, ``>=k``, ``(>=k & <=l)`` with
+    k <= l, and ``(t & cmp)`` for a comparison cmp; a bound is an int >= 1.  A
+    value with a field its kind does not use (a bound on ``*``, operands on
+    a comparison) is not in D: its text would read back as another value.
+    """
     if mode.kind == "and":
         l, r = mode.left, mode.right
-        if l.kind == "ge" and r.kind == "le" and l.k <= r.k:
-            return True
-        if l.kind == "t" and r.kind in _BASIC_BOUNDED:
-            return True
-    return False
+        return mode.k == 0 and r.kind in _BASIC_BOUNDED and is_in_mode_set_d(r) and (
+            l == T_MODE
+            or (l.kind == "ge" and r.kind == "le" and is_in_mode_set_d(l) and l.k <= r.k)
+        )
+    if mode.left is not None or mode.right is not None:
+        return False
+    if mode.kind in _BASIC_BOUNDED:
+        return isinstance(mode.k, int) and mode.k >= 1
+    return mode in (STAR, T_MODE)
 
 
 # ---------------------------------------------------------------------------
@@ -217,61 +225,59 @@ def is_in_mode_set_d(mode: Mode) -> bool:
 
 
 @dataclass(frozen=True)
-class CdSystem:
-    """A cooperating distributed grammar system of degree ``len(components)``."""
+class _Grammar:
+    """The fields every grammar kind shares: two alphabets and an axiom."""
 
     nonterminals: FrozenSet[Symbol]
     terminals: FrozenSet[Symbol]
     axiom: Symbol
-    components: Tuple[RuleSet, ...]
-    lambda_free: bool = True
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
         object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(
-            self, "components", tuple(tuple(c) for c in self.components)
-        )
-
-    @property
-    def degree(self) -> int:
-        return len(self.components)
 
     def alphabet(self) -> FrozenSet[Symbol]:
         return self.nonterminals | self.terminals
 
 
 @dataclass(frozen=True)
-class HcdSystem:
+class _Components(_Grammar):
+    """A grammar made of rule sets, one per component."""
+
+    components: Tuple[RuleSet, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
+
+    @property
+    def degree(self) -> int:
+        return len(self.components)
+
+
+@dataclass(frozen=True)
+class CdSystem(_Components):
+    """A cooperating distributed grammar system of degree ``len(components)``."""
+
+    lambda_free: bool = True
+    name: str = ""
+
+
+@dataclass(frozen=True)
+class HcdSystem(_Components):
     """An externally hybrid CD system: each component carries its own mode."""
 
-    nonterminals: FrozenSet[Symbol]
-    terminals: FrozenSet[Symbol]
-    axiom: Symbol
-    components: Tuple[RuleSet, ...]
     modes: Tuple[Mode, ...]
     lambda_free: bool = True
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        object.__setattr__(
-            self, "components", tuple(tuple(c) for c in self.components)
-        )
+        super().__post_init__()
         object.__setattr__(self, "modes", tuple(self.modes))
-
-    @property
-    def degree(self) -> int:
-        return len(self.components)
-
-    def alphabet(self) -> FrozenSet[Symbol]:
-        return self.nonterminals | self.terminals
 
 
 @dataclass(frozen=True)
-class ProgrammedGrammar:
+class ProgrammedGrammar(_Grammar):
     """A programmed grammar: labelled rules with success/failure fields.
 
     ``failure[p]`` transitions are taken in appearance-checking steps, with
@@ -280,9 +286,6 @@ class ProgrammedGrammar:
     is applied to (the function f of the nonterminal separation form).
     """
 
-    nonterminals: FrozenSet[Symbol]
-    terminals: FrozenSet[Symbol]
-    axiom: Symbol
     labels: Tuple[str, ...]
     rule_of: Mapping[str, Rule]
     success: Mapping[str, FrozenSet[str]]
@@ -292,8 +295,7 @@ class ProgrammedGrammar:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "nonterminals", frozenset(self.nonterminals))
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
+        super().__post_init__()
         object.__setattr__(self, "labels", tuple(self.labels))
         # read-only mappings: the searches cache a grammar's compile by id
         object.__setattr__(self, "rule_of", MappingProxyType(dict(self.rule_of)))
@@ -312,9 +314,6 @@ class ProgrammedGrammar:
         return ProgrammedGrammar, (self.nonterminals, self.terminals, self.axiom, self.labels,
                                    dict(self.rule_of), dict(self.success), dict(self.failure),
                                    self.lambda_free, counts, self.name)
-
-    def alphabet(self) -> FrozenSet[Symbol]:
-        return self.nonterminals | self.terminals
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +381,7 @@ def validate(grammar) -> list:
     never raises and is pure.
     """
     out = []
-    if isinstance(grammar, (CdSystem, HcdSystem)):
+    if isinstance(grammar, _Components):
         _check_alphabets(grammar, out)
         if grammar.degree < 1:
             out.append("degree: degree ≥ 1 required")

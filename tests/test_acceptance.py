@@ -21,10 +21,10 @@ from gsworkbench import constructions as C
 from gsworkbench import verifier as V
 from gsworkbench.engine import (
     Bounds,
-    applicable,
     enumerate_grammar,
     mode_predicate,
     mode_step,
+    one_step,
     validate_trace,
 )
 from gsworkbench.model import (
@@ -214,7 +214,7 @@ def test_criterion_7_nsf_simulation(pg_abc):
         x = frontier.popleft()
         for comp in g.components:
             step = mode_step(x, comp, mode, bounds)
-            if applicable(comp, x) and len(x) <= bounds.max_form_len - 2:
+            if one_step(x, comp) and len(x) <= bounds.max_form_len - 2:
                 assert step.results or step.length_pruned
             for y, path in step.results.items():
                 assert len(path) == 3

@@ -15,7 +15,7 @@ from gsworkbench.engine import (
     enumerate_grammar,
     validate_trace,
 )
-from gsworkbench.model import CdSystem, Rule, exactly, nonterminal, t_and, terminal
+from gsworkbench.model import CdSystem, HcdSystem, Rule, exactly, nonterminal, t_and, terminal
 
 
 @pytest.fixture
@@ -30,6 +30,16 @@ def example1_prog_file(tmp_path):
     pg = C.cd_to_programmed(C.build_example1(2), 2, "exactly")
     path = tmp_path / "example1_k2_prog.gsw"
     path.write_text(F.serialize(pg), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def hcd_file(tmp_path):
+    g = C.build_anbnambm()
+    hcd = HcdSystem(g.nonterminals, g.terminals, g.axiom, g.components,
+                    (t_and(exactly(1)),) * g.degree, g.lambda_free, g.name)
+    path = tmp_path / "anbnambm_hcd.gsw"
+    path.write_text(F.serialize(hcd), encoding="utf-8")
     return str(path)
 
 
@@ -288,6 +298,21 @@ class TestIndex:
         )
         assert main(["index", str(path), "--word", "", "--max-len", "3"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestModeFlag:
+    @pytest.mark.parametrize("fixture", ["example1_prog_file", "hcd_file"])
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "FILE", "--mode", "garbage", "--max-len", "6"],
+        ["index", "FILE", "--mode", "garbage", "--word", "ab", "--max-len", "6"],
+        ["check-equiv", "FILE", "FILE", "--mode-a", "garbage", "--max-len", "6"],
+        ["check-equiv", "FILE", "FILE", "--mode-b", "garbage", "--max-len", "6"],
+    ], ids=["enumerate", "index", "check-equiv-a", "check-equiv-b"])
+    def test_malformed_mode_is_an_error_on_every_kind(self, request, fixture, argv, capsys):
+        # a non-cdgs file ignores a well-formed mode, but not a malformed one
+        path = request.getfixturevalue(fixture)
+        assert main([path if a == "FILE" else a for a in argv]) == 2
+        assert "bad character 'g'" in capsys.readouterr().err
 
 
 class TestNsfCheck:

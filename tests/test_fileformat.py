@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from gsworkbench.model import (
     UNNAMED,
     CdSystem,
     HcdSystem,
+    Mode,
     ProgrammedGrammar,
     Rule,
     STAR,
@@ -17,12 +19,19 @@ from gsworkbench.model import (
     at_least,
     at_most,
     between,
+    conj,
     exactly,
+    is_in_mode_set_d,
     nonterminal,
     t_and,
     terminal,
     validate,
 )
+
+# the modes a conjunction in D may join, by their text
+D_ATOMS = {"*": STAR, "t": T_MODE, "<=1": at_most(1), "=1": exactly(1),
+           ">=1": at_least(1), "<=2": at_most(2), ">=2": at_least(2)}
+
 
 KEYWORDS = ("grammar", "nonterminals", "terminals", "axiom", "mode", "component", "rule")
 
@@ -61,8 +70,25 @@ class TestParseMode:
         assert F.parse_mode(text) == mode
 
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(F.GswParseError, match="k ≤ ℓ required"):
+        with pytest.raises(F.GswParseError, match="outside the mode set D"):
             F.parse_mode("(>= 3 & <= 2)")
+
+    @pytest.mark.parametrize("text,mode", [
+        pytest.param(text, mode, id=text) for text, mode in [
+            ("(%s & %s)" % (x, y), conj(D_ATOMS[x], D_ATOMS[y]))
+            for x, y in itertools.product(D_ATOMS, repeat=2)
+        ] + [
+            ("((t & =1) & =2)", conj(t_and(exactly(1)), exactly(2))),
+            ("=0", Mode("eq", 0)),
+            ("(>=3 & <=2)", conj(Mode("ge", 3), Mode("le", 2))),
+        ]
+    ])
+    def test_accepts_exactly_the_mode_set_d(self, text, mode):
+        if is_in_mode_set_d(mode):
+            assert F.parse_mode(text) == mode
+        else:
+            with pytest.raises(F.GswParseError, match="outside the mode set D"):
+                F.parse_mode(text)
 
     @pytest.mark.parametrize("text", ["", "(t & t)", "=0", "2", "(<=1 & <=2)", "t t"])
     def test_rejects_malformed(self, text):
@@ -231,12 +257,18 @@ grammar_names = st.just("") | names.filter(lambda n: n != UNNAMED)
 # what the line format cannot carry: a comment or field separator, a label
 # colon, whitespace
 breakers = st.sampled_from([";", ":", " ", "\t", "p;q", "p q", "p:q", " p"])
-modes = st.sampled_from([STAR, T_MODE, t_and(exactly(2)), between(1, 3), at_least(2)])
+# raw mode values, bounds below 1 included, and conjunctions of them:
+# `validate` decides which of them lie in the mode set D
+raw_modes = st.builds(Mode, st.sampled_from(["*", "t", "le", "eq", "ge"]), st.integers(-1, 3))
+modes = raw_modes | st.builds(conj, raw_modes, raw_modes)
 
 
 @st.composite
 def grammars(draw):
-    """A valid grammar of any kind over names drawn from NAME_PATTERN."""
+    """A grammar of any kind over names drawn from NAME_PATTERN.
+
+    Only an hcdgs grammar can be invalid: its modes may lie outside D.
+    """
     pool = draw(st.lists(names, min_size=2, max_size=6, unique=True))
     cut = draw(st.integers(min_value=1, max_value=len(pool) - 1))
     nts = [nonterminal(n) for n in pool[:cut]]
@@ -289,9 +321,11 @@ def relabel(pg, old, new):
 
 class TestRoundTripProperty:
     @settings(max_examples=100, deadline=None)
-    @given(grammars(), st.none() | modes)
+    @given(grammars(), st.none() | modes.filter(is_in_mode_set_d))
     def test_parse_serialize_identity(self, g, uniform):
-        assert validate(g) == []
+        # every grammar that validate accepts round-trips
+        if validate(g):
+            return
         uniform = uniform if type(g) is CdSystem else None
         gf = F.parse_file(F.serialize(g, uniform_mode=uniform))
         assert gf.grammar == g and gf.uniform_mode == uniform

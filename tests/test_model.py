@@ -109,6 +109,11 @@ class TestModes:
                   between(1, 2), t_and(exactly(2))):
             assert is_in_mode_set_d(m)
         assert not is_in_mode_set_d(Mode("and", left=STAR, right=T_MODE))
+        # a field its kind does not use, or a bound that is not an int: the
+        # text reads back as another value
+        for m in (Mode("*", 2), Mode("t", 1), Mode("le", 2, left=STAR),
+                  Mode("and", 1, T_MODE, exactly(1)), Mode("eq", 1.5)):
+            assert not is_in_mode_set_d(m)
 
     def test_step_caps(self):
         inf = math.inf
@@ -172,6 +177,24 @@ class TestValidation:
         )
         out = validate(g)
         assert any(v.startswith("mode-invalid:") for v in out)
+
+    @pytest.mark.parametrize("mode", [
+        Mode("le", 0),
+        Mode("ge", 0),
+        conj(T_MODE, Mode("eq", 0)),
+        conj(Mode("ge", 0), Mode("le", 2)),
+    ], ids=mode_text)
+    def test_hcd_mode_bounds_must_be_positive(self, mode):
+        g = HcdSystem(
+            nonterminals=frozenset({S}),
+            terminals=frozenset({a}),
+            axiom=S,
+            components=((Rule(S, (a,)),),),
+            modes=(mode,),
+        )
+        assert validate(g) == [
+            "mode-invalid: component 1 mode %s outside the mode set" % mode_text(mode)
+        ]
 
     def test_programmed_field_targets(self):
         pg = ProgrammedGrammar(
