@@ -34,9 +34,10 @@ encoding, its search space and its trace check.  Every search and
 `validate_trace` read one cache of the compiles of the last few grammar
 objects and modes, so an enumeration and the traces it gives compile their
 grammar once.  A turn builds the rewrites of a form once, however many
-step counts it meets the form at, and drops them when the turn ends.
-`validate_trace` tests each step with `_is_rewrite` rather than building
-every rewrite of the previous form.
+step counts it meets the form at, reads ``t`` off them, and drops them
+when the turn ends; it does not revisit a form above its step window's
+``lo``.  `validate_trace` tests each step with `_is_rewrite` rather than
+building every rewrite of the previous form.
 """
 
 from __future__ import annotations
@@ -565,31 +566,38 @@ def _turn(component, x: str, max_form_len):
 
     A form met again at another step count reuses the rewrites built for
     it.  That memo lives only as long as the turn's rows: kept for a whole
-    search, it holds every form of every turn at once.
+    search, it holds every form of every turn at once.  Every lhs of the
+    table has a rhs, so a form is stuck, as ``t`` asks, iff its rewrite
+    list is empty; only a row at ``hi``, never expanded, scans for ``t``.
     """
-    table, window, hi, top = component
+    table, (lo, _, t), hi, top = component
     rows = [(x, 0, -1)]  # (form, step count, parent row)
-    seen = [{x}]  # seen[n]: the forms reached with step count n
+    # seen[n]: the forms reached with step count n, where seen[n] is the set
+    # seen[min(n, lo)]: a form met at counts lo <= c < c' hands back nothing
+    # at c' that it does not at c, in fewer steps and earlier rows.
+    seen = [{x}]
     accepted = {}  # handed-back form -> its first accepting row
     steps = {}  # form -> its rewrites
     pruned = False
     for i, (form, m, _) in enumerate(rows):  # the loop visits the rows it appends
-        if form not in accepted and _accepts(window, m, table, form):
-            accepted[form] = i
         if m < hi:
-            n = min(m + 1, top)
-            if n == len(seen):  # counts never drop along the rows
-                seen.append(set())
-            level = seen[n]
             ys = steps.get(form)
             if ys is None:
                 ys = steps[form] = _rewrites(form, table)
+            if m >= lo and not (t and ys) and form not in accepted:
+                accepted[form] = i
+            n = min(m + 1, top)
+            if n == len(seen):  # counts never drop along the rows
+                seen.append(seen[lo] if n > lo else set())
+            level = seen[n]
             for y in ys:
                 if len(y) > max_form_len:
                     pruned = True
                 elif y not in level:
                     level.add(y)
                     rows.append((y, n, i))
+        elif lo <= m and form not in accepted and not (t and table[1].search(form)):
+            accepted[form] = i
     return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned
 
 

@@ -165,7 +165,10 @@ def conj(left: Mode, right: Mode) -> Mode:
     return Mode("and", left=left, right=right)
 
 
-def mode_text(mode: Mode) -> str:
+def mode_text(mode: Optional[Mode]) -> str:
+    """The mode's text; a missing conjunction operand reads ``?``."""
+    if mode is None:
+        return "?"
     if mode.kind == "*":
         return "*"
     if mode.kind == "t":
@@ -208,6 +211,8 @@ def is_in_mode_set_d(mode: Mode) -> bool:
     """
     if mode.kind == "and":
         l, r = mode.left, mode.right
+        if l is None or r is None:
+            return False
         return mode.k == 0 and r.kind in _BASIC_BOUNDED and is_in_mode_set_d(r) and (
             l == T_MODE
             or (l.kind == "ge" and r.kind == "le" and is_in_mode_set_d(l) and l.k <= r.k)

@@ -196,6 +196,23 @@ class TestValidation:
             "mode-invalid: component 1 mode %s outside the mode set" % mode_text(mode)
         ]
 
+    @pytest.mark.parametrize("mode", [
+        Mode("and"),
+        Mode("and", left=T_MODE),
+        Mode("and", right=exactly(2)),
+    ], ids=["no operands", "no right operand", "no left operand"])
+    def test_hcd_conjunction_without_an_operand_is_invalid(self, mode):
+        g = HcdSystem(
+            nonterminals=frozenset({S}),
+            terminals=frozenset({a}),
+            axiom=S,
+            components=((Rule(S, (a,)),),),
+            modes=(mode,),
+        )
+        assert validate(g) == [
+            "mode-invalid: component 1 mode %s outside the mode set" % mode_text(mode)
+        ]
+
     def test_programmed_field_targets(self):
         pg = ProgrammedGrammar(
             nonterminals=frozenset({S}),

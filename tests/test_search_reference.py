@@ -14,6 +14,11 @@ component, which stops at the states between turns.  It must give the
 same words, truncation flag, traces and `mode_step` results in the same
 order.
 
+The reference for `_turn` itself is the same loop with one seen set per
+step count and `_accepts` on every row, on components whose rules meet a
+form at several step counts; it must give the same forms, witnesses and
+pruned flag in the same order.
+
 The reference for the one multi-target index search (`word_indices`) is
 one single-target `word_index` search per word.  The reference for the
 bucket queue inside them is a heap-based Dijkstra search, which must pop
@@ -45,12 +50,14 @@ from gsworkbench.engine import (
     _between_turns,
     _bfs,
     _compile,
+    _component,
     _is_rewrite,
     _local_encoding,
     _minimax,
     _path,
     _rewrites,
     _rhs_table,
+    _turn,
     enumerate_grammar,
     indexed_language,
     make_language,
@@ -72,6 +79,7 @@ from gsworkbench.model import (
     at_least,
     at_most,
     between,
+    conj,
     exactly,
     mode_window,
     nonterminal,
@@ -698,3 +706,52 @@ def test_is_rewrite_tries_every_occurrence():
     ]:
         assert _is_rewrite(x, code.encode(y), table) is expected
     check_is_rewrite((A, A), (rule,))
+
+
+def reference_turn_per_count(component, x: str, max_form_len):
+    """`_turn` with one seen set per step count and `_accepts` on every row."""
+    table, window, hi, top = component
+    rows = [(x, 0, -1)]  # (form, step count, parent row)
+    seen = [{x}]  # seen[n]: the forms reached with step count n
+    accepted = {}  # handed-back form -> its first accepting row
+    steps = {}  # form -> its rewrites
+    pruned = False
+    for i, (form, m, _) in enumerate(rows):  # the loop visits the rows it appends
+        if form not in accepted and _accepts(window, m, table, form):
+            accepted[form] = i
+        if m < hi:
+            n = min(m + 1, top)
+            if n == len(seen):  # counts never drop along the rows
+                seen.append(set())
+            level = seen[n]
+            ys = steps.get(form)
+            if ys is None:
+                ys = steps[form] = _rewrites(form, table)
+            for y in ys:
+                if len(y) > max_form_len:
+                    pruned = True
+                elif y not in level:
+                    level.add(y)
+                    rows.append((y, n, i))
+    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned
+
+
+@st.composite
+def turn_cases(draw):
+    """A component of `step_rules`, which meet a form at several step
+    counts, a mode, a form of 1-4 symbols and a form cap of at least its length."""
+    form = draw(st.lists(st.sampled_from(STEP_ALPHABET), min_size=1, max_size=4).map(tuple))
+    ruleset = draw(st.lists(step_rules, min_size=1, max_size=4).map(tuple))
+    return form, ruleset, draw(modes), draw(st.integers(min_value=len(form), max_value=7))
+
+
+@settings(max_examples=300, deadline=None)
+# a window with lo > hi, outside the mode set D, hands back nothing
+@example(((S,), (Rule(S, (S,)),), conj(exactly(2), at_most(1)), 3))
+@given(turn_cases())
+def test_turn_matches_one_seen_set_per_count(case):
+    form, ruleset, mode, cap = case
+    code = _local_encoding((form,), ruleset)
+    component = _component(code, ruleset, mode)
+    x = code.encode(form)
+    assert _turn(component, x, cap) == reference_turn_per_count(component, x, cap)
