@@ -258,15 +258,7 @@ def _add_bounds_args(p):
     p.add_argument("--strict", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gsw",
-        description="Workbench for cooperating distributed grammar systems, "
-        "hybrid derivation modes and programmed grammars.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="print the bounded language, length-lex")
+def _enumerate_args(p):
     p.add_argument("file")
     p.add_argument("--mode", default=None)
     p.add_argument("--traces", action="store_true",
@@ -274,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds_args(p)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("transform", help="apply a construction and write a grammar file")
+
+def _transform_args(p):
     p.add_argument("name")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("-o", "--output", required=True)
@@ -289,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a word as space-separated symbols; repeatable")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("check-equiv", help="compare two bounded languages")
+
+def _check_equiv_args(p):
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--mode", default=None, help="mode override for both files")
@@ -298,24 +292,55 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds_args(p)
     p.set_defaults(func=_cmd_check_equiv)
 
-    p = sub.add_parser("index", help="minimum derivation index of a word")
+
+def _index_args(p):
     p.add_argument("file")
     p.add_argument("--word", required=True)
     p.add_argument("--mode", default=None)
     _add_bounds_args(p)
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("nsf-check", help="check nonterminal separation form")
+
+def _nsf_check_args(p):
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=16)
     p.set_defaults(func=_cmd_nsf_check)
 
+
+# name -> (help text, adds the command's arguments and its func), in the
+# order `gsw --help` lists them
+_COMMANDS = {
+    "enumerate": ("print the bounded language, length-lex", _enumerate_args),
+    "transform": ("apply a construction and write a grammar file", _transform_args),
+    "check-equiv": ("compare two bounded languages", _check_equiv_args),
+    "index": ("minimum derivation index of a word", _index_args),
+    "nsf-check": ("check nonterminal separation form", _nsf_check_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The gsw parser, with only `command`'s subparser when one is named."""
+    parser = argparse.ArgumentParser(
+        prog="gsw",
+        description="Workbench for cooperating distributed grammar systems, "
+        "hybrid derivation modes and programmed grammars.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first needs only its own parser; every other argv
+    # (none, -h, an unknown or partial name) gets the list of all of them
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        # the full parser reports them, so its usage line names every command
+        build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as err:

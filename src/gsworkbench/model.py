@@ -166,20 +166,19 @@ def conj(left: Mode, right: Mode) -> Mode:
 
 
 def mode_text(mode: Optional[Mode]) -> str:
-    """The mode's text; a missing conjunction operand reads ``?``."""
+    """The mode's text; a missing conjunction operand reads ``?`` and an
+    unknown kind reads as the kind itself."""
     if mode is None:
         return "?"
-    if mode.kind == "*":
-        return "*"
-    if mode.kind == "t":
-        return "t"
     if mode.kind == "le":
         return "<=%d" % mode.k
     if mode.kind == "eq":
         return "=%d" % mode.k
     if mode.kind == "ge":
         return ">=%d" % mode.k
-    return "(%s & %s)" % (mode_text(mode.left), mode_text(mode.right))
+    if mode.kind == "and":
+        return "(%s & %s)" % (mode_text(mode.left), mode_text(mode.right))
+    return str(mode.kind)
 
 
 def mode_window(mode: Mode) -> Tuple[int, float, bool]:
@@ -191,6 +190,8 @@ def mode_window(mode: Mode) -> Tuple[int, float, bool]:
     ``lo``, the smaller ``hi`` and either ``t``.
     """
     if mode.kind == "and":
+        if mode.left is None or mode.right is None:
+            raise ValueError("conjunction mode %s lacks an operand" % mode_text(mode))
         (llo, lhi, lt), (rlo, rhi, rt) = mode_window(mode.left), mode_window(mode.right)
         return max(llo, rlo), min(lhi, rhi), lt or rt
     k, inf = mode.k, math.inf

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from gsworkbench import constructions as C
 from gsworkbench import fileformat as F
-from gsworkbench.cli import _trace_lines, main
+from gsworkbench.cli import _trace_lines, build_parser, main
 from gsworkbench.engine import (
     Bounds,
     DerivationTrace,
@@ -371,3 +372,77 @@ class TestNsfCheck:
             outputs.append(run.stdout)
         assert b"VIOLATION 3" in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+# gsw's commands with their help texts, in the order `gsw --help` lists them
+COMMANDS = [
+    ("enumerate", "print the bounded language, length-lex"),
+    ("transform", "apply a construction and write a grammar file"),
+    ("check-equiv", "compare two bounded languages"),
+    ("index", "minimum derivation index of a word"),
+    ("nsf-check", "check nonterminal separation form"),
+]
+NAMES = [name for name, _ in COMMANDS]
+# one well-formed argv per command, for parsing only
+MINIMAL_ARGV = {
+    "enumerate": ["enumerate", "g.gsw", "--max-len", "3"],
+    "transform": ["transform", "s3", "-o", "-"],
+    "check-equiv": ["check-equiv", "a.gsw", "b.gsw", "--max-len", "3"],
+    "index": ["index", "g.gsw", "--word", "a", "--max-len", "3"],
+    "nsf-check": ["nsf-check", "p.gsw"],
+}
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code
+
+
+class TestCommandLineSurface:
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        # argparse wraps help to the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_help_lists_every_command_in_order(self, capsys):
+        assert exit_code(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: gsw [-h] {%s} ..." % ",".join(NAMES))
+        listed = re.findall(r"^    (\S+) +(.+)$", out, re.M)
+        assert listed == COMMANDS
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch"]], ids=["no arguments", "unknown"])
+    def test_missing_or_unknown_command_exits_2(self, argv, capsys):
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gsw [-h] {%s} ..." % ",".join(NAMES))
+        if argv:
+            assert "invalid choice: 'nosuch' (choose from %s)" % ", ".join(
+                "'%s'" % name for name in NAMES) in err
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_command_help(self, name, capsys):
+        assert exit_code([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gsw %s " % name)
+
+    def test_leftover_argument_usage_names_every_command(self, capsys):
+        # reported by the top-level parser, after the command's own parser
+        assert exit_code(MINIMAL_ARGV["index"] + ["--bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gsw [-h] {%s} ..." % ",".join(NAMES))
+        assert err.endswith("gsw: error: unrecognized arguments: --bogus\n")
+
+    def test_main_reads_sys_argv(self, monkeypatch, example1_prog_file, capsys):
+        monkeypatch.setattr(sys, "argv", ["gsw", "nsf-check", example1_prog_file, "--depth", "4"])
+        assert main() == 1
+        assert capsys.readouterr().out.startswith("VIOLATION 1 start symbol")
+        monkeypatch.setattr(sys, "argv", ["gsw", "index", "--help"])
+        assert exit_code(None) == 0
+        assert capsys.readouterr().out.startswith("usage: gsw index ")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_build_parser_knows_every_command(self, name):
+        args = build_parser().parse_args(MINIMAL_ARGV[name])
+        assert args.command == name
+        assert callable(args.func)

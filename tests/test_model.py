@@ -32,6 +32,7 @@ from gsworkbench.model import (
     terminal,
     validate,
 )
+from gsworkbench.engine import Bounds, mode_predicate, mode_step
 from gsworkbench.verifier import nsf_check, with_inferred_counts
 
 S = nonterminal("S")
@@ -136,6 +137,18 @@ class TestModes:
         with pytest.raises(ValueError):
             mode_window(Mode("?"))
 
+    @pytest.mark.parametrize("mode", [Mode("and"), Mode("and", left=T_MODE)],
+                             ids=["no operands", "no right operand"])
+    def test_conjunction_without_an_operand_raises_value_error(self, mode):
+        # as an unknown kind does, not AttributeError from the missing operand
+        rules = (Rule(S, (a,)),)
+        with pytest.raises(ValueError, match="lacks an operand"):
+            mode_window(mode)
+        with pytest.raises(ValueError, match="lacks an operand"):
+            mode_step((S,), rules, mode, Bounds(3, 3))
+        with pytest.raises(ValueError, match="lacks an operand"):
+            mode_predicate(mode, 1, rules, (a,))
+
 
 class TestValidation:
     def test_valid_system_is_clean(self):
@@ -211,6 +224,20 @@ class TestValidation:
         )
         assert validate(g) == [
             "mode-invalid: component 1 mode %s outside the mode set" % mode_text(mode)
+        ]
+
+    @pytest.mark.parametrize("kind", ["?", "bogus"])
+    def test_hcd_unknown_kind_is_named_by_its_kind(self, kind):
+        # not as the conjunction "(? & ?)"
+        g = HcdSystem(
+            nonterminals=frozenset({S}),
+            terminals=frozenset({a}),
+            axiom=S,
+            components=((Rule(S, (a,)),),),
+            modes=(Mode(kind),),
+        )
+        assert validate(g) == [
+            "mode-invalid: component 1 mode %s outside the mode set" % kind
         ]
 
     def test_programmed_field_targets(self):
