@@ -568,7 +568,7 @@ def nsf_programmed_to_cdgs(pg: ProgrammedGrammar, m: int, target: Mode) -> CdSys
     report = nsf_check(pg, NSF_DEPTH)
     if not report.holds:
         raise ValueError("not in NSF: %s" % "; ".join(d for _, d in report.violations))
-    counts = pg.nsf_counts if pg.nsf_counts is not None else report.inferred_counts
+    counts = report.inferred_counts
     param = _fi_parameter(target)
     if param is not None:
         if param < m or param % m != 0:

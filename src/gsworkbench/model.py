@@ -103,6 +103,7 @@ RuleSet = Tuple[Rule, ...]
 # ---------------------------------------------------------------------------
 
 _BASIC_BOUNDED = ("le", "eq", "ge")
+_COMPARISON_TEXT = {"le": "<=", "eq": "=", "ge": ">="}
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,10 @@ def mode_text(mode: Optional[Mode]) -> str:
     unknown kind reads as the kind itself."""
     if mode is None:
         return "?"
-    if mode.kind == "le":
-        return "<=%d" % mode.k
-    if mode.kind == "eq":
-        return "=%d" % mode.k
-    if mode.kind == "ge":
-        return ">=%d" % mode.k
+    if mode.kind in _BASIC_BOUNDED:
+        # an int bound (True too, which equals 1) as a number, any other as itself
+        k = mode.k
+        return _COMPARISON_TEXT[mode.kind] + ("%d" % k if isinstance(k, int) else repr(k))
     if mode.kind == "and":
         return "(%s & %s)" % (mode_text(mode.left), mode_text(mode.right))
     return str(mode.kind)
@@ -287,9 +286,7 @@ class ProgrammedGrammar(_Grammar):
     """A programmed grammar: labelled rules with success/failure fields.
 
     ``failure[p]`` transitions are taken in appearance-checking steps, with
-    the sentential form left unchanged.  ``nsf_counts``, when present, maps
-    each label to the fixed nonterminal Parikh vector of the forms the rule
-    is applied to (the function f of the nonterminal separation form).
+    the sentential form left unchanged.
     """
 
     labels: Tuple[str, ...]
@@ -297,7 +294,6 @@ class ProgrammedGrammar(_Grammar):
     success: Mapping[str, FrozenSet[str]]
     failure: Mapping[str, FrozenSet[str]]
     lambda_free: bool = True
-    nsf_counts: Optional[Mapping[str, Mapping[Symbol, int]]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -308,18 +304,12 @@ class ProgrammedGrammar(_Grammar):
         for name in ("success", "failure"):
             fields = {p: frozenset(s) for p, s in getattr(self, name).items()}
             object.__setattr__(self, name, MappingProxyType(fields))
-        if self.nsf_counts is not None:
-            counts = {p: MappingProxyType(dict(v)) for p, v in self.nsf_counts.items()}
-            object.__setattr__(self, "nsf_counts", MappingProxyType(counts))
 
     def __reduce__(self):
         # a mappingproxy does not pickle, so the mappings go as plain dicts
-        counts = self.nsf_counts
-        if counts is not None:
-            counts = {p: dict(v) for p, v in counts.items()}
         return ProgrammedGrammar, (self.nonterminals, self.terminals, self.axiom, self.labels,
                                    dict(self.rule_of), dict(self.success), dict(self.failure),
-                                   self.lambda_free, counts, self.name)
+                                   self.lambda_free, self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +434,5 @@ def validate(grammar) -> list:
                             "field-target: %s field of %s names unknown label %s"
                             % (field_name, p, q)
                         )
-        if grammar.nsf_counts is not None:
-            for p, vec in grammar.nsf_counts.items():
-                if p not in label_set:
-                    out.append("nsf-counts: unknown label %s" % p)
-                    continue
-                for sym, c in vec.items():
-                    if c < 0:
-                        out.append(
-                            "nsf-counts: negative count for %s at label %s"
-                            % (sym.name, p)
-                        )
-                rule = grammar.rule_of.get(p)
-                if rule is not None and vec.get(rule.lhs, 0) < 1:
-                    out.append(
-                        "nsf-counts: label %s rewrites %s but its count is 0"
-                        % (p, rule.lhs.name)
-                    )
         return out
     raise TypeError("not a grammar: %r" % (grammar,))

@@ -315,13 +315,6 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     return report
 
 
-def with_inferred_counts(pg: ProgrammedGrammar, report: NsfReport) -> ProgrammedGrammar:
-    """Attach the inferred f to the grammar for downstream constructions."""
-    from dataclasses import replace
-
-    return replace(pg, nsf_counts=dict(report.inferred_counts))
-
-
 # ---------------------------------------------------------------------------
 # Index-bound certification
 # ---------------------------------------------------------------------------

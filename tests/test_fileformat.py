@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from dataclasses import replace
 
@@ -264,8 +265,9 @@ modes = raw_modes | st.builds(conj, raw_modes, raw_modes)
 
 
 @st.composite
-def grammars(draw):
-    """A grammar of any kind over names drawn from NAME_PATTERN.
+def grammar_fields(draw, kind):
+    """The keyword arguments of a grammar of `kind` over names drawn from
+    NAME_PATTERN.
 
     Only an hcdgs grammar can be invalid: its modes may lie outside D.
     """
@@ -279,31 +281,35 @@ def grammars(draw):
         st.sampled_from(nts),
         st.lists(st.sampled_from(nts + ts), min_size=int(lambda_free), max_size=3).map(tuple),
     )
-    common = dict(
+    fields = dict(
         nonterminals=frozenset(nts),
         terminals=frozenset(ts),
         axiom=nts[0],
         lambda_free=lambda_free,
         name=draw(grammar_names),
     )
-    kind = draw(st.sampled_from(["cdgs", "hcdgs", "programmed"]))
     if kind == "programmed":
         labels = draw(st.lists(names, min_size=1, max_size=3, unique=True))
-        fields = st.frozensets(st.sampled_from(labels))
-        return ProgrammedGrammar(
+        targets = st.frozensets(st.sampled_from(labels))
+        return dict(
+            fields,
             labels=tuple(labels),
             rule_of={p: draw(rules) for p in labels},
-            success={p: draw(fields) for p in labels},
-            failure={p: draw(fields) for p in labels},
-            **common,
+            success={p: draw(targets) for p in labels},
+            failure={p: draw(targets) for p in labels},
         )
-    components = draw(st.lists(st.lists(rules, max_size=3).map(tuple), min_size=1, max_size=3))
-    if kind == "cdgs":
-        return CdSystem(components=tuple(components), **common)
-    return HcdSystem(
-        components=tuple(components),
-        modes=tuple(draw(modes) for _ in components),
-        **common,
+    fields["components"] = tuple(
+        draw(st.lists(st.lists(rules, max_size=3).map(tuple), min_size=1, max_size=3))
+    )
+    if kind == "hcdgs":
+        fields["modes"] = tuple(draw(modes) for _ in fields["components"])
+    return fields
+
+
+def grammars():
+    """A grammar of any kind, built from `grammar_fields`."""
+    return st.sampled_from(list(F._KINDS)).flatmap(
+        lambda kind: grammar_fields(kind).map(lambda fields: F._KINDS[kind](**fields))
     )
 
 
@@ -320,6 +326,15 @@ def relabel(pg, old, new):
 
 
 class TestRoundTripProperty:
+    @pytest.mark.parametrize("kind", list(F._KINDS))
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_strategy_sets_every_field(self, kind, data):
+        # a field the strategy leaves at its default would hide from the
+        # round trip below, and so would a field the file cannot carry
+        drawn = data.draw(grammar_fields(kind))
+        assert set(drawn) == {f.name for f in dataclasses.fields(F._KINDS[kind])}
+
     @settings(max_examples=100, deadline=None)
     @given(grammars(), st.none() | modes.filter(is_in_mode_set_d))
     def test_parse_serialize_identity(self, g, uniform):

@@ -33,7 +33,6 @@ from gsworkbench.model import (
     validate,
 )
 from gsworkbench.engine import Bounds, mode_predicate, mode_step
-from gsworkbench.verifier import nsf_check, with_inferred_counts
 
 S = nonterminal("S")
 A = nonterminal("A")
@@ -104,6 +103,8 @@ class TestModes:
         assert mode_text(exactly(2)) == "=2"
         assert mode_text(between(1, 3)) == "(>=1 & <=3)"
         assert mode_text(t_and(at_most(2))) == "(t & <=2)"
+        # True equals 1, so this value is at_most(1) and prints as it
+        assert Mode("le", True) == at_most(1) and mode_text(Mode("le", True)) == "<=1"
 
     def test_mode_set_d(self):
         for m in (STAR, T_MODE, exactly(1), at_most(2), at_least(3),
@@ -240,6 +241,23 @@ class TestValidation:
             "mode-invalid: component 1 mode %s outside the mode set" % kind
         ]
 
+    @pytest.mark.parametrize("mode, text", [
+        (Mode("le", None), "<=None"),
+        (Mode("eq", 1.5), "=1.5"),
+    ], ids=["None bound", "float bound"])
+    def test_hcd_bound_that_is_not_an_int_is_named_as_it_is(self, mode, text):
+        # neither a TypeError from formatting None nor "=1", another mode
+        g = HcdSystem(
+            nonterminals=frozenset({S}),
+            terminals=frozenset({a}),
+            axiom=S,
+            components=((Rule(S, (a,)),),),
+            modes=(mode,),
+        )
+        assert validate(g) == [
+            "mode-invalid: component 1 mode %s outside the mode set" % text
+        ]
+
     def test_programmed_field_targets(self):
         pg = ProgrammedGrammar(
             nonterminals=frozenset({S}),
@@ -281,10 +299,4 @@ class TestReadOnlyProgrammedGrammar:
         assert copy.deepcopy(pg_abc) == pg_abc
         with pytest.raises(TypeError):
             hash(pg_abc)
-        counted = with_inferred_counts(pg_abc, nsf_check(pg_abc, 16))
-        assert counted.nsf_counts["p0"][nonterminal("S")] == 1
-        with pytest.raises(TypeError):
-            counted.nsf_counts["p0"][nonterminal("S")] = 2
-        with pytest.raises(TypeError):
-            counted.nsf_counts["p7"] = {}
-        assert pickle.loads(pickle.dumps(counted)) == counted
+        assert pickle.loads(pickle.dumps(pg_abc)) == pg_abc

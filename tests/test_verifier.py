@@ -94,12 +94,6 @@ class TestNsfCheck:
         vec = rep.inferred_counts["p5"]
         assert vec[B] == 1 and vec[Cn] == 1 and vec[A] == 0
 
-    def test_with_inferred_counts_round_trip(self, pg_abc):
-        rep = V.nsf_check(pg_abc, 16)
-        pg2 = V.with_inferred_counts(pg_abc, rep)
-        assert pg2.nsf_counts is not None
-        assert pg2.nsf_counts["p0"][nonterminal("S")] == 1
-
     def test_detects_duplicate_nonterminal(self):
         from gsworkbench.model import ProgrammedGrammar
         pg = ProgrammedGrammar(
