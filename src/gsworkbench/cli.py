@@ -1,7 +1,7 @@
 """Command-line entry points: enumerate / transform / check-equiv / index / nsf-check.
 
 Exit codes: 0 success, 1 check-equiv difference or nsf-check violation,
-2 parse or validation error, 3 truncated result under --strict.
+2 parse, validation, read or write error, 3 truncated result under --strict.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _load(path: str) -> fileformat.GrammarFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError("cannot read %s: %s" % (path, err))
     try:
         return fileformat.parse_file(text)
@@ -190,8 +190,11 @@ def _cmd_transform(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise CliError("cannot write %s: %s" % (args.output, err))
     return EXIT_OK
 
 

@@ -5,12 +5,13 @@ as the hybrid system with its mode on every component.  There are three
 search loops.  `_turn` is one CD turn: a breadth-first search over the
 (form, step count) pairs of one component, which gives the forms the
 component may hand back with shortest witnesses; `mode_step` is `_turn`,
-and a CD system's turn-level successors run it per component.  `_bfs`, a
-breadth-first search with parent pointers, walks a space turn by turn for
-enumeration and traces (a programmed step is a one-edge turn).  `_minimax`,
-a breadth-first search over one bucket per cost, walks it state by state
-for the index of any number of words at once, or, run to exhaustion, for
-the bounded language with every word's index.
+and a CD system's turn-level successors run it per component, through
+`_skeleton_turn`.  `_bfs`, a breadth-first search with parent pointers,
+walks a space turn by turn for enumeration and traces (a programmed step
+is a one-edge turn).  `_minimax`, a breadth-first search over one bucket
+per cost, walks it state by state for the index of any number of words at
+once, or, run to exhaustion, for the bounded language with every word's
+index.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -36,8 +37,10 @@ objects and modes, so an enumeration and the traces it gives compile their
 grammar once.  A turn builds the rewrites of a form once, however many
 step counts it meets the form at, reads ``t`` off them, and drops them
 when the turn ends; it does not revisit a form above its step window's
-``lo``.  `validate_trace` tests each step with `_is_rewrite` rather than
-building every rewrite of the previous form.
+``lo``.  Within one search a turn runs once per nonterminal skeleton of a
+form: forms that differ only in their terminal runs, which no rule
+rewrites, share it.  `validate_trace` tests each step with `_is_rewrite`
+rather than building every rewrite of the previous form.
 """
 
 from __future__ import annotations
@@ -182,6 +185,12 @@ class _Encoding:
         self.char = char = {s: chr(i) for i, s in enumerate(ordered)}
         self.symbol = dict(zip(char.values(), ordered))
         self.nonterminal = _char_class(map(char.get, nonterminals))
+        # for `_skeleton_turn`: a form split at its maximal terminal runs,
+        # which land at the odd positions, and two characters outside the
+        # encoding, the mark that stands for a run and a separator
+        runs = _char_class(char[s] for s in ordered[len(nonterminals) :]).pattern
+        self.split_runs = re.compile("(%s+)" % runs).split
+        self.mark, self.sep = chr(len(ordered)), chr(len(ordered) + 1)
         # bound once, as the searches call them on every edge
         find_nonterminals = self.nonterminal.findall
         self.cost = lambda code: len(find_nonterminals(code))
@@ -446,7 +455,7 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
         }
         return code, partial(_programmed_space, labels, start), partial(_programmed_violations, code, labels)
     components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
-    return code, partial(_hybrid_space, components, start), partial(_turn_violations, code, components)
+    return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components)
 
 
 # The compiles of the last few grammar objects and modes, so that the
@@ -509,25 +518,28 @@ def _programmed_space(labels, start: str, max_form_len):
     return [((start, r), start) for r in labels], successors, itemgetter(0), successors
 
 
-def _hybrid_space(components, start: str, max_form_len):
+def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
     """The search space of a hybrid CD system: ``(starts, successors,
     form_of, turns)``.
 
-    `components` holds the `_component` of each component.  A state is one
-    of `_inner_steps`, and ``successors`` is its successor function;
-    ``form_of`` gives the form of a state between turns, ``None`` inside a
-    turn.  ``turns`` gives the successors of a state between turns by whole
-    turns: it runs `_turn` for each component in order, and labels each
-    edge with the component index and the witness forms.
+    `components` holds the `_component` of each component, over the
+    encoding `code`.  A state is one of `_inner_steps`, and ``successors``
+    is its successor function; ``form_of`` gives the form of a state between
+    turns, ``None`` inside a turn.  ``turns`` gives the successors of a state
+    between turns by whole turns: it runs `_skeleton_turn` for each
+    component in order, and labels each edge with the component index and
+    the witness forms.  Each component's skeleton memo belongs to one call
+    of the space, so it lasts one search and dies with it.
     """
+    memos = [{} for _ in components]
 
     def turns(state):
         x = state[0]
         edges, pruned = [], False
-        for j, component in enumerate(components, 1):
+        for j, (component, memo) in enumerate(zip(components, memos), 1):
             if component[0][1].search(x) is None:
                 continue  # a dead turn could only hand back x itself
-            handed, cut = _turn(component, x, max_form_len)
+            handed, cut = _skeleton_turn(memo, component, code, x, max_form_len)
             pruned = pruned or cut
             edges += [((y, 0, 0), y, (j, forms, False)) for y, forms in handed]
         return edges, pruned
@@ -566,9 +578,10 @@ def _turn(component, x: str, max_form_len):
 
     A form met again at another step count reuses the rewrites built for
     it.  That memo lives only as long as the turn's rows: kept for a whole
-    search, it holds every form of every turn at once.  Every lhs of the
-    table has a rhs, so a form is stuck, as ``t`` asks, iff its rewrite
-    list is empty; only a row at ``hi``, never expanded, scans for ``t``.
+    search, it holds every form of every turn at once; a search keeps one
+    turn per skeleton instead (`_skeleton_turn`).  Every lhs of the table
+    has a rhs, so a form is stuck, as ``t`` asks, iff its rewrite list is
+    empty; only a row at ``hi``, never expanded, scans for ``t``.
     """
     table, (lo, _, t), hi, top = component
     rows = [(x, 0, -1)]  # (form, step count, parent row)
@@ -599,6 +612,52 @@ def _turn(component, x: str, max_form_len):
         elif lo <= m and form not in accepted and not (t and table[1].search(form)):
             accepted[form] = i
     return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned
+
+
+def _skeleton_turn(memo, component, code: _Encoding, x: str, max_form_len):
+    """`_turn(component, x, max_form_len)`, run once per skeleton of `x`.
+
+    A turn never rewrites a terminal, so it sees only the nonterminals of
+    `x`.  The skeleton of `x` has one ``code.mark`` in place of each
+    maximal terminal run.  Under the cap `max_form_len` less the symbols the
+    marks save, the turn on the skeleton maps onto the turn on `x` by
+    filling each mark with its run: rewrites keep their order and lengths,
+    so the rows, witnesses and ``pruned`` flag agree.  Two skeleton forms
+    may fill to one form (``M a`` and ``a M`` with the run ``a``); the
+    first of them is the one the turn on `x` hands back, and later ones are
+    dropped.
+
+    `memo` maps (skeleton, length of `x`) to the turn on the skeleton, so
+    that one format fills it: every witness form joined by ``code.sep`` in
+    one ``%``-template with a ``%s`` field per mark, their number, and where
+    each witness ends.  A handed-back form ends its witness, or is `x`.
+    """
+    pieces = code.split_runs(x)  # the runs at odd positions
+    if len(pieces) == 1:  # no run to share the turn over
+        return _turn(component, x, max_form_len)
+    mark, sep = code.mark, code.sep
+    skeleton = mark.join(pieces[::2])
+    key = skeleton, len(x)
+    hit = memo.get(key)
+    if hit is None:
+        handed, pruned = _turn(component, skeleton, max_form_len - len(x) + len(skeleton))
+        forms, ends = [], []
+        for _, witness in handed:
+            forms += witness
+            ends.append(len(forms))
+        template = sep.join(forms)
+        if mark != "%":  # a "%" in the template is then a symbol or sep
+            template = template.replace("%", "%%")
+        hit = memo[key] = template.replace(mark, "%s"), len(forms), ends, pruned
+    template, n, ends, pruned = hit
+    filled = (template % (tuple(pieces[1::2]) * n)).split(sep)
+    handed, start = {}, 0
+    for end in ends:
+        y = filled[end - 1] if end > start else x
+        if y not in handed:
+            handed[y] = filled[start:end]
+        start = end
+    return list(handed.items()), pruned
 
 
 def _inner_steps(components, max_form_len):

@@ -92,6 +92,12 @@ class TestEnumerate:
         bad.write_text("grammar g cdgs\n", encoding="utf-8")
         assert main(["enumerate", str(bad), "--max-len", "5"]) == 2
 
+    def test_file_that_is_not_utf8_is_a_read_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gsw"
+        bad.write_bytes(b"grammar x cdgs\n\xff\xfe\n")
+        assert main(["enumerate", str(bad), "--max-len", "3"]) == 2
+        assert "error: cannot read %s: " % bad in capsys.readouterr().err
+
     def test_second_grammar_header_is_parse_error(self, tmp_path, capsys):
         dup = tmp_path / "dup.gsw"
         dup.write_text(
@@ -200,6 +206,12 @@ class TestTransform:
         assert code == 0
         pg = F.parse_grammar(out.read_text(encoding="utf-8"))
         assert pg == C.cd_to_programmed(C.build_example1(2), 2, "exactly")
+
+    @pytest.mark.parametrize("target", ["missing/x.gsw", "."], ids=["no such directory", "a directory"])
+    def test_unwritable_output_is_a_write_error(self, tmp_path, target, capsys):
+        out = tmp_path / target
+        assert main(["transform", "s3", "-o", str(out)]) == 2
+        assert "error: cannot write %s: " % out in capsys.readouterr().err
 
     def test_unknown_transform(self, tmp_path, capsys):
         assert main(["transform", "bogus", "-o", str(tmp_path / "x.gsw")]) == 2

@@ -30,6 +30,11 @@ followed by `word_indices` over the words it found.  The reference for
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
 membership in the list of all rewrites (`_rewrites`).
 
+The reference for a turn shared by skeleton (`_skeleton_turn`) is `_turn`
+on the full form: two forms with one skeleton and different terminal runs,
+run through one memo, must each get the forms, witnesses and pruned flag
+of their own `_turn`, in the same order.
+
 Criteria 2 and 6 of the acceptance suite are also checked here on the
 random systems, not only on the named examples.
 """
@@ -41,7 +46,7 @@ from itertools import count
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsworkbench import constructions as C
+from gsworkbench import constructions as C, engine
 from gsworkbench.engine import (
     Bounds,
     DerivationTrace,
@@ -57,6 +62,7 @@ from gsworkbench.engine import (
     _path,
     _rewrites,
     _rhs_table,
+    _skeleton_turn,
     _turn,
     enumerate_grammar,
     indexed_language,
@@ -755,3 +761,112 @@ def test_turn_matches_one_seen_set_per_count(case):
     component = _component(code, ruleset, mode)
     x = code.encode(form)
     assert _turn(component, x, cap) == reference_turn_per_count(component, x, cap)
+
+
+@st.composite
+def skeleton_cases(draw):
+    """A component of `step_rules`, a mode, two forms with one skeleton,
+    each with its own terminal runs, and a form cap of at least the longer
+    form's length."""
+    slots = draw(st.lists(st.sampled_from((S, A, None)), min_size=1, max_size=4))
+    runs = st.lists(st.sampled_from((a, b)), min_size=1, max_size=3)
+
+    def form():  # each None slot is one maximal terminal run
+        out = []
+        for slot in slots:
+            if slot is not None:
+                out.append(slot)
+            elif not out or not out[-1].is_terminal():
+                out += draw(runs)
+        return tuple(out)
+
+    x, y = form(), form()
+    ruleset = draw(st.lists(step_rules, min_size=1, max_size=4).map(tuple))
+    return x, y, ruleset, draw(modes), draw(st.integers(min_value=max(len(x), len(y)), max_value=8))
+
+
+@settings(max_examples=300, deadline=None)
+# the cap cuts the turn on the longer form only
+@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), t_and(exactly(2)), 4))
+# erasing rules: M a and a M, both in the skeleton's turn, fill to a a
+# with the run a, so the second of them is dropped; with the run b they do not
+@example(((S, a, A), (S, b, A), (Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2), 5))
+@given(skeleton_cases())
+def test_skeleton_turn_matches_turn(case):
+    x, y, ruleset, mode, cap = case
+    code = _local_encoding((STEP_ALPHABET,), ruleset)
+    component = _component(code, ruleset, mode)
+    memo = {}
+    for form in (x, y, x):  # the second x is a memo hit
+        form = code.encode(form)
+        assert _skeleton_turn(memo, component, code, form, cap) == _turn(component, form, cap)
+
+
+def wide_system(n_nonterminals, n_terminals):
+    """A CD system over exactly the given number of symbols, among them a
+    terminal #, whose words hold runs of # and of other terminals."""
+    hash_ = terminal("#")
+    nonterminals = {S, A} | {nonterminal("N%02d" % i) for i in range(n_nonterminals - 2)}
+    terminals = {hash_, a, b} | {terminal("t%02d" % i) for i in range(n_terminals - 3)}
+    return CdSystem(
+        nonterminals=frozenset(nonterminals),
+        terminals=frozenset(terminals),
+        axiom=S,
+        components=(
+            (Rule(S, (hash_, S, a)), Rule(S, (a, A, hash_)), Rule(S, (A,))),
+            (Rule(A, (b, A, hash_)), Rule(A, (hash_, b)), Rule(A, (a,))),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_nonterminals, n_terminals, mark",
+    [
+        # 36 symbols: the separator after the mark is "%"
+        (10, 26, "$"),
+        # 37 symbols: the mark is "%" itself
+        (10, 27, "%"),
+        # 92 symbols: the mark is a backslash, and # is encoded as "%"
+        (37, 55, "\\"),
+    ],
+    ids=["separator %", "mark %", "mark backslash, # encoded as %"],
+)
+@pytest.mark.parametrize("mode", [t_and(exactly(2)), t_and(at_most(2)), STAR])
+def test_mark_cannot_collide_with_a_symbol(n_nonterminals, n_terminals, mark, mode):
+    g = wide_system(n_nonterminals, n_terminals)
+    code = _compile(g, mode)[0]
+    assert code.mark == mark
+    assert len(code.symbol) == n_nonterminals + n_terminals
+    if "%" in code.symbol:  # the runs of # hold it
+        assert code.symbol["%"] == terminal("#")
+    bounds = Bounds.for_words(9)
+    res = enumerate_grammar(g, bounds, mode=mode, with_traces=True)
+    language, traces = reference_enumerate(g, mode, (mode,) * g.degree, bounds)
+    assert res.language == language and len(language) > 3
+    assert any("#" in word and len(set(word)) == 3 for word in language.words)
+    assert list(res.traces.items()) == list(traces.items())
+
+
+def test_a_search_shares_turns_by_skeleton(monkeypatch):
+    # S -> AB, A -> aA | a | AB, B -> bB | b: index 3, so its CD system
+    # meets many forms that differ only in their terminal runs
+    B = nonterminal("B")
+    rules = (Rule(S, (A, B)), Rule(A, (a, A)), Rule(A, (a,)), Rule(A, (A, B)), Rule(B, (b, B)), Rule(B, (b,)))
+    g = C.cf_indexk_to_cd2(C.IndexedCfGrammar(frozenset({S, A, B}), frozenset({a, b}), S, rules, 3))
+    turns, states = [], []
+    real_turn, real_bfs = engine._turn, engine._bfs
+
+    def counted_turn(*args):
+        turns.append(args)
+        return real_turn(*args)
+
+    def counted_bfs(*args):
+        rows, pruned = real_bfs(*args)
+        states.append(len(rows))
+        return rows, pruned
+
+    monkeypatch.setattr(engine, "_turn", counted_turn)
+    monkeypatch.setattr(engine, "_bfs", counted_bfs)
+    enumerate_grammar(g, Bounds.for_words(10), mode=t_and(exactly(3)))
+    # without sharing, a turn runs for nearly every state between turns
+    assert len(states) == 1 and 2 * len(turns) < states[0]
