@@ -321,29 +321,34 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The gsw parser, with only `command`'s subparser when one is named."""
+def build_parser() -> argparse.ArgumentParser:
+    """The gsw parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="gsw",
         description="Workbench for cooperating distributed grammar systems, "
         "hybrid derivation modes and programmed grammars.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_args = _COMMANDS[name]
+    for name, (help_text, add_args) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a command named first needs only its own parser; every other argv
-    # (none, -h, an unknown or partial name) gets the list of all of them
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = build_parser(command).parse_known_args(argv)
-    if extra:
-        # the full parser reports them, so its usage line names every command
-        build_parser().parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        # a command named first is parsed by its own parser alone, the one
+        # `add_parser(name, help=...)` builds, so its help and errors are
+        # the same; leftover arguments go on to the full parser, whose
+        # usage line names every command
+        _, add_args = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog="gsw " + argv[0])
+        add_args(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().parse_args(argv)
+    else:  # none, -h, an unknown or partial name: list every command
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as err:

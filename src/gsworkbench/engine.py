@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -100,7 +100,15 @@ class BoundedLanguage:
     truncated: bool = False
 
     def word_set(self) -> frozenset:
+        """The words as a set, built on the first call and kept."""
+        return self._word_set
+
+    @cached_property
+    def _word_set(self) -> frozenset:
         return frozenset(self.words)
+
+    def __getstate__(self):  # pickle the fields, not the kept set
+        return {k: v for k, v in self.__dict__.items() if k != "_word_set"}
 
     def __contains__(self, word: Word) -> bool:
         return tuple(word) in self.word_set()
@@ -724,12 +732,19 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     if with_traces:
         start: Form = (grammar.axiom,)
         decode = code.decoder()  # one per search, so traces share tuples
+        segments = {}  # row -> its segment, shared by every trace through it
         for word in language.words:
-            segments = tuple(
-                TraceSegment(actor, tuple(map(decode, forms)), ac)
-                for actor, forms, ac in _path(rows, word_rows[word], 3)
-            )
-            result.traces[word] = DerivationTrace(start, segments)
+            i = word_rows[word]
+            trace = []
+            # the rows from the start to row i, the start left out: the
+            # parents of those rows are the start and the rows before i
+            for j in _path(rows, i, 2)[1:] + [i]:
+                seg = segments.get(j)
+                if seg is None:
+                    actor, forms, ac = rows[j][3]
+                    seg = segments[j] = TraceSegment(actor, tuple(map(decode, forms)), ac)
+                trace.append(seg)
+            result.traces[word] = DerivationTrace(start, tuple(trace))
     return result
 
 

@@ -438,6 +438,19 @@ class TestCommandLineSurface:
         assert exit_code([name, "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: gsw %s " % name)
 
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("rest", [["--help"], []], ids=["help", "missing arguments"])
+    def test_command_parser_matches_the_listed_subparser(self, name, rest, capsys):
+        # main parses a named command with that command's parser alone; its
+        # help and usage errors must stay those of build_parser's subparser
+        with pytest.raises(SystemExit) as listed:
+            build_parser().parse_args([name] + rest)
+        expected = capsys.readouterr()
+        assert exit_code([name] + rest) == listed.value.code == (0 if rest else 2)
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (expected.out, expected.err)
+        assert (expected.out or expected.err).startswith("usage: gsw %s " % name)
+
     def test_leftover_argument_usage_names_every_command(self, capsys):
         # reported by the top-level parser, after the command's own parser
         assert exit_code(MINIMAL_ARGV["index"] + ["--bogus"]) == 2

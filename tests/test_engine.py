@@ -1,4 +1,5 @@
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 
@@ -59,6 +60,23 @@ class TestBounds:
     def test_make_language_normalizes(self):
         lang = make_language([("b",), ("a",), (), ("a", "a", "a", "a")], Bounds(3, 3))
         assert lang.words == (("a",), ("b",))
+
+
+class TestBoundedLanguage:
+    def test_membership(self):
+        lang = make_language([("a",), ("a", "b")], Bounds(3, 3))
+        assert ("a", "b") in lang
+        assert ["a", "b"] in lang
+        assert ("b",) not in lang
+        assert lang.word_set() is lang.word_set()
+
+    def test_kept_set_changes_no_value(self):
+        lang = make_language([("a",), ("a", "b")], Bounds(3, 3))
+        before = pickle.dumps(lang), repr(lang), hash(lang)
+        assert ("a",) in lang
+        assert (pickle.dumps(lang), repr(lang), hash(lang)) == before
+        assert pickle.loads(before[0]) == lang == replace(lang)
+        assert [f.name for f in fields(lang)] == ["words", "bounds", "truncated"]
 
 
 class TestSingleSteps:
@@ -192,6 +210,15 @@ class TestTraces:
         for word, trace in res.traces.items():
             assert validate_trace(g, trace, mode) == []
             assert tuple(s.name for s in trace.final_form()) == word
+
+    def test_traces_share_a_common_turn(self):
+        # the first turn S => A A is on the path of every word
+        g = cd([[Rule(S, (A, A))], [Rule(A, (a,)), Rule(A, (b,))]])
+        res = enumerate_grammar(g, Bounds(2, 2), mode=T_MODE, with_traces=True)
+        first = res.traces[("a", "b")].segments[0]
+        assert first == TraceSegment(1, ((A, A),))
+        assert res.traces[("b", "a")].segments[0] is first
+        assert all(t.segments[0] is first for t in res.traces.values())
 
     def test_traces_validate_for_programmed(self, pg_abc):
         res = enumerate_grammar(pg_abc, Bounds(9, 9), with_traces=True)
