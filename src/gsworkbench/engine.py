@@ -39,8 +39,10 @@ step counts it meets the form at, reads ``t`` off them, and drops them
 when the turn ends; it does not revisit a form above its step window's
 ``lo``.  Within one search a turn runs once per nonterminal skeleton of a
 form: forms that differ only in their terminal runs, which no rule
-rewrites, share it.  `validate_trace` tests each step with `_is_rewrite`
-rather than building every rewrite of the previous form.
+rewrites, share it, whatever their lengths, unless the form cap cut it;
+a cut turn is shared by the forms with the same cap on the skeleton.
+`validate_trace` tests each step with `_is_rewrite` rather than building
+every rewrite of the previous form.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     within that form cap.
     """
     code = _local_encoding((form,), ruleset)
-    handed, pruned = _turn(_component(code, ruleset, f), code.encode(form), bounds.max_form_len)
+    handed, pruned, _ = _turn(_component(code, ruleset, f), code.encode(form), bounds.max_form_len)
     decode = code.decoder()
     return ModeStepResult({decode(y): tuple(map(decode, forms)) for y, forms in handed}, pruned)
 
@@ -581,8 +583,10 @@ def _turn(component, x: str, max_form_len):
     with counts saturated as `_component` says.  Returns the forms the
     component may hand back, in the order their first accepting pair is
     visited, each with the forms of the shortest witness path to that pair
-    (the forms after each step), and whether a rewrite was dropped because
-    its form exceeded `max_form_len`.
+    (the forms after each step), whether a rewrite was dropped because its
+    form exceeded `max_form_len`, and the length of the longest row.  A
+    turn that dropped nothing is the same turn under every cap from that
+    length up, and drops a rewrite under any smaller cap.
 
     A form met again at another step count reuses the rewrites built for
     it.  That memo lives only as long as the turn's rows: kept for a whole
@@ -619,7 +623,8 @@ def _turn(component, x: str, max_form_len):
                     rows.append((y, n, i))
         elif lo <= m and form not in accepted and not (t and table[1].search(form)):
             accepted[form] = i
-    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned
+    longest = max([len(form) for form, _, _ in rows])
+    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned, longest
 
 
 def _skeleton_turn(memo, component, code: _Encoding, x: str, max_form_len):
@@ -635,29 +640,38 @@ def _skeleton_turn(memo, component, code: _Encoding, x: str, max_form_len):
     first of them is the one the turn on `x` hands back, and later ones are
     dropped.
 
-    `memo` maps (skeleton, length of `x`) to the turn on the skeleton, so
-    that one format fills it: every witness form joined by ``code.sep`` in
-    one ``%``-template with a ``%s`` field per mark, their number, and where
-    each witness ends.  A handed-back form ends its witness, or is `x`.
+    `memo` holds turns on skeletons, each kept so that one format fills it:
+    every witness form joined by ``code.sep`` in one ``%``-template with a
+    ``%s`` field per mark, their number, where each witness ends, the
+    ``pruned`` flag and the longest row.  A handed-back form ends its
+    witness, or is `x`.  A turn the cap did not cut is kept under the
+    skeleton and serves every form with that skeleton whose cap on the
+    skeleton is at least its longest row; a turn the cap cut is kept under
+    (skeleton, cap) and serves that cap alone.
     """
     pieces = code.split_runs(x)  # the runs at odd positions
     if len(pieces) == 1:  # no run to share the turn over
-        return _turn(component, x, max_form_len)
+        handed, pruned, _ = _turn(component, x, max_form_len)
+        return handed, pruned
     mark, sep = code.mark, code.sep
     skeleton = mark.join(pieces[::2])
-    key = skeleton, len(x)
-    hit = memo.get(key)
-    if hit is None:
-        handed, pruned = _turn(component, skeleton, max_form_len - len(x) + len(skeleton))
-        forms, ends = [], []
-        for _, witness in handed:
-            forms += witness
-            ends.append(len(forms))
-        template = sep.join(forms)
-        if mark != "%":  # a "%" in the template is then a symbol or sep
-            template = template.replace("%", "%%")
-        hit = memo[key] = template.replace(mark, "%s"), len(forms), ends, pruned
-    template, n, ends, pruned = hit
+    cap = max_form_len - len(x) + len(skeleton)
+    hit = memo.get(skeleton)
+    if hit is None or hit[4] > cap:
+        key = skeleton, cap
+        hit = memo.get(key)
+        if hit is None:
+            handed, pruned, longest = _turn(component, skeleton, cap)
+            forms, ends = [], []
+            for _, witness in handed:
+                forms += witness
+                ends.append(len(forms))
+            template = sep.join(forms)
+            if mark != "%":  # a "%" in the template is then a symbol or sep
+                template = template.replace("%", "%%")
+            hit = template.replace(mark, "%s"), len(forms), ends, pruned, longest
+            memo[key if pruned else skeleton] = hit
+    template, n, ends, pruned, _ = hit
     filled = (template % (tuple(pieces[1::2]) * n)).split(sep)
     handed, start = {}, 0
     for end in ends:
@@ -779,7 +793,8 @@ def _turn_violations(code: _Encoding, components, trace: DerivationTrace) -> lis
     problems = []
     current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
-        if not isinstance(seg.actor, int) or not (1 <= seg.actor <= len(components)):
+        # type, not isinstance: a bool is an int, but no component index
+        if type(seg.actor) is not int or not (1 <= seg.actor <= len(components)):
             problems.append("segment %d: bad component index %r" % (n, seg.actor))
             continue
         table, window, _, _ = components[seg.actor - 1]

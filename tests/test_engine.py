@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from gsworkbench import engine
+from gsworkbench.constructions import build_anbnambm
 from gsworkbench.engine import (
     Bounds,
     DerivationTrace,
@@ -241,6 +242,15 @@ class TestTraces:
             segments=(replace(trace.segments[0], forms=((a, a),)),),
         )
         assert validate_trace(g, bad, mode) != []
+
+    def test_bool_actor_is_not_a_component_index(self):
+        # True == 1, but a trace naming component True does not validate
+        g, mode = build_anbnambm(), t_and(exactly(1))
+        trace = next(iter(enumerate_grammar(g, Bounds(4, 4), mode=mode, with_traces=True).traces.values()))
+        assert trace.segments[0].actor == 1 and validate_trace(g, trace, mode) == []
+        segs = (replace(trace.segments[0], actor=True),) + trace.segments[1:]
+        bad = replace(trace, segments=segs)
+        assert "segment 0: bad component index True" in validate_trace(g, bad, mode)
 
     @pytest.mark.parametrize("tamper", ["relabel", "appearance-check", "reorder"])
     def test_tampered_programmed_trace_is_rejected(self, pg_abc, tamper):

@@ -32,8 +32,8 @@ membership in the list of all rewrites (`_rewrites`).
 
 The reference for a turn shared by skeleton (`_skeleton_turn`) is `_turn`
 on the full form: two forms with one skeleton and different terminal runs,
-run through one memo, must each get the forms, witnesses and pruned flag
-of their own `_turn`, in the same order.
+run through one memo, each under a cap of its own, must each get the forms,
+witnesses and pruned flag of their own `_turn`, in the same order.
 
 Criteria 2 and 6 of the acceptance suite are also checked here on the
 random systems, not only on the named examples.
@@ -715,7 +715,11 @@ def test_is_rewrite_tries_every_occurrence():
 
 
 def reference_turn_per_count(component, x: str, max_form_len):
-    """`_turn` with one seen set per step count and `_accepts` on every row."""
+    """`_turn` with one seen set per step count and `_accepts` on every row.
+
+    Its rows may hold a form at more step counts than `_turn`'s, but they
+    hold the same forms, so the longest row is the same.
+    """
     table, window, hi, top = component
     rows = [(x, 0, -1)]  # (form, step count, parent row)
     seen = [{x}]  # seen[n]: the forms reached with step count n
@@ -739,7 +743,8 @@ def reference_turn_per_count(component, x: str, max_form_len):
                 elif y not in level:
                     level.add(y)
                     rows.append((y, n, i))
-    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned
+    longest = max(len(form) for form, _, _ in rows)
+    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned, longest
 
 
 @st.composite
@@ -763,11 +768,28 @@ def test_turn_matches_one_seen_set_per_count(case):
     assert _turn(component, x, cap) == reference_turn_per_count(component, x, cap)
 
 
+@settings(max_examples=300, deadline=None)
+# S => a S => a a S under =2: the longest row, a a S, is longer than S
+@example(((S,), (Rule(S, (a, S)),), exactly(2), 5))
+@given(turn_cases())
+def test_a_whole_turn_holds_from_its_longest_row(case):
+    form, ruleset, mode, cap = case
+    code = _local_encoding((form,), ruleset)
+    component = _component(code, ruleset, mode)
+    x = code.encode(form)
+    handed, pruned, longest = _turn(component, x, cap)
+    assert len(x) <= longest <= cap
+    if not pruned:
+        assert _turn(component, x, longest) == (handed, False, longest)
+        if longest > len(x):
+            assert _turn(component, x, longest - 1)[1]
+
+
 @st.composite
 def skeleton_cases(draw):
     """A component of `step_rules`, a mode, two forms with one skeleton,
-    each with its own terminal runs, and a form cap of at least the longer
-    form's length."""
+    each with its own terminal runs, and a form cap for the first form, the
+    second and the first again, each at least that form's length."""
     slots = draw(st.lists(st.sampled_from((S, A, None)), min_size=1, max_size=4))
     runs = st.lists(st.sampled_from((a, b)), min_size=1, max_size=3)
 
@@ -782,24 +804,35 @@ def skeleton_cases(draw):
 
     x, y = form(), form()
     ruleset = draw(st.lists(step_rules, min_size=1, max_size=4).map(tuple))
-    return x, y, ruleset, draw(modes), draw(st.integers(min_value=max(len(x), len(y)), max_value=8))
+    caps = tuple(draw(st.integers(min_value=len(f), max_value=8)) for f in (x, y, x))
+    return x, y, ruleset, draw(modes), caps
 
 
 @settings(max_examples=300, deadline=None)
 # the cap cuts the turn on the longer form only
-@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), t_and(exactly(2)), 4))
+@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), t_and(exactly(2)), (4, 4, 4)))
 # erasing rules: M a and a M, both in the skeleton's turn, fill to a a
 # with the run a, so the second of them is dropped; with the run b they do not
-@example(((S, a, A), (S, b, A), (Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2), 5))
+@example(((S, a, A), (S, b, A), (Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2), (5, 5, 5)))
+# under =2 the turn on the skeleton S M (M the mark) has longest row
+# a a S M, of length 4.  The turn of S a under cap 4 is whole and serves
+# S a a a under cap 6 and S a under cap 7, on the skeleton at caps 4 and 7
+@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), exactly(2), (4, 6, 7)))
+# ... but not S a a a under cap 5, on the skeleton at cap 3, which cuts it
+@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), exactly(2), (4, 5, 4)))
+# the turn of S a under cap 3 is cut; it serves S a a a under cap 5, on
+# the skeleton at cap 3 too, but not S a under cap 4, where it is whole
+@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), exactly(2), (3, 5, 4)))
 @given(skeleton_cases())
 def test_skeleton_turn_matches_turn(case):
-    x, y, ruleset, mode, cap = case
+    x, y, ruleset, mode, caps = case
     code = _local_encoding((STEP_ALPHABET,), ruleset)
     component = _component(code, ruleset, mode)
     memo = {}
-    for form in (x, y, x):  # the second x is a memo hit
+    for form, cap in zip((x, y, x), caps):  # the second x may be a memo hit
         form = code.encode(form)
-        assert _skeleton_turn(memo, component, code, form, cap) == _turn(component, form, cap)
+        handed, pruned, _ = _turn(component, form, cap)
+        assert _skeleton_turn(memo, component, code, form, cap) == (handed, pruned)
 
 
 def wide_system(n_nonterminals, n_terminals):
@@ -853,12 +886,16 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     B = nonterminal("B")
     rules = (Rule(S, (A, B)), Rule(A, (a, A)), Rule(A, (a,)), Rule(A, (A, B)), Rule(B, (b, B)), Rule(B, (b,)))
     g = C.cf_indexk_to_cd2(C.IndexedCfGrammar(frozenset({S, A, B}), frozenset({a, b}), S, rules, 3))
-    turns, states = [], []
-    real_turn, real_bfs = engine._turn, engine._bfs
+    turns, shared, states = [], [], []
+    real_turn, real_skeleton_turn, real_bfs = engine._turn, engine._skeleton_turn, engine._bfs
 
     def counted_turn(*args):
         turns.append(args)
         return real_turn(*args)
+
+    def counted_skeleton_turn(*args):
+        shared.append(args)
+        return real_skeleton_turn(*args)
 
     def counted_bfs(*args):
         rows, pruned = real_bfs(*args)
@@ -866,7 +903,18 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
         return rows, pruned
 
     monkeypatch.setattr(engine, "_turn", counted_turn)
+    monkeypatch.setattr(engine, "_skeleton_turn", counted_skeleton_turn)
     monkeypatch.setattr(engine, "_bfs", counted_bfs)
     enumerate_grammar(g, Bounds.for_words(10), mode=t_and(exactly(3)))
     # without sharing, a turn runs for nearly every state between turns
     assert len(states) == 1 and 2 * len(turns) < states[0]
+    # the forms of s3 and snk(2,2,exactly) grow their terminal runs every
+    # turn, so their turns are shared across form lengths or not at all
+    for g, mode, max_len in [
+        (C.build_s3_cd3(), t_and(exactly(2)), 25),
+        (C.build_snk_cdgs(2, 2, "exactly"), C.snk_mode(2, "exactly"), 37),
+    ]:
+        turns.clear()
+        shared.clear()
+        enumerate_grammar(g, Bounds.for_words(max_len), mode=mode)
+        assert 2 * len(turns) < len(shared)
