@@ -9,9 +9,8 @@ and a CD system's turn-level successors run it per component, through
 `_skeleton_turn`.  `_bfs`, a breadth-first search with parent pointers,
 walks a space turn by turn for enumeration and traces (a programmed step
 is a one-edge turn).  `_minimax`, a breadth-first search over one bucket
-per cost, walks it state by state for the index of any number of words at
-once, or, run to exhaustion, for the bounded language with every word's
-index.
+per cost, walks it state by state for the index of one word, or, run to
+exhaustion, for the bounded language with every word's index.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -339,8 +338,8 @@ def _path(rows, i: int, field: int) -> list:
     return out
 
 
-def _minimax(starts, successors, form_of, cost_of, targets=None):
-    """Least cost of each reachable target form, and whether a branch was pruned.
+def _minimax(starts, successors, form_of, cost_of, target=None):
+    """Least cost of each reachable form, and whether a branch was pruned.
 
     The cost of a path is the largest `cost_of` (the nonterminal count) of
     a form on it.  Costs are small integers that never drop along an edge,
@@ -349,15 +348,12 @@ def _minimax(starts, successors, form_of, cost_of, targets=None):
     least cost.
     ``form_of`` maps a state to its form, or to ``None`` where the state is
     not a place to stop (inside a CD turn).  A form's cost is recorded when
-    the first state with that form is popped.  With ``targets`` the search
-    returns as soon as every target has a cost, and unreached targets have
-    no entry; without, it runs to exhaustion and prices every form between
-    turns.
+    the first state with that form is popped.  With a ``target`` form the
+    search records only the target and returns when it is popped, so an
+    unreached target has no entry; without, it runs to exhaustion and
+    prices every form between turns.
     """
     costs = {}
-    left = None if targets is None else set(targets)
-    if left is not None and not left:
-        return costs, False
     buckets = []  # buckets[c]: the states first reached at cost c, in push order
     seen = set()
     for state, form in starts:
@@ -367,12 +363,10 @@ def _minimax(starts, successors, form_of, cost_of, targets=None):
     for cost, bucket in enumerate(buckets):  # the walk sees buckets appended later
         for state in bucket:  # and states appended to the bucket it walks
             form = form_of(state)
-            if form is not None and form not in costs and (left is None or form in left):
+            if form is not None and form not in costs and (target is None or form == target):
                 costs[form] = cost
-                if left is not None:
-                    left.remove(form)
-                    if not left:
-                        return costs, pruned
+                if form == target:
+                    return costs, pruned
             edges, cut = successors(state)
             pruned = pruned or cut
             for nxt, form, _ in edges:
@@ -866,34 +860,6 @@ class WordIndexResult:
     truncated: bool = False
 
 
-def word_indices(
-    grammar, words: Sequence[Word], bounds: Bounds, mode: Optional[Mode] = None
-) -> Tuple[List[Optional[int]], bool]:
-    """`word_index` of every word in `words`, by one search.
-
-    Returns the indices in the order of `words` (``None`` where no
-    derivation was found within the bounds) and one truncation flag, set
-    when the grammar can erase and a branch was pruned by form length.  The
-    search stops as soon as every word has been reached.  An empty word, a
-    word longer than ``max_word_len`` or an unknown terminal raises
-    ValueError.
-    """
-    if any(len(word) > bounds.max_word_len for word in words):
-        raise ValueError("word longer than max_word_len")
-    if not all(words):
-        raise ValueError("empty word: bounded languages never hold it")
-    code, space, _ = _compiled(grammar, mode)
-    name_to_sym = {s.name: s for s in grammar.terminals}
-    try:
-        targets = [tuple(name_to_sym[n] for n in word) for word in words]
-    except KeyError as e:
-        raise ValueError("unknown terminal %s" % e)
-    starts, successors, form_of, _ = space(bounds.max_form_len)
-    targets = list(map(code.encode, targets))
-    costs, pruned = _minimax(starts, successors, form_of, code.cost, targets)
-    return [costs.get(t) for t in targets], pruned and not grammar.lambda_free
-
-
 def indexed_language(
     grammar, bounds: Bounds, mode: Optional[Mode] = None
 ) -> Tuple[BoundedLanguage, Dict[Word, int]]:
@@ -902,7 +868,7 @@ def indexed_language(
     One exhaustive index search finds the words and prices them: it expands
     every state that `enumerate_grammar` expands, so the language and its
     truncation flag are the ones enumeration gives, and the pop order does
-    not depend on targets, so each index is the one `word_indices` gives.
+    not depend on the target, so each index is the one `word_index` gives.
     """
     code, space, _ = _compiled(grammar, mode)
     starts, successors, form_of, _ = space(bounds.max_form_len)
@@ -920,5 +886,17 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
     flagged as truncated when the grammar can erase and a branch was pruned
     by form length, since that branch might have derived the word.
     """
-    (index,), truncated = word_indices(grammar, (word,), bounds, mode)
-    return WordIndexResult(index, truncated)
+    if len(word) > bounds.max_word_len:
+        raise ValueError("word longer than max_word_len")
+    if not word:
+        raise ValueError("empty word: bounded languages never hold it")
+    code, space, _ = _compiled(grammar, mode)
+    name_to_sym = {s.name: s for s in grammar.terminals}
+    try:
+        symbols = tuple(name_to_sym[n] for n in word)
+    except KeyError as e:
+        raise ValueError("unknown terminal %s" % e)
+    target = code.encode(symbols)
+    starts, successors, form_of, _ = space(bounds.max_form_len)
+    costs, pruned = _minimax(starts, successors, form_of, code.cost, target)
+    return WordIndexResult(costs.get(target), pruned and not grammar.lambda_free)

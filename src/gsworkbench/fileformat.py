@@ -59,13 +59,9 @@ _KINDS = {"cdgs": CdSystem, "hcdgs": HcdSystem, "programmed": ProgrammedGrammar}
 class GswParseError(ValueError):
     """Parse failure with a 1-based line number (0 for mode strings)."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, line: int = 0):
         self.line = line
-        self.column = column
-        where = ""
-        if line:
-            where = " (line %d%s)" % (line, ", column %d" % column if column else "")
-        super().__init__(message + where)
+        super().__init__(message + (" (line %d)" % line if line else ""))
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,23 @@ class TestIndex:
         assert code == 3
         assert capsys.readouterr().out == "UNKNOWN\n"
 
+    def test_found_index_of_a_length_pruned_erasing_search_is_truncated(self, tmp_path, capsys):
+        # the word a is found at index 1, but (S, q) was cut by the form cap
+        # before a was popped, and a cut erasing branch might derive a
+        path = tmp_path / "cut.gsw"
+        path.write_text(
+            "grammar cut programmed\nnonterminals S A\nterminals a\naxiom S\n"
+            "rule p : S -> a ; succ p ; fail\n"
+            "rule q : S -> A A a ; succ r ; fail\n"
+            "rule r : A -> # ; succ r ; fail\n",
+            encoding="utf-8",
+        )
+        argv = ["index", str(path), "--word", "a", "--max-len", "1", "--max-form-len", "2"]
+        assert main(argv + ["--strict"]) == 3
+        assert capsys.readouterr() == ("1\n", "TRUNCATED\n")
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
     def test_empty_word_is_an_error(self, tmp_path, capsys):
         # no bounded language holds the empty word, even where the grammar
         # derives it: here S => A => λ in one t-turn

@@ -20,7 +20,8 @@ from gsworkbench.engine import (
     mode_step,
     one_step,
     validate_trace,
-    word_indices,
+    word_index,
+    WordIndexResult,
 )
 from gsworkbench.model import (
     CdSystem,
@@ -101,9 +102,8 @@ def test_language_traces_and_indices(grammar, mode):
         assert validate_trace(grammar, trace, mode) == []
         assert tuple(s.name for s in trace.final_form()) == word
         assert all(s.is_terminal() for s in trace.final_form())  # TWIN, not ^
-    assert word_indices(grammar, words + (("t7",), ("N094",)), BOUNDS, mode=mode) == (
-        [2] * len(words) + [None, None],
-        False,
+    assert [word_index(grammar, w, BOUNDS, mode=mode) for w in words + (("t7",), ("N094",))] == (
+        [WordIndexResult(2)] * len(words) + [WordIndexResult(None)] * 2
     )
 
 

@@ -17,7 +17,6 @@ from gsworkbench.engine import (
     trace_index,
     validate_trace,
     word_index,
-    word_indices,
 )
 from gsworkbench.model import (
     CdSystem,
@@ -376,7 +375,8 @@ class TestSharedCompile:
     def answers(self, grammar, mode, bounds):
         res = enumerate_grammar(grammar, bounds, mode=mode, with_traces=True)
         problems = [validate_trace(grammar, t, mode=mode) for t in res.traces.values()]
-        return res.language, res.traces, problems, word_indices(grammar, res.language.words, bounds, mode)
+        indices = [word_index(grammar, w, bounds, mode) for w in res.language.words]
+        return res.language, res.traces, problems, indices
 
     def test_a_cd_system_compiles_once(self, compiles):
         g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])

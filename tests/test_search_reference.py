@@ -19,13 +19,13 @@ step count and `_accepts` on every row, on components whose rules meet a
 form at several step counts; it must give the same forms, witnesses and
 pruned flag in the same order.
 
-The reference for the one multi-target index search (`word_indices`) is
-one single-target `word_index` search per word.  The reference for the
-bucket queue inside them is a heap-based Dijkstra search, which must pop
-the same states in the same order.  The reference for
-`certify_index_bound`, one exhaustive index search, is an enumeration
-followed by `word_indices` over the words it found.  The reference for
-`nsf_check` is a level-by-level search over symbol tuples.
+The reference for the bucket queue inside the index search (`_minimax`) is
+a heap-based Dijkstra search, which must pop the same states in the same
+order, with one target word or none.  The reference for
+`indexed_language` and `certify_index_bound`, one exhaustive index
+search, is an enumeration followed by one `word_index` search per word it
+found.  The reference for `nsf_check` is a level-by-level search over
+symbol tuples.
 
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
 membership in the list of all rewrites (`_rewrites`).
@@ -73,7 +73,6 @@ from gsworkbench.engine import (
     WordIndexResult,
     validate_trace,
     word_index,
-    word_indices,
 )
 from gsworkbench.model import (
     CdSystem,
@@ -221,10 +220,10 @@ def test_programmed_words_are_traced_and_indexed(pg):
     res = enumerate_grammar(pg, BOUNDS, with_traces=True)
     words = res.language.words
     assert set(res.traces) == set(words)
-    indices, _ = word_indices(pg, words, BOUNDS)
-    for word, index in zip(words, indices):
+    for word in words:
         trace = res.traces[word]
         assert validate_trace(pg, trace) == []
+        index = word_index(pg, word, BOUNDS).index
         assert index is not None and index <= trace_index(trace)
 
 
@@ -286,7 +285,6 @@ def test_nsf_check_matches_reference(pg, depth):
 
 
 erasing_components = st.lists(any_rules, min_size=1, max_size=3).map(tuple)
-ALL_WORDS = tuple(("a",) * n for n in range(1, BOUNDS.max_word_len + 1))
 
 
 @st.composite
@@ -313,7 +311,7 @@ def per_word(grammar, words, bounds, mode=None):
 def enumerate_then_index(grammar, bound, bounds, mode=None):
     """A certificate the two-search way: enumerate, then index the words."""
     language = enumerate_grammar(grammar, bounds, mode=mode).language
-    indices, truncated = word_indices(grammar, language.words, bounds, mode=mode)
+    indices, truncated = per_word(grammar, language.words, bounds, mode=mode)
     counterexamples = [
         (w, i) for w, i in zip(language.words, indices) if i is not None and i > bound
     ]
@@ -322,14 +320,10 @@ def enumerate_then_index(grammar, bound, bounds, mode=None):
 
 
 def check_against_per_word(grammar, bounds, mode=None):
-    """word_indices agrees with one search per word, and indexed_language
-    and certify_index_bound with an enumeration plus word_indices."""
+    """indexed_language and certify_index_bound agree with an enumeration
+    plus one word_index search per word."""
     language = enumerate_grammar(grammar, bounds, mode=mode).language
-    for words in (language.words, ALL_WORDS[::-1]):
-        assert word_indices(grammar, words, bounds, mode=mode) == per_word(
-            grammar, words, bounds, mode=mode
-        )
-    indices, _ = word_indices(grammar, language.words, bounds, mode=mode)
+    indices, _ = per_word(grammar, language.words, bounds, mode=mode)
     assert indexed_language(grammar, bounds, mode=mode) == (
         language,
         dict(zip(language.words, indices)),
@@ -344,7 +338,7 @@ def check_against_per_word(grammar, bounds, mode=None):
 
 @settings(max_examples=100, deadline=None)
 @given(cd_systems(), modes)
-def test_word_indices_match_one_search_per_word(g, mode):
+def test_certificates_on_cd_systems(g, mode):
     check_against_per_word(g, BOUNDS, mode)
 
 
@@ -354,10 +348,9 @@ def test_certificates_on_programmed_grammars(pg):
     check_against_per_word(pg, BOUNDS)
 
 
-def heap_minimax(starts, successors, form_of, cost_of, targets=None):
+def heap_minimax(starts, successors, form_of, cost_of, target=None):
     """`_minimax` as a Dijkstra search on a heap ordered by (cost, push)."""
     costs = {}
-    left = None if targets is None else set(targets)
     best = {}
     heap = []
     tie = count()
@@ -366,17 +359,15 @@ def heap_minimax(starts, successors, form_of, cost_of, targets=None):
         heap.append((best[state], next(tie), state))
     heapq.heapify(heap)
     pruned = False
-    while heap and (left is None or left):
+    while heap:
         cost, _, state = heapq.heappop(heap)
         if cost > best[state]:
             continue
         form = form_of(state)
-        if form is not None and form not in costs and (left is None or form in left):
+        if form is not None and form not in costs and (target is None or form == target):
             costs[form] = cost
-            if left is not None:
-                left.remove(form)
-                if not left:
-                    break
+            if target is not None:
+                break
         edges, cut = successors(state)
         pruned = pruned or cut
         for nxt, form, _ in edges:
@@ -397,16 +388,18 @@ def logged(successors, log):
 
 def check_against_heap(grammar, mode=None):
     """`_minimax` expands the states the heap search expands, in its order,
-    and gives the same costs and pruned flag, with and without targets.
-    Both run on the space's encoded forms and its cost function."""
+    and gives the same costs and pruned flag, without a target, with each of
+    the first enumerated words, and with a word it never reaches.  Both run
+    on the space's encoded forms and its cost function."""
     code, space, _ = _compile(grammar, mode)
     starts, successors, form_of, _ = space(BOUNDS.max_form_len)
     language = enumerate_grammar(grammar, BOUNDS, mode=mode).language
-    word_sets = [language.words, ALL_WORDS[::-1], ALL_WORDS[:1], ()]
-    for targets in [None] + [[code.encode(map(terminal, w)) for w in ws] for ws in word_sets]:
+    beyond = ("a",) * (BOUNDS.max_form_len + 1)  # longer than any form in the space
+    words = list(language.words[:3]) + [beyond]
+    for target in [None] + [code.encode(map(terminal, w)) for w in words]:
         got_log, ref_log = [], []
-        got = _minimax(starts, logged(successors, got_log), form_of, code.cost, targets)
-        ref = heap_minimax(starts, logged(successors, ref_log), form_of, code.cost, targets)
+        got = _minimax(starts, logged(successors, got_log), form_of, code.cost, target)
+        ref = heap_minimax(starts, logged(successors, ref_log), form_of, code.cost, target)
         assert got == ref
         assert got_log == ref_log
         decode = code.decoder()
@@ -603,23 +596,22 @@ def test_criterion_2_cd_to_programmed_on_random_systems(g, k_variant):
     assert enumerate_grammar(pg, BOUNDS).language.words == base.words
 
 
-def test_word_indices_on_programmed_grammar(pg_abc):
+def test_word_index_on_programmed_grammar(pg_abc):
     bounds = Bounds.for_words(9)
     check_against_per_word(pg_abc, bounds)
     words = [tuple("abc"), tuple("aabbcc"), tuple("ab"), tuple("aaabbbccc")]
-    assert word_indices(pg_abc, words, bounds) == ([3, 3, None, 3], False)
-    assert word_indices(pg_abc, [], bounds) == ([], False)
+    assert per_word(pg_abc, words, bounds) == ([3, 3, None, 3], False)
 
 
-def test_word_indices_check_every_word(pg_abc):
+def test_word_index_checks_its_word(pg_abc):
     bounds = Bounds.for_words(3)
     with pytest.raises(ValueError, match="longer"):
-        word_indices(pg_abc, [tuple("abc"), tuple("aabbcc")], bounds)
-    with pytest.raises(ValueError, match="unknown terminal"):
-        word_indices(pg_abc, [tuple("abc"), tuple("abd")], bounds)
+        word_index(pg_abc, tuple("aabbcc"), bounds)
+    with pytest.raises(ValueError, match="unknown terminal 'd'"):
+        word_index(pg_abc, tuple("abd"), bounds)
     # bounded languages are λ-normalized, so the empty word is never listed
     with pytest.raises(ValueError, match="empty word"):
-        word_indices(pg_abc, [tuple("abc"), ()], bounds)
+        word_index(pg_abc, (), bounds)
 
 
 @pytest.mark.parametrize(
@@ -648,7 +640,6 @@ def test_search_stops_when_the_last_word_is_popped(q_rule, r_rule, truncated):
         lambda_free=False,
     )
     bounds = Bounds(1, 2)
-    assert word_indices(pg, [("a",)], bounds) == ([1], truncated)
     assert word_index(pg, ("a",), bounds) == WordIndexResult(1, truncated)
 
 
