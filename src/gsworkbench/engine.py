@@ -41,13 +41,17 @@ form: forms that differ only in their terminal runs, which no rule
 rewrites, share it, whatever their lengths, unless the form cap cut it;
 a cut turn is shared by the forms with the same cap on the skeleton.
 `validate_trace` tests each step with `_is_rewrite` rather than building
-every rewrite of the previous form.
+every rewrite of the previous form.  The traces of one enumeration share
+the segment of each turn, and a compile's CD trace check remembers each
+segment that passed, with the form it passed from, while the segment
+lives: each shared segment is checked once.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -159,8 +163,11 @@ class DerivationTrace:
                 yield f
 
     def final_form(self) -> Form:
-        *_, last = self.all_forms()
-        return last
+        """The last form of `all_forms`: that of the last segment with forms."""
+        for seg in reversed(self.segments):
+            if seg.forms:
+                return seg.forms[-1]
+        return self.start
 
 
 def trace_index(trace: DerivationTrace) -> int:
@@ -459,7 +466,7 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
         }
         return code, partial(_programmed_space, labels, start), partial(_programmed_violations, code, labels)
     components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
-    return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components)
+    return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components, {})
 
 
 # The compiles of the last few grammar objects and modes, so that the
@@ -482,34 +489,28 @@ def _compiled(grammar, mode: Optional[Mode]) -> tuple:
     return hit[1]
 
 
-def _programmed_step(form: str, table, success, failure):
-    """A step at one label: the next forms, the next labels, and whether it
-    is an appearance-checking step.
-
-    When the rule applies, each distinct rewrite goes on to every success
-    label; otherwise the unchanged form goes on to every failure label.
-    """
-    ys = _rewrites(form, table)
-    if ys:
-        return list(dict.fromkeys(ys)), success, False
-    return [form], failure, True
-
-
 def _programmed_space(labels, start: str, max_form_len):
     """The search space of a programmed grammar: ``(starts, successors,
     form_of, turns)``.
 
-    `labels` maps each label to its ``(table, success, failure)`` for
-    `_programmed_step`.  A state is (form, next label), and an edge is one
-    derivation step, which is also a whole turn, labelled with the label,
-    the new form and whether the step is appearance checking.  The search
-    starts from (axiom, r) for every label r, per the existential over the
-    first label in the language definition.
+    `labels` maps each label to its ``(table, success, failure)``.  A state
+    is (form, next label), and an edge is one derivation step, which is
+    also a whole turn, labelled with the label, the new form and whether
+    the step is appearance checking: when the label's rule applies, each
+    distinct rewrite goes on to every success label; otherwise the
+    unchanged form goes on to every failure label.  The search starts from
+    (axiom, r) for every label r, per the existential over the first label
+    in the language definition.
     """
 
     def successors(state):
         form, label = state
-        ys, nexts, ac = _programmed_step(form, *labels[label])
+        table, success, failure = labels[label]
+        ys = _rewrites(form, table)
+        if ys:
+            ys, nexts, ac = dict.fromkeys(ys), success, False
+        else:  # the rule does not apply: an appearance-checking step
+            ys, nexts, ac = (form,), failure, True
         edges, pruned = [], False
         for y in ys:
             if len(y) <= max_form_len:
@@ -783,23 +784,40 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     return problems
 
 
-def _turn_violations(code: _Encoding, components, trace: DerivationTrace) -> list:
+def _turn_violations(code: _Encoding, components, passed, trace: DerivationTrace) -> list:
+    """The problems of a CD/HCD trace, segment by segment.
+
+    `passed` belongs to one compile.  It maps the id of each segment that
+    passed, from some form, to a weak reference to the segment, that form,
+    the form the segment ends on, and its actor and forms.  A segment met
+    again from the same form is then not checked again.  An entry is popped
+    when its segment dies, before the id can name another object.  Only a
+    segment whose forms are a tuple of tuples is kept, as a list could
+    change after it passed; and a hit compares the actor and forms by
+    identity, as a frozen dataclass can still be changed through
+    ``object.__setattr__``.  A segment that failed is checked every time.
+    """
     problems = []
     current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
-        # type, not isinstance: a bool is an int, but no component index
-        if type(seg.actor) is not int or not (1 <= seg.actor <= len(components)):
-            problems.append("segment %d: bad component index %r" % (n, seg.actor))
+        actor, seg_forms = seg.actor, seg.forms
+        hit = passed.get(id(seg))
+        if hit is not None and hit[0]() is seg and hit[1] == current and hit[3] is actor and hit[4] is seg_forms:
+            current = hit[2]
             continue
-        table, window, _, _ = components[seg.actor - 1]
-        forms = list(map(code.encode, seg.forms))
+        # type, not isinstance: a bool is an int, but no component index
+        if type(actor) is not int or not (1 <= actor <= len(components)):
+            problems.append("segment %d: bad component index %r" % (n, actor))
+            continue
+        table, window, _, _ = components[actor - 1]
+        forms = list(map(code.encode, seg_forms))
         prev = current
         ok = True
         for f in forms:
             if not _is_rewrite(prev, f, table):
                 problems.append(
                     "segment %d: form not reachable in one step of component %d"
-                    % (n, seg.actor)
+                    % (n, actor)
                 )
                 ok = False
                 break
@@ -809,15 +827,20 @@ def _turn_violations(code: _Encoding, components, trace: DerivationTrace) -> lis
             if not _accepts(window, len(forms), table, final):
                 problems.append(
                     "segment %d: mode predicate fails for component %d after %d steps"
-                    % (n, seg.actor, len(seg.forms))
+                    % (n, actor, len(seg_forms))
                 )
+            elif type(seg_forms) is tuple and all(type(f) is tuple for f in seg_forms):
+                key = id(seg)
+                ref = weakref.ref(seg, lambda _, key=key: passed.pop(key, None))
+                passed[key] = ref, current, final, actor, seg_forms
             current = final
     return problems
 
 
 def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> list:
-    # each segment must be a step that _programmed_step offers at its
-    # label, leading to the next segment's label
+    # each segment must be a step that _programmed_space offers at its
+    # label, leading to the next segment's label: a rewrite when the
+    # label's rule applies, the unchanged form when it does not
     problems = []
     current = code.encode(trace.start)
     actors = [seg.actor for seg in trace.segments]
@@ -829,12 +852,14 @@ def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> l
             problems.append("segment %d: programmed steps are single steps" % n)
             continue
         nxt = actors[n + 1 : n + 2]  # the next label, if any
-        ys, nexts, ac = _programmed_step(current, *labels[seg.actor])
+        table, success, failure = labels[seg.actor]
+        ac = table[1].search(current) is None  # every lhs of a table has a rhs
+        nexts = failure if ac else success
         form = code.encode(seg.forms[0])
         if not (
             (nxt[0] in nexts if nxt else nexts)
             and ac == seg.appearance_checking
-            and form in ys
+            and (form == current if ac else _is_rewrite(current, form, table))
         ):
             problems.append(
                 "segment %d: not a %s step at label %r%s"

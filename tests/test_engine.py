@@ -1,3 +1,4 @@
+import gc
 import pickle
 from dataclasses import fields, replace
 
@@ -225,6 +226,20 @@ class TestTraces:
         for trace in res.traces.values():
             assert validate_trace(pg_abc, trace) == []
 
+    def test_final_form_is_the_last_of_all_forms(self, pg_abc):
+        AA = TraceSegment(1, ((A, A),))
+        traces = [
+            DerivationTrace((S,), (AA, TraceSegment(2, ()))),  # a trailing zero-step turn
+            DerivationTrace((S,), ()),
+            *enumerate_grammar(pg_abc, Bounds(9, 9), with_traces=True).traces.values(),
+            *enumerate_grammar(
+                cd([[Rule(S, (A, A))], [Rule(A, (a,)), Rule(A, (b,))]]), Bounds(2, 2), mode=T_MODE, with_traces=True
+            ).traces.values(),
+        ]
+        for trace in traces:
+            assert trace.final_form() == list(trace.all_forms())[-1]
+        assert [t.final_form() for t in traces[:2]] == [(A, A), (S,)]
+
     def test_trace_index(self, pg_abc):
         res = enumerate_grammar(pg_abc, Bounds(9, 9), with_traces=True)
         for trace in res.traces.values():
@@ -323,6 +338,85 @@ class TestTraces:
         for _ in range(2):
             for grammar, trace, mode, expected in cases:
                 assert validate_trace(grammar, trace, mode) == expected
+
+
+class TestPassedSegments:
+    """A CD trace check remembers each segment that passed, with the form
+    it passed from, while the segment lives.  No verdict changes."""
+
+    @staticmethod
+    def system():
+        # the first turn S => A A is on the path of every word
+        return cd([[Rule(S, (A, A))], [Rule(A, (a,)), Rule(A, (b,))]])
+
+    @staticmethod
+    def traces(g):
+        return enumerate_grammar(g, Bounds(2, 2), mode=T_MODE, with_traces=True).traces
+
+    @staticmethod
+    def passed(g):
+        # the memo of the compile that validate_trace reads
+        return engine._compiled(g, T_MODE)[2].args[-1]
+
+    def test_a_passed_segment_is_checked_again_from_another_form(self):
+        g = self.system()
+        trace = self.traces(g)[("a", "b")]
+        first, second = trace.segments
+        assert validate_trace(g, trace, T_MODE) == []
+        assert id(first) in self.passed(g) and id(second) in self.passed(g)
+        # S => A A passed from S; from A A, component 1 has no S to rewrite
+        again = replace(trace, segments=(first, first, second))
+        assert validate_trace(g, again, T_MODE) == ["segment 1: form not reachable in one step of component 1"]
+        # the turn of component 2 passed from A A, not from S
+        skipped = replace(trace, segments=(second,))
+        assert validate_trace(g, skipped, T_MODE) == ["segment 0: form not reachable in one step of component 2"]
+
+    @pytest.mark.parametrize(
+        "forms, change, component",
+        [
+            ([(A, A)], lambda seg: seg.forms.__setitem__(0, (A, B)), 1),
+            (([A, A],), lambda seg: seg.forms[0].__setitem__(1, B), 1),
+            # a frozen dataclass can still be changed through object.__setattr__
+            (((A, A),), lambda seg: object.__setattr__(seg, "forms", ((A, B),)), 1),
+            (((A, A),), lambda seg: object.__setattr__(seg, "actor", 2), 2),
+        ],
+        ids=["list of forms", "list form", "forms replaced", "actor replaced"],
+    )
+    def test_a_segment_changed_after_it_passed_is_checked(self, forms, change, component):
+        g = self.system()
+        seg = TraceSegment(1, forms)
+        trace = DerivationTrace((S,), (seg, TraceSegment(2, ((a, A), (a, b)))))
+        assert validate_trace(g, trace, T_MODE) == []
+        change(seg)
+        assert validate_trace(g, trace, T_MODE) == [
+            "segment 0: form not reachable in one step of component %d" % component,
+            "segment 1: form not reachable in one step of component 2",
+        ]
+
+    def test_the_memo_lives_as_long_as_its_segments(self):
+        g = self.system()
+        traces = self.traces(g)
+        assert all(validate_trace(g, trace, T_MODE) == [] for trace in traces.values())
+        passed = self.passed(g)
+        # S => A A and one turn of component 2 per word
+        assert len(passed) == len({id(seg) for t in traces.values() for seg in t.segments}) == 5
+        del traces
+        gc.collect()
+        assert passed == {}
+
+    def test_a_failing_trace_gets_the_same_problems_again(self):
+        g = self.system()
+        trace = self.traces(g)[("a", "b")]
+        first, second = trace.segments
+        # A A => a A is a step of component 2, but t asks it to go on
+        bad = replace(trace, segments=(first, TraceSegment(2, ((a, A),)), second))
+        expected = [
+            "segment 1: mode predicate fails for component 2 after 1 steps",
+            "segment 2: form not reachable in one step of component 2",
+        ]
+        assert validate_trace(g, bad, T_MODE) == expected
+        assert validate_trace(g, trace, T_MODE) == []
+        assert validate_trace(g, bad, T_MODE) == expected
 
 
 class TestWordIndex:

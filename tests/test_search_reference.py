@@ -28,7 +28,11 @@ found.  The reference for `nsf_check` is a level-by-level search over
 symbol tuples.
 
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
-membership in the list of all rewrites (`_rewrites`).
+membership in the list of all rewrites (`_rewrites`).  The reference for
+`validate_trace` on CD and hybrid traces, whose check remembers the
+segments that passed, is the check of a fresh compile, which remembers
+none: enumerated traces and tampered copies of them, checked in a random
+order and then in another, must get its verdicts.
 
 The reference for a turn shared by skeleton (`_skeleton_turn`) is `_turn`
 on the full form: two forms with one skeleton and different terminal runs,
@@ -41,6 +45,7 @@ random systems, not only on the named examples.
 
 import heapq
 import math
+from dataclasses import replace
 from itertools import count
 
 import pytest
@@ -86,6 +91,7 @@ from gsworkbench.model import (
     between,
     conj,
     exactly,
+    form_text,
     mode_window,
     nonterminal,
     nonterminal_count,
@@ -909,3 +915,64 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
         shared.clear()
         enumerate_grammar(g, Bounds.for_words(max_len), mode=mode)
         assert 2 * len(turns) < len(shared)
+
+
+def fresh_trace_check(grammar, trace, mode):
+    """`validate_trace` on a fresh compile, which remembers no segment."""
+    problems = []
+    if trace.start != (grammar.axiom,):
+        problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
+    problems += _compile(grammar, mode)[2](trace)
+    last = list(trace.all_forms())[-1]
+    if not all(s.is_terminal() for s in last):
+        problems.append("end: final form %s is not terminal" % form_text(last))
+    return problems
+
+
+@st.composite
+def tampered_traces(draw):
+    """A CD or hybrid system, its mode, and its enumerated traces with
+    tampered copies (a segment dropped, two swapped, one given another
+    actor, one form of one replaced, or the last form of one dropped), in
+    two random orders.
+
+    The system gets a last component that derives words under every mode,
+    so that there are traces to check."""
+    g, mode = draw(st.one_of(st.tuples(cd_systems(), modes), st.tuples(hybrid_systems(), st.none())))
+    last = (Rule(S, (a, S)), Rule(S, (a,)), Rule(A, (a,)))
+    if mode is None:
+        g = replace(g, components=g.components + (last,), modes=g.modes + (draw(modes),))
+    else:
+        g = replace(g, components=g.components + (last,))
+    traces = list(enumerate_grammar(g, BOUNDS, mode=mode, with_traces=True).traces.values())
+    for trace in draw(st.lists(st.sampled_from(traces), max_size=6)) if traces else ():
+        segs = list(trace.segments)
+        i = draw(st.integers(min_value=0, max_value=len(segs) - 1))
+        tamper = draw(st.sampled_from(("drop", "swap", "re-actor", "replace", "shorten")))
+        if tamper == "drop":
+            del segs[i]
+        elif tamper == "shorten":  # its steps still hold, but its mode may not
+            segs[i] = replace(segs[i], forms=segs[i].forms[:-1])
+        elif tamper == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(segs) - 1))
+            segs[i], segs[j] = segs[j], segs[i]
+        elif tamper == "re-actor":
+            actor = draw(st.integers(min_value=0, max_value=len(g.components) + 1) | st.just(True))
+            segs[i] = replace(segs[i], actor=actor)
+        else:  # a zero-step segment gets its first form
+            inner = list(segs[i].forms)
+            k = draw(st.integers(min_value=0, max_value=max(len(inner) - 1, 0)))
+            inner[k : k + 1] = [draw(forms)]
+            segs[i] = replace(segs[i], forms=tuple(inner))
+        traces.append(replace(trace, segments=tuple(segs)))
+    return g, mode, draw(st.permutations(traces)), draw(st.permutations(traces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_traces())
+def test_remembered_segments_change_no_verdict(case):
+    g, mode, first, second = case
+    expected = {id(t): fresh_trace_check(g, t, mode) for t in first}
+    for traces in (first, second):
+        for trace in traces:
+            assert validate_trace(g, trace, mode) == expected[id(trace)]
