@@ -40,11 +40,14 @@ when the turn ends; it does not revisit a form above its step window's
 form: forms that differ only in their terminal runs, which no rule
 rewrites, share it, whatever their lengths, unless the form cap cut it;
 a cut turn is shared by the forms with the same cap on the skeleton.
-`validate_trace` tests each step with `_is_rewrite` rather than building
-every rewrite of the previous form.  The traces of one enumeration share
-the segment of each turn, and a compile's CD trace check remembers each
-segment that passed, with the form it passed from, while the segment
-lives: each shared segment is checked once.
+The index search, which meets a form at many step counts and in many
+states, rewrites a (component, form) once and counts a form's
+nonterminals once per search.  `validate_trace` tests each step with
+`_is_rewrite` rather than building every rewrite of the previous form.
+The traces of one enumeration share the segment of each turn, and a
+compile's CD trace check remembers each segment that passed, with the
+form it passed from, while the segment lives: each shared segment is
+checked once.
 """
 
 from __future__ import annotations
@@ -358,14 +361,18 @@ def _minimax(starts, successors, form_of, cost_of, target=None):
     the first state with that form is popped.  With a ``target`` form the
     search records only the target and returns when it is popped, so an
     unreached target has no entry; without, it runs to exhaustion and
-    prices every form between turns.
+    prices every form between turns.  Many states share a form, so a
+    form's ``cost_of`` is computed once per search and kept.
     """
     costs = {}
+    counts = {}  # form -> cost_of(form)
     buckets = []  # buckets[c]: the states first reached at cost c, in push order
     seen = set()
     for state, form in starts:
         seen.add(state)
-        _push(buckets, cost_of(form), state)
+        if form not in counts:
+            counts[form] = cost_of(form)
+        _push(buckets, counts[form], state)
     pruned = False
     for cost, bucket in enumerate(buckets):  # the walk sees buckets appended later
         for state in bucket:  # and states appended to the bucket it walks
@@ -379,7 +386,9 @@ def _minimax(starts, successors, form_of, cost_of, target=None):
             for nxt, form, _ in edges:
                 if nxt not in seen:
                     seen.add(nxt)
-                    ncost = cost_of(form)
+                    ncost = counts.get(form)
+                    if ncost is None:
+                        ncost = counts[form] = cost_of(form)
                     if ncost <= cost:
                         bucket.append(nxt)
                     else:
@@ -687,9 +696,12 @@ def _inner_steps(components, max_form_len):
     A turn opens only when one of the component's rules applies: otherwise
     it could only close on the unchanged form, whose state is the one being
     expanded.  This is the state-by-state form of `_turn`, for `_minimax`,
-    which must price the forms inside a turn.
+    which must price the forms inside a turn.  Each component keeps the
+    rewrites of the forms it rewrote for one call, so one search rewrites
+    a (component, form) once; they depend on the form and table alone.
     """
     opened = [(j, table[1].search) for j, (table, _, _, _) in enumerate(components, 1)]
+    steps = [{} for _ in components]  # per component: form -> its rewrites
 
     def successors(state):
         form, i, m = state
@@ -701,7 +713,11 @@ def _inner_steps(components, max_form_len):
             edges.append(((form, 0, 0), form, None))
         if m < hi:
             n = min(m + 1, top)
-            for y in _rewrites(form, table):
+            memo = steps[i - 1]
+            ys = memo.get(form)
+            if ys is None:
+                ys = memo[form] = _rewrites(form, table)
+            for y in ys:
                 if len(y) > max_form_len:
                     pruned = True
                 else:

@@ -251,10 +251,10 @@ def parse_file(text: str) -> GrammarFile:
                 raise GswParseError("rule lines are only valid in programmed files", lineno)
             parts = line.split(";")
             lhs_part = parts[0].split()
-            # rule <label> : <lhs> -> <rhs>
+            # rule <label> : <lhs> -> <rhs>, where an empty rhs is "#"
             if (
                 len(parts) != 3
-                or len(lhs_part) < 5
+                or len(lhs_part) < 6
                 or lhs_part[2] != ":"
                 or lhs_part[4] != "->"
             ):

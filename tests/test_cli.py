@@ -317,6 +317,18 @@ class TestIndex:
         assert main(argv) == 0
         assert capsys.readouterr() == ("1\n", "")
 
+    def test_empty_programmed_rhs_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.gsw"
+        path.write_text(
+            "grammar e programmed\nnonterminals S\nterminals a\naxiom S\n"
+            "rule p : S -> ; succ p ; fail\nrule q : S -> a ; succ q ; fail\n",
+            encoding="utf-8",
+        )
+        assert main(["index", str(path), "--word", "a", "--max-len", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected 'rule <label> : <lhs> -> <rhs> ; succ ... ; fail ...' (line 5)" in captured.err
+
     def test_empty_word_is_an_error(self, tmp_path, capsys):
         # no bounded language holds the empty word, even where the grammar
         # derives it: here S => A => λ in one t-turn

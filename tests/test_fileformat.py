@@ -133,6 +133,18 @@ class TestParseGrammar:
         assert g.components[0][0] == Rule(nonterminal("S"), ())
         assert not g.lambda_free
 
+    def test_empty_programmed_rhs_is_an_error(self):
+        # the empty word is the token "#", as in a component block, where
+        # "S ->" is an error too
+        head = "grammar p programmed\nnonterminals S\nterminals x\naxiom S\n"
+        message = "expected 'rule <label> : <lhs> -> <rhs> ; succ ... ; fail ...'"
+        with pytest.raises(F.GswParseError) as err:
+            F.parse_grammar(head + "rule p : S -> ; succ p ; fail\n")
+        assert err.value.line == 5
+        assert str(err.value) == "%s (line 5)" % message
+        pg = F.parse_grammar(head + "rule p : S -> # ; succ p ; fail\n")
+        assert pg.rule_of["p"] == Rule(nonterminal("S"), ())
+
     def test_hcdgs_per_component_modes(self):
         text = (
             "grammar h hcdgs lambda-free\nnonterminals S\nterminals x\naxiom S\n"

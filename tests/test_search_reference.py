@@ -24,8 +24,10 @@ a heap-based Dijkstra search, which must pop the same states in the same
 order, with one target word or none.  The reference for
 `indexed_language` and `certify_index_bound`, one exhaustive index
 search, is an enumeration followed by one `word_index` search per word it
-found.  The reference for `nsf_check` is a level-by-level search over
-symbol tuples.
+found.  The reference for the index search's successor function, which
+keeps each form's rewrites for the whole search, is a fresh `_inner_steps`
+on each state it expands.  The reference for `nsf_check` is a
+level-by-level search over symbol tuples.
 
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
 membership in the list of all rewrites (`_rewrites`).  The reference for
@@ -45,8 +47,10 @@ random systems, not only on the named examples.
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import count
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -60,7 +64,9 @@ from gsworkbench.engine import (
     _between_turns,
     _bfs,
     _compile,
+    _compiled,
     _component,
+    _inner_steps,
     _is_rewrite,
     _local_encoding,
     _minimax,
@@ -561,6 +567,41 @@ def test_turns_match_nested_reference_on_hybrid_systems(g, form):
     check_turns_against_reference(g, form)
 
 
+def check_memoized_steps(grammar, mode=None):
+    """Every state that one `indexed_language` search expands gets, from the
+    search's successor function, whose rewrites are kept for the whole
+    search, the edges and pruned flag of a fresh `_inner_steps` called on
+    that state alone."""
+    components = _compiled(grammar, mode)[1].args[0]
+    real_minimax = engine._minimax
+    expanded = []
+
+    def checked_minimax(starts, successors, *rest):
+        def expand(state):
+            got = successors(state)
+            assert got == _inner_steps(components, BOUNDS.max_form_len)(state)
+            expanded.append(state)
+            return got
+
+        return real_minimax(starts, expand, *rest)
+
+    with patch.object(engine, "_minimax", checked_minimax):
+        indexed_language(grammar, BOUNDS, mode=mode)
+    assert expanded
+
+
+@settings(max_examples=100, deadline=None)
+@given(cd_systems(), modes)
+def test_memoized_steps_match_fresh_steps_on_cd_systems(g, mode):
+    check_memoized_steps(g, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hybrid_systems())
+def test_memoized_steps_match_fresh_steps_on_hybrid_systems(g):
+    check_memoized_steps(g)
+
+
 hybrid = st.tuples(st.integers(min_value=1, max_value=2), st.sampled_from((C.VARIANT_EXACTLY, C.VARIANT_ATMOST)))
 
 
@@ -877,12 +918,17 @@ def test_mark_cannot_collide_with_a_symbol(n_nonterminals, n_terminals, mark, mo
     assert list(res.traces.items()) == list(traces.items())
 
 
-def test_a_search_shares_turns_by_skeleton(monkeypatch):
-    # S -> AB, A -> aA | a | AB, B -> bB | b: index 3, so its CD system
-    # meets many forms that differ only in their terminal runs
+def cf3_cd2():
+    """The CD system of S -> AB, A -> aA | a | AB, B -> bB | b, of index 3."""
     B = nonterminal("B")
     rules = (Rule(S, (A, B)), Rule(A, (a, A)), Rule(A, (a,)), Rule(A, (A, B)), Rule(B, (b, B)), Rule(B, (b,)))
-    g = C.cf_indexk_to_cd2(C.IndexedCfGrammar(frozenset({S, A, B}), frozenset({a, b}), S, rules, 3))
+    return C.cf_indexk_to_cd2(C.IndexedCfGrammar(frozenset({S, A, B}), frozenset({a, b}), S, rules, 3))
+
+
+def test_a_search_shares_turns_by_skeleton(monkeypatch):
+    # cf3-cd2 has index 3, so it meets many forms that differ only in their
+    # terminal runs
+    g = cf3_cd2()
     turns, shared, states = [], [], []
     real_turn, real_skeleton_turn, real_bfs = engine._turn, engine._skeleton_turn, engine._bfs
 
@@ -915,6 +961,30 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
         shared.clear()
         enumerate_grammar(g, Bounds.for_words(max_len), mode=mode)
         assert 2 * len(turns) < len(shared)
+
+
+def test_the_index_search_rewrites_and_counts_each_form_once(monkeypatch):
+    # the state-by-state search meets a form at many step counts, and a
+    # form inside many states; it rewrites a form once per component and
+    # counts its nonterminals once
+    g, mode = cf3_cd2(), t_and(exactly(3))
+    code = _compiled(g, mode)[0]
+    real_rewrites, real_cost = engine._rewrites, code.cost
+    rewrites, counts = Counter(), Counter()
+
+    def counted_rewrites(form, table):
+        rewrites[id(table), form] += 1
+        return real_rewrites(form, table)
+
+    def counted_cost(form):
+        counts[form] += 1
+        return real_cost(form)
+
+    monkeypatch.setattr(engine, "_rewrites", counted_rewrites)
+    monkeypatch.setattr(code, "cost", counted_cost)
+    indexed_language(g, Bounds.for_words(9), mode=mode)
+    assert sum(rewrites.values()) == len(rewrites) > 0
+    assert sum(counts.values()) == len(counts) > 0
 
 
 def fresh_trace_check(grammar, trace, mode):
