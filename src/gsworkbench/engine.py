@@ -6,7 +6,7 @@ search loops.  `_turn` is one CD turn: a breadth-first search over the
 (form, step count) pairs of one component, which gives the forms the
 component may hand back with shortest witnesses; `mode_step` is `_turn`,
 and a CD system's turn-level successors run it per component, through
-`_skeleton_turn`.  `_bfs`, a breadth-first search with parent pointers,
+`_turns`.  `_bfs`, a breadth-first search with parent pointers,
 walks a space turn by turn for enumeration and traces (a programmed step
 is a one-edge turn).  `_minimax`, a breadth-first search over one bucket
 per cost, walks it state by state for the index of one word, or, run to
@@ -36,16 +36,16 @@ objects and modes, so an enumeration and the traces it gives compile their
 grammar once.  A turn builds the rewrites of a form once, however many
 step counts it meets the form at, reads ``t`` off them, and drops them
 when the turn ends; it does not revisit a form above its step window's
-``lo``.  Within one search a turn runs once per nonterminal skeleton of a
-form: forms that differ only in their terminal runs, which no rule
-rewrites, share it, whatever their lengths, unless the form cap cut it;
-a cut turn is shared by the forms with the same cap on the skeleton.
-The index search, which meets a form at many step counts and in many
-states, rewrites a (component, form) once and counts a form's
-nonterminals once per search.  `validate_trace` tests each step with
-`_is_rewrite` rather than building every rewrite of the previous form.
-The traces of one enumeration share the segment of each turn, and a
-compile's CD trace check remembers each segment that passed, with the
+``lo``.  Within one search the turns run once per nonterminal skeleton:
+forms that differ only in their terminal runs, which no rule rewrites,
+share them, whatever their lengths, unless the form cap cut one; then
+forms with the same cap on the skeleton do.  Witnesses are filled for
+traces alone.  The index search, which meets a form at many step counts
+and in many states, rewrites a (component, form) once and counts a
+form's nonterminals once per search.  `validate_trace` tests each step
+with `_is_rewrite` rather than building every rewrite of the previous
+form.  The traces of one enumeration share the segment of each turn, and
+a compile's CD trace check remembers each segment that passed, with the
 form it passed from, while the segment lives: each shared segment is
 checked once.
 """
@@ -204,8 +204,8 @@ class _Encoding:
         self.char = char = {s: chr(i) for i, s in enumerate(ordered)}
         self.symbol = dict(zip(char.values(), ordered))
         self.nonterminal = _char_class(map(char.get, nonterminals))
-        # for `_skeleton_turn`: a form split at its maximal terminal runs,
-        # which land at the odd positions, and two characters outside the
+        # for `_turns`: a form split at its maximal terminal runs, which
+        # land at the odd positions, and two characters outside the
         # encoding, the mark that stands for a run and a separator
         runs = _char_class(char[s] for s in ordered[len(nonterminals) :]).pattern
         self.split_runs = re.compile("(%s+)" % runs).split
@@ -219,14 +219,15 @@ class _Encoding:
         """A decode function that maps each distinct string to one tuple.
 
         A search decodes through one decoder, so the forms it hands back
-        share tuples as the forms of a search over tuples would.
+        share tuples as the forms of a search over tuples would.  Built from a
+        list, a tuple reuses a free one of its length; ``tuple(map)`` does not.
         """
         symbol, forms = self.symbol.__getitem__, {}
 
         def decode(code: str) -> Form:
             form = forms.get(code)
             if form is None:
-                form = forms[code] = tuple(map(symbol, code))
+                form = forms[code] = tuple([*map(symbol, code)])
             return form
 
         return decode
@@ -312,7 +313,9 @@ def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
 #
 # A successor function maps a state to ``(edges, pruned)``: the
 # ``(next state, its form, edge label)`` triples, and whether a branch was
-# dropped because its form exceeded ``max_form_len``.
+# dropped because its form exceeded ``max_form_len``.  A whole turn's label
+# is ``(actor, templates, args, appearance checking)``: the forms of its
+# witness are each ``template % args``, filled only for a trace.
 
 
 def _bfs(starts, successors):
@@ -504,8 +507,9 @@ def _programmed_space(labels, start: str, max_form_len):
 
     `labels` maps each label to its ``(table, success, failure)``.  A state
     is (form, next label), and an edge is one derivation step, which is
-    also a whole turn, labelled with the label, the new form and whether
-    the step is appearance checking: when the label's rule applies, each
+    also a whole turn, labelled with the label, the new form (template
+    ``"%s"``, args ``(form,)``) and whether the step is appearance
+    checking: when the label's rule applies, each
     distinct rewrite goes on to every success label; otherwise the
     unchanged form goes on to every failure label.  The search starts from
     (axiom, r) for every label r, per the existential over the first label
@@ -523,7 +527,7 @@ def _programmed_space(labels, start: str, max_form_len):
         edges, pruned = [], False
         for y in ys:
             if len(y) <= max_form_len:
-                edge = label, (y,), ac
+                edge = label, ("%s",), (y,), ac
                 edges += [((y, q), y, edge) for q in nexts]
             elif nexts:  # an edge is dropped
                 pruned = True
@@ -539,27 +543,10 @@ def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
     `components` holds the `_component` of each component, over the
     encoding `code`.  A state is one of `_inner_steps`, and ``successors``
     is its successor function; ``form_of`` gives the form of a state between
-    turns, ``None`` inside a turn.  ``turns`` gives the successors of a state
-    between turns by whole turns: it runs `_skeleton_turn` for each
-    component in order, and labels each edge with the component index and
-    the witness forms.  Each component's skeleton memo belongs to one call
-    of the space, so it lasts one search and dies with it.
+    turns, ``None`` inside a turn; ``turns`` is `_turns` on a new memo.
     """
-    memos = [{} for _ in components]
-
-    def turns(state):
-        x = state[0]
-        edges, pruned = [], False
-        for j, (component, memo) in enumerate(zip(components, memos), 1):
-            if component[0][1].search(x) is None:
-                continue  # a dead turn could only hand back x itself
-            handed, cut = _skeleton_turn(memo, component, code, x, max_form_len)
-            pruned = pruned or cut
-            edges += [((y, 0, 0), y, (j, forms, False)) for y, forms in handed]
-        return edges, pruned
-
     steps = _inner_steps(components, max_form_len)
-    return [((start, 0, 0), start)], steps, _between_turns, turns
+    return [((start, 0, 0), start)], steps, _between_turns, partial(_turns, {}, components, code, max_form_len)
 
 
 def _between_turns(state) -> Optional[str]:
@@ -595,7 +582,7 @@ def _turn(component, x: str, max_form_len):
     A form met again at another step count reuses the rewrites built for
     it.  That memo lives only as long as the turn's rows: kept for a whole
     search, it holds every form of every turn at once; a search keeps one
-    turn per skeleton instead (`_skeleton_turn`).  Every lhs of the table
+    turn per skeleton instead (`_turns`).  Every lhs of the table
     has a rhs, so a form is stuck, as ``t`` asks, iff its rewrite list is
     empty; only a row at ``hi``, never expanded, scans for ``t``.
     """
@@ -631,59 +618,72 @@ def _turn(component, x: str, max_form_len):
     return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned, longest
 
 
-def _skeleton_turn(memo, component, code: _Encoding, x: str, max_form_len):
-    """`_turn(component, x, max_form_len)`, run once per skeleton of `x`.
+def _turns(memo, components, code: _Encoding, max_form_len, state):
+    """The successors of a state between turns by the turns of each live
+    component in order, labelled ``(j, templates, runs, False)``: the
+    component, its witness's templates and the runs of x that fill them.
 
-    A turn never rewrites a terminal, so it sees only the nonterminals of
-    `x`.  The skeleton of `x` has one ``code.mark`` in place of each
-    maximal terminal run.  Under the cap `max_form_len` less the symbols the
-    marks save, the turn on the skeleton maps onto the turn on `x` by
-    filling each mark with its run: rewrites keep their order and lengths,
-    so the rows, witnesses and ``pruned`` flag agree.  Two skeleton forms
-    may fill to one form (``M a`` and ``a M`` with the run ``a``); the
-    first of them is the one the turn on `x` hands back, and later ones are
-    dropped.
-
-    `memo` holds turns on skeletons, each kept so that one format fills it:
-    every witness form joined by ``code.sep`` in one ``%``-template with a
-    ``%s`` field per mark, their number, where each witness ends, the
-    ``pruned`` flag and the longest row.  A handed-back form ends its
-    witness, or is `x`.  A turn the cap did not cut is kept under the
-    skeleton and serves every form with that skeleton whose cap on the
-    skeleton is at least its longest row; a turn the cap cut is kept under
-    (skeleton, cap) and serves that cap alone.
+    A turn never rewrites a terminal, so the turn on x is the turn on its
+    skeleton (x with one ``code.mark`` per maximal terminal run) under the
+    cap less what the marks save, the marks filled by the runs.  Two
+    skeleton forms may fill to one (``M a`` and ``a M`` with the run
+    ``a``); x's turn hands back the first.  `memo` keeps `_skeleton_turns`.
     """
+    x = state[0]
     pieces = code.split_runs(x)  # the runs at odd positions
-    if len(pieces) == 1:  # no run to share the turn over
-        handed, pruned, _ = _turn(component, x, max_form_len)
-        return handed, pruned
-    mark, sep = code.mark, code.sep
-    skeleton = mark.join(pieces[::2])
+    runs = tuple(pieces[1::2])
+    skeleton = code.mark.join(pieces[::2])
     cap = max_form_len - len(x) + len(skeleton)
-    hit = memo.get(skeleton)
-    if hit is None or hit[4] > cap:
-        key = skeleton, cap
-        hit = memo.get(key)
+    kept = memo if runs else {}  # a form without runs shares no turn
+    template, n, groups, pruned, _ = _kept(kept, skeleton, cap, _skeleton_turns, kept, components, code, skeleton, cap)
+    filled = iter((template % (runs * n)).split(code.sep))
+    edges = []
+    for j, witnesses in groups:
+        handed = set()
+        for witness, y in zip(witnesses, filled):  # witnesses first: zip stops on them
+            if y not in handed:
+                handed.add(y)
+                edges.append(((y, 0, 0), y, (j, witness, runs, False)))
+    return edges, pruned
+
+
+def _kept(memo, key, cap, build, *args):
+    """`memo`'s entry for `key` under `cap`, else `build(*args)`, kept.  An
+    entry ends with its cut flag and longest row: whole, it serves every cap
+    from that row up, kept under `key`; cut, its cap alone, under (key, cap)."""
+    hit = memo.get(key)
+    if hit is None or hit[-1] > cap:
+        hit = memo.get((key, cap))
         if hit is None:
-            handed, pruned, longest = _turn(component, skeleton, cap)
-            forms, ends = [], []
-            for _, witness in handed:
-                forms += witness
-                ends.append(len(forms))
-            template = sep.join(forms)
-            if mark != "%":  # a "%" in the template is then a symbol or sep
-                template = template.replace("%", "%%")
-            hit = template.replace(mark, "%s"), len(forms), ends, pruned, longest
-            memo[key if pruned else skeleton] = hit
-    template, n, ends, pruned, _ = hit
-    filled = (template % (tuple(pieces[1::2]) * n)).split(sep)
-    handed, start = {}, 0
-    for end in ends:
-        y = filled[end - 1] if end > start else x
-        if y not in handed:
-            handed[y] = filled[start:end]
-        start = end
-    return list(handed.items()), pruned
+            hit = build(*args)
+            memo[(key, cap) if hit[-2] else key] = hit
+    return hit
+
+
+def _skeleton_turns(memo, components, code: _Encoding, skeleton: str, cap):
+    """The turns on `skeleton` under `cap` of the components live on it, as
+    ``(template, n, groups, pruned, longest)``, each form a ``%``-template
+    with a ``%s`` per mark: the n handed-back forms joined by ``code.sep``,
+    each component's index and the witness of each form it hands back, and
+    whether some turn was cut and the longest row of any.  Each turn is kept
+    in `memo` under ``(j, skeleton)``: another cap reruns only those it cuts.
+    """
+    mark = code.mark
+    escape = "%" if mark == "%" else "%%"  # a "%" that is not the mark is a symbol or sep
+    fill = lambda form: form.replace("%", escape).replace(mark, "%s")
+
+    def turn(component):
+        handed, cut, longest = _turn(component, skeleton, cap)
+        return [y for y, _ in handed], [tuple(map(fill, witness)) for _, witness in handed], cut, longest
+
+    handed, groups, pruned, longest = [], [], False, 0
+    for j, component in enumerate(components, 1):
+        if component[0][1].search(skeleton) is not None:  # a dead turn hands back the form alone
+            ys, witnesses, cut, row = _kept(memo, (j, skeleton), cap, turn, component)
+            handed += ys
+            groups.append((j, witnesses))
+            pruned, longest = pruned or cut, max(longest, row)
+    return fill(code.sep.join(handed)), len(handed), groups, pruned, longest
 
 
 def _inner_steps(components, max_form_len):
@@ -766,8 +766,8 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
             for j in _path(rows, i, 2)[1:] + [i]:
                 seg = segments.get(j)
                 if seg is None:
-                    actor, forms, ac = rows[j][3]
-                    seg = segments[j] = TraceSegment(actor, tuple(map(decode, forms)), ac)
+                    actor, templates, args, ac = rows[j][3]
+                    seg = segments[j] = TraceSegment(actor, tuple([decode(t % args) for t in templates]), ac)
                 trace.append(seg)
             result.traces[word] = DerivationTrace(start, tuple(trace))
     return result
@@ -861,7 +861,7 @@ def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> l
     current = code.encode(trace.start)
     actors = [seg.actor for seg in trace.segments]
     for n, seg in enumerate(trace.segments):
-        if seg.actor not in labels:
+        if not isinstance(seg.actor, str) or seg.actor not in labels:
             problems.append("segment %d: unknown label %r" % (n, seg.actor))
             continue
         if len(seg.forms) != 1:

@@ -266,6 +266,14 @@ class TestTraces:
         bad = replace(trace, segments=segs)
         assert "segment 0: bad component index True" in validate_trace(g, bad, mode)
 
+    def test_list_actor_is_an_unknown_label(self, pg_abc):
+        # a list is unhashable: the check reports it rather than raising
+        trace = enumerate_grammar(pg_abc, Bounds(3, 3), with_traces=True).traces[("a", "b", "c")]
+        assert trace.segments[0].actor == "p0" and validate_trace(pg_abc, trace) == []
+        segs = (replace(trace.segments[0], actor=["p0"]),) + trace.segments[1:]
+        bad = replace(trace, segments=segs)
+        assert validate_trace(pg_abc, bad)[0] == "segment 0: unknown label ['p0']"
+
     @pytest.mark.parametrize("tamper", ["relabel", "appearance-check", "reorder"])
     def test_tampered_programmed_trace_is_rejected(self, pg_abc, tamper):
         from dataclasses import replace

@@ -36,10 +36,12 @@ segments that passed, is the check of a fresh compile, which remembers
 none: enumerated traces and tampered copies of them, checked in a random
 order and then in another, must get its verdicts.
 
-The reference for a turn shared by skeleton (`_skeleton_turn`) is `_turn`
-on the full form: two forms with one skeleton and different terminal runs,
-run through one memo, each under a cap of its own, must each get the forms,
-witnesses and pruned flag of their own `_turn`, in the same order.
+The reference for the turns of a state, shared by skeleton (`_turns`), is
+`_turn` on the full form, per component: two forms with one skeleton and
+different terminal runs, run through one memo, each under a cap of its
+own, must each get the forms of every live component's own `_turn`, in
+component order, the witnesses filled from the edge labels, and the OR of
+the components' pruned flags.
 
 Criteria 2 and 6 of the acceptance suite are also checked here on the
 random systems, not only on the named examples.
@@ -73,8 +75,8 @@ from gsworkbench.engine import (
     _path,
     _rewrites,
     _rhs_table,
-    _skeleton_turn,
     _turn,
+    _turns,
     enumerate_grammar,
     indexed_language,
     make_language,
@@ -825,9 +827,10 @@ def test_a_whole_turn_holds_from_its_longest_row(case):
 
 @st.composite
 def skeleton_cases(draw):
-    """A component of `step_rules`, a mode, two forms with one skeleton,
-    each with its own terminal runs, and a form cap for the first form, the
-    second and the first again, each at least that form's length."""
+    """One to three components of `step_rules`, each with a mode, two forms
+    with one skeleton, each with its own terminal runs, and a form cap for
+    the first form, the second and the first again, each at least that
+    form's length."""
     slots = draw(st.lists(st.sampled_from((S, A, None)), min_size=1, max_size=4))
     runs = st.lists(st.sampled_from((a, b)), min_size=1, max_size=3)
 
@@ -841,36 +844,58 @@ def skeleton_cases(draw):
         return tuple(out)
 
     x, y = form(), form()
-    ruleset = draw(st.lists(step_rules, min_size=1, max_size=4).map(tuple))
+    rulesets = st.lists(step_rules, min_size=1, max_size=4).map(tuple)
+    components = draw(st.lists(st.tuples(rulesets, modes), min_size=1, max_size=3).map(tuple))
     caps = tuple(draw(st.integers(min_value=len(f), max_value=8)) for f in (x, y, x))
-    return x, y, ruleset, draw(modes), caps
+    return x, y, components, caps
 
 
 @settings(max_examples=300, deadline=None)
 # the cap cuts the turn on the longer form only
-@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), t_and(exactly(2)), (4, 4, 4)))
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), t_and(exactly(2))),), (4, 4, 4)))
 # erasing rules: M a and a M, both in the skeleton's turn, fill to a a
 # with the run a, so the second of them is dropped; with the run b they do not
-@example(((S, a, A), (S, b, A), (Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2), (5, 5, 5)))
+@example(((S, a, A), (S, b, A), (((Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2)),), (5, 5, 5)))
 # under =2 the turn on the skeleton S M (M the mark) has longest row
 # a a S M, of length 4.  The turn of S a under cap 4 is whole and serves
 # S a a a under cap 6 and S a under cap 7, on the skeleton at caps 4 and 7
-@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), exactly(2), (4, 6, 7)))
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (4, 6, 7)))
 # ... but not S a a a under cap 5, on the skeleton at cap 3, which cuts it
-@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), exactly(2), (4, 5, 4)))
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (4, 5, 4)))
 # the turn of S a under cap 3 is cut; it serves S a a a under cap 5, on
 # the skeleton at cap 3 too, but not S a under cap 4, where it is whole
-@example(((S, a), (S, a, a, a), (Rule(S, (a, S)),), exactly(2), (3, 5, 4)))
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (3, 5, 4)))
+# three components on the skeleton S M: under cap 4 the first, whose
+# longest row a a S M is the entry's, and the second (S => S) are whole,
+# and the third, dead, is left out.  S a a a under cap 5, on the skeleton
+# at cap 3, cuts the first and reuses the second; S a under cap 3 is a hit
+@example(
+    (
+        (S, a),
+        (S, a, a, a),
+        (((Rule(S, (a, S)),), exactly(2)), ((Rule(S, (S,)),), exactly(1)), ((Rule(A, (a,)),), T_MODE)),
+        (4, 5, 3),
+    )
+)
 @given(skeleton_cases())
-def test_skeleton_turn_matches_turn(case):
-    x, y, ruleset, mode, caps = case
-    code = _local_encoding((STEP_ALPHABET,), ruleset)
-    component = _component(code, ruleset, mode)
+def test_turns_match_turn_per_component(case):
+    x, y, components, caps = case
+    code = _local_encoding((STEP_ALPHABET,), [r for ruleset, _ in components for r in ruleset])
+    compiled = [_component(code, ruleset, mode) for ruleset, mode in components]
     memo = {}
     for form, cap in zip((x, y, x), caps):  # the second x may be a memo hit
         form = code.encode(form)
-        handed, pruned, _ = _turn(component, form, cap)
-        assert _skeleton_turn(memo, component, code, form, cap) == (handed, pruned)
+        expected, pruned = [], False
+        for j, component in enumerate(compiled, 1):
+            if component[0][1].search(form) is not None:  # a live component
+                handed, cut, _ = _turn(component, form, cap)
+                expected += [(j, z, witness) for z, witness in handed]
+                pruned = pruned or cut
+        edges, got_pruned = _turns(memo, compiled, code, cap, (form, 0, 0))
+        assert [(nxt, label[3]) for nxt, _, label in edges] == [((z, 0, 0), False) for _, z, _ in edges]
+        # each witness is filled on demand, one template per form, from the runs
+        got = [(j, z, [template % runs for template in templates]) for _, z, (j, templates, runs, _) in edges]
+        assert (got, got_pruned) == (expected, pruned)
 
 
 def wide_system(n_nonterminals, n_terminals):
@@ -929,28 +954,44 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     # cf3-cd2 has index 3, so it meets many forms that differ only in their
     # terminal runs
     g = cf3_cd2()
-    turns, shared, states = [], [], []
-    real_turn, real_skeleton_turn, real_bfs = engine._turn, engine._skeleton_turn, engine._bfs
+    turns, builds, fills = [], [], []
+    states = []  # per state between turns, the number of its live components
+    real_turn, real_build, real_turns = engine._turn, engine._skeleton_turns, engine._turns
+
+    class Witness(str):
+        """A witness template that records each fill."""
+
+        def __mod__(self, args):
+            fills.append(self)
+            return str.__mod__(self, args)
 
     def counted_turn(*args):
         turns.append(args)
         return real_turn(*args)
 
-    def counted_skeleton_turn(*args):
-        shared.append(args)
-        return real_skeleton_turn(*args)
+    def counted_build(*args):
+        builds.append(args)
+        template, n, groups, pruned, longest = real_build(*args)
+        groups = [(j, [tuple(map(Witness, witness)) for witness in witnesses]) for j, witnesses in groups]
+        return template, n, groups, pruned, longest
 
-    def counted_bfs(*args):
-        rows, pruned = real_bfs(*args)
-        states.append(len(rows))
-        return rows, pruned
+    def counted_turns(memo, components, code, max_form_len, state):
+        states.append(sum(c[0][1].search(state[0]) is not None for c in components))
+        return real_turns(memo, components, code, max_form_len, state)
 
     monkeypatch.setattr(engine, "_turn", counted_turn)
-    monkeypatch.setattr(engine, "_skeleton_turn", counted_skeleton_turn)
-    monkeypatch.setattr(engine, "_bfs", counted_bfs)
-    enumerate_grammar(g, Bounds.for_words(10), mode=t_and(exactly(3)))
+    monkeypatch.setattr(engine, "_skeleton_turns", counted_build)
+    monkeypatch.setattr(engine, "_turns", counted_turns)
+    mode, bounds = t_and(exactly(3)), Bounds.for_words(10)
+    enumerate_grammar(g, bounds, mode=mode)
     # without sharing, a turn runs for nearly every state between turns
-    assert len(states) == 1 and 2 * len(turns) < states[0]
+    assert 2 * len(turns) < len(states) and 2 * len(builds) < len(states)
+    # an enumeration without traces fills no witness; one with traces fills
+    # the forms of each segment it builds once
+    assert fills == []
+    traces = enumerate_grammar(g, bounds, mode=mode, with_traces=True).traces
+    segments = {id(seg): seg for trace in traces.values() for seg in trace.segments}
+    assert len(fills) == sum(len(seg.forms) for seg in segments.values()) > 0
     # the forms of s3 and snk(2,2,exactly) grow their terminal runs every
     # turn, so their turns are shared across form lengths or not at all
     for g, mode, max_len in [
@@ -958,9 +999,10 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
         (C.build_snk_cdgs(2, 2, "exactly"), C.snk_mode(2, "exactly"), 37),
     ]:
         turns.clear()
-        shared.clear()
+        builds.clear()
+        states.clear()
         enumerate_grammar(g, Bounds.for_words(max_len), mode=mode)
-        assert 2 * len(turns) < len(shared)
+        assert 2 * len(turns) < sum(states) and 2 * len(builds) < len(states)
 
 
 def test_the_index_search_rewrites_and_counts_each_form_once(monkeypatch):
