@@ -20,13 +20,17 @@ application never shortens a form.
 
 A search runs on forms encoded as strings: each symbol of the grammar is
 one character, the nonterminals first.  Strings cache their hash, and
-slicing, concatenation and scanning run in C.  Rule tables and the
-nonterminal count are regex character classes over those characters.
-Words, traces, mode-step results and index targets are encoded or decoded
-at the boundary, each distinct form decoded once per search, and the
-helpers on symbol tuples (`one_step`, `mode_predicate`, `mode_step`, ...)
-encode on entry and decode on return.  `verifier.nsf_check` walks a
-`_programmed_space` and decodes only the forms it reports.
+slicing, concatenation and scanning run in C.  A CD component's rule
+table and the nonterminal count are regex character classes over those
+characters.  A programmed label has one rule, so it is no table: it is
+its lhs character and encoded rhs, and a step finds the lhs with
+``str.find`` and tests the form cap once, as every rewrite by one rule
+has the same length.  Words, traces, mode-step results and index targets
+are encoded or decoded at the boundary, each distinct form decoded once
+per search, and the helpers on symbol tuples (`one_step`,
+`mode_predicate`, `mode_step`, ...) encode on entry and decode on return.
+`verifier.nsf_check` walks a `_programmed_space` and decodes only the
+forms it reports.
 
 Each piece of work is done once where it repeats.  `_compile` is the one
 place that tells the grammar kinds apart: it compiles a grammar to its
@@ -42,12 +46,12 @@ share them, whatever their lengths, unless the form cap cut one; then
 forms with the same cap on the skeleton do.  Witnesses are filled for
 traces alone.  The index search, which meets a form at many step counts
 and in many states, rewrites a (component, form) once and counts a
-form's nonterminals once per search.  `validate_trace` tests each step
-with `_is_rewrite` rather than building every rewrite of the previous
-form.  The traces of one enumeration share the segment of each turn, and
-a compile's CD trace check remembers each segment that passed, with the
-form it passed from, while the segment lives: each shared segment is
-checked once.
+form's nonterminals once per search.  `validate_trace` tests each CD step
+with `_is_rewrite`, and each programmed step against its label's rule,
+rather than building every rewrite of the previous form.  The traces of
+one enumeration share the segment of each turn, and a compile's CD trace
+check remembers each segment that passed, with the form it passed from,
+while the segment lives: each shared segment is checked once.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ class _Encoding:
         return self.nonterminal.search(code) is None
 
     def word(self, code: str) -> Word:
-        return tuple(self.symbol[c].name for c in code)
+        return tuple([self.symbol[c].name for c in code])  # from a list, as in `decoder`
 
 
 def _rhs_table(code: _Encoding, ruleset: Sequence[Rule]):
@@ -451,7 +455,9 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     the symbols of `forms`.  ``space(max_form_len)`` is the grammar's search
     space over encoded forms of at most `max_form_len` symbols, from
     `_programmed_space` or `_hybrid_space`.  ``violations(trace)`` lists
-    the steps of `trace` that the grammar does not allow.
+    the steps of `trace` that the grammar does not allow.  Both read one
+    compile of each programmed label (`_label`: its rule's lhs and rhs and
+    its sorted fields) or of each CD component (`_component`).
 
     This is the one place that tells the grammar kinds apart.  A plain CD
     system is compiled as the hybrid system with `mode` on every component;
@@ -472,10 +478,7 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     code = _local_encoding((grammar.nonterminals, grammar.terminals, (grammar.axiom,), *forms), rules)
     start = code.encode((grammar.axiom,))
     if modes is None:
-        labels = {
-            p: (_rhs_table(code, (grammar.rule_of[p],)), sorted(grammar.success[p]), sorted(grammar.failure[p]))
-            for p in grammar.labels
-        }
+        labels = {p: _label(code, grammar.rule_of[p], grammar.success[p], grammar.failure[p]) for p in grammar.labels}
         return code, partial(_programmed_space, labels, start), partial(_programmed_violations, code, labels)
     components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
     return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components, {})
@@ -501,37 +504,58 @@ def _compiled(grammar, mode: Optional[Mode]) -> tuple:
     return hit[1]
 
 
+def _label(code: _Encoding, rule: Rule, success, failure):
+    """A programmed label compiled for the searches: ``(lhs, rhs, success,
+    failure)``, its rule's lhs character and encoded rhs, and its fields in
+    sorted order.  A rule with a terminal lhs (which `validate` rejects)
+    never applies, as no rule rewrites a terminal: its lhs is ``code.mark``,
+    which no form holds."""
+    lhs = code.mark if rule.lhs.is_terminal() else code.char[rule.lhs]
+    return lhs, code.encode(rule.rhs), sorted(success), sorted(failure)
+
+
 def _programmed_space(labels, start: str, max_form_len):
     """The search space of a programmed grammar: ``(starts, successors,
     form_of, turns)``.
 
-    `labels` maps each label to its ``(table, success, failure)``.  A state
-    is (form, next label), and an edge is one derivation step, which is
-    also a whole turn, labelled with the label, the new form (template
-    ``"%s"``, args ``(form,)``) and whether the step is appearance
-    checking: when the label's rule applies, each
-    distinct rewrite goes on to every success label; otherwise the
-    unchanged form goes on to every failure label.  The search starts from
-    (axiom, r) for every label r, per the existential over the first label
-    in the language definition.
+    `labels` maps each label to its `_label`.  A state is (form, next
+    label), and an edge is one derivation step, which is also a whole turn,
+    labelled with the label, the new form (template ``"%s"``, args
+    ``(form,)``) and whether the step is appearance checking: when the
+    label's rule applies, each distinct rewrite goes on to every success
+    label; otherwise the unchanged form goes on to every failure label.
+    The search starts from (axiom, r) for every label r, per the
+    existential over the first label in the language definition.
+
+    A step is one rule, not a rule table: ``str.find`` gives the
+    occurrences of its lhs, every rewrite has ``len(form) + len(rhs) - 1``
+    symbols, so the form cap is one test per step, and only two or more
+    occurrences, whose rewrites may coincide, need deduplicating.
     """
 
     def successors(state):
         form, label = state
-        table, success, failure = labels[label]
-        ys = _rewrites(form, table)
-        if ys:
-            ys, nexts, ac = dict.fromkeys(ys), success, False
-        else:  # the rule does not apply: an appearance-checking step
-            ys, nexts, ac = (form,), failure, True
-        edges, pruned = [], False
+        lhs, rhs, success, failure = labels[label]
+        i = form.find(lhs)
+        if i < 0:  # the rule does not apply: an appearance-checking step
+            if len(form) > max_form_len:
+                return [], bool(failure)
+            edge = label, ("%s",), (form,), True
+            return [((form, q), form, edge) for q in failure], False
+        if len(form) + len(rhs) > max_form_len + 1:
+            return [], bool(success)
+        ys = [form[:i] + rhs + form[i + 1 :]]
+        i = form.find(lhs, i + 1)
+        if i >= 0:  # a second occurrence: two rewrites may be one form
+            while i >= 0:
+                ys.append(form[:i] + rhs + form[i + 1 :])
+                i = form.find(lhs, i + 1)
+            ys = dict.fromkeys(ys)
+        edges = []
         for y in ys:
-            if len(y) <= max_form_len:
-                edge = label, ("%s",), (y,), ac
-                edges += [((y, q), y, edge) for q in nexts]
-            elif nexts:  # an edge is dropped
-                pruned = True
-        return edges, pruned
+            edge = label, ("%s",), (y,), False
+            edges += [((y, q), y, edge) for q in success]
+        return edges, False
 
     return [((start, r), start) for r in labels], successors, itemgetter(0), successors
 
@@ -812,6 +836,7 @@ def _turn_violations(code: _Encoding, components, passed, trace: DerivationTrace
     change after it passed; and a hit compares the actor and forms by
     identity, as a frozen dataclass can still be changed through
     ``object.__setattr__``.  A segment that failed is checked every time.
+    When the last entry is popped, `passed` gives its grown table back.
     """
     problems = []
     current = code.encode(trace.start)
@@ -847,10 +872,17 @@ def _turn_violations(code: _Encoding, components, passed, trace: DerivationTrace
                 )
             elif type(seg_forms) is tuple and all(type(f) is tuple for f in seg_forms):
                 key = id(seg)
-                ref = weakref.ref(seg, lambda _, key=key: passed.pop(key, None))
-                passed[key] = ref, current, final, actor, seg_forms
+                passed[key] = weakref.ref(seg, partial(_forget, passed, key)), current, final, actor, seg_forms
             current = final
     return problems
+
+
+def _forget(passed, key, _) -> None:
+    """Pop `key` from `passed`, and drop its table once it is empty: a dict
+    never shrinks on ``pop``, but ``clear`` frees its table."""
+    passed.pop(key, None)
+    if not passed:
+        passed.clear()
 
 
 def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> list:
@@ -868,14 +900,16 @@ def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> l
             problems.append("segment %d: programmed steps are single steps" % n)
             continue
         nxt = actors[n + 1 : n + 2]  # the next label, if any
-        table, success, failure = labels[seg.actor]
-        ac = table[1].search(current) is None  # every lhs of a table has a rhs
+        lhs, rhs, success, failure = labels[seg.actor]
+        ac = lhs not in current
         nexts = failure if ac else success
         form = code.encode(seg.forms[0])
         if not (
             (nxt[0] in nexts if nxt else nexts)
             and ac == seg.appearance_checking
-            and (form == current if ac else _is_rewrite(current, form, table))
+            and (form == current if ac else any(
+                form == current[:i] + rhs + current[i + 1 :] for i, c in enumerate(current) if c == lhs
+            ))
         ):
             problems.append(
                 "segment %d: not a %s step at label %r%s"

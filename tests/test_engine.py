@@ -1,5 +1,6 @@
 import gc
 import pickle
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -411,6 +412,8 @@ class TestPassedSegments:
         del traces
         gc.collect()
         assert passed == {}
+        # a dict never shrinks on pop: the last pop also gives its table back
+        assert sys.getsizeof(passed) == sys.getsizeof({})
 
     def test_a_failing_trace_gets_the_same_problems_again(self):
         g = self.system()

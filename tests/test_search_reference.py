@@ -29,6 +29,12 @@ keeps each form's rewrites for the whole search, is a fresh `_inner_steps`
 on each state it expands.  The reference for `nsf_check` is a
 level-by-level search over symbol tuples.
 
+The reference for a programmed step, which finds its label's one lhs with
+``str.find`` and tests the form cap once, is the step on that label's
+one-rule table (`_rhs_table`, `_rewrites`): on random forms and caps, at
+every label, it must give the same edges in the same order and the same
+pruned flag.
+
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
 membership in the list of all rewrites (`_rewrites`).  The reference for
 `validate_trace` on CD and hybrid traces, whose check remembers the
@@ -211,11 +217,11 @@ any_rules = st.builds(Rule, st.sampled_from((S, A)), st.lists(symbols, max_size=
 
 
 @st.composite
-def programmed_grammars(draw):
+def programmed_grammars(draw, rules=any_rules):
     """Up to 4 labels with rules that may erase and drawn failure fields."""
     labels = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
     fields = st.frozensets(st.sampled_from(labels))
-    rule_of = {p: draw(any_rules) for p in labels}
+    rule_of = {p: draw(rules) for p in labels}
     return ProgrammedGrammar(
         nonterminals=frozenset({S, A}),
         terminals=frozenset({a}),
@@ -296,6 +302,106 @@ def test_nsf_check_matches_reference(pg, depth):
     for vector in report.inferred_counts.values():  # in name order
         assert list(vector) == sorted(pg.nonterminals)
     assert report.inconclusive == inconclusive
+
+
+@pytest.mark.parametrize("variant", [C.VARIANT_EXACTLY, C.VARIANT_ATMOST])
+def test_nsf_check_matches_reference_on_constructed_grammars(variant):
+    # the grammars of the benchmark's nsf-check jobs, whose derivations
+    # never run out: every state within the depth is expanded
+    pg = C.cd_to_programmed(C.build_example1(2), 2, variant)
+    report = nsf_check(pg, 80)
+    violations, vectors, inconclusive = reference_nsf(pg, 80)
+    assert [v for v in report.violations if v[0] != 1] == violations
+    assert report.inferred_counts == vectors
+    assert report.inconclusive == inconclusive
+
+
+def reference_programmed_step(code, pg, max_form_len):
+    """The programmed successor function on one-rule tables: every rewrite
+    built by `_rewrites`, deduplicated, and the cap tested per rewrite."""
+    labels = {
+        p: (_rhs_table(code, (pg.rule_of[p],)), sorted(pg.success[p]), sorted(pg.failure[p]))
+        for p in pg.labels
+    }
+
+    def successors(state):
+        form, label = state
+        table, success, failure = labels[label]
+        ys = _rewrites(form, table)
+        if ys:
+            ys, nexts, ac = dict.fromkeys(ys), success, False
+        else:  # the rule does not apply: an appearance-checking step
+            ys, nexts, ac = (form,), failure, True
+        edges, pruned = [], False
+        for y in ys:
+            if len(y) <= max_form_len:
+                edge = label, ("%s",), (y,), ac
+                edges += [((y, q), y, edge) for q in nexts]
+            elif nexts:  # an edge is dropped
+                pruned = True
+        return edges, pruned
+
+    return successors
+
+
+@st.composite
+def repeating_rules(draw):
+    """A rule whose rhs holds its lhs, so that two rewrites may be one form."""
+    lhs = draw(st.sampled_from((S, A)))
+    rhs = draw(st.lists(symbols, max_size=2))
+    rhs.insert(draw(st.integers(min_value=0, max_value=len(rhs))), lhs)
+    return Rule(lhs, tuple(rhs))
+
+
+@st.composite
+def programmed_steps(draw):
+    """A programmed grammar, a form over its symbols and a cap from 1 to
+    past the form's length."""
+    pg = draw(programmed_grammars(st.one_of(any_rules, repeating_rules())))
+    form = tuple(draw(st.lists(symbols, max_size=5)))
+    return pg, form, draw(st.integers(min_value=1, max_value=len(form) + 3))
+
+
+def step_grammar(rule, success, failure):
+    """Label p with `rule` and the fields given, and label q with A -> a.
+    Built without `validate`, so a rule with a terminal lhs passes."""
+    return ProgrammedGrammar(
+        nonterminals=frozenset({S, A}),
+        terminals=frozenset({a}),
+        axiom=S,
+        labels=("p", "q"),
+        rule_of={"p": rule, "q": Rule(A, (a,))},
+        success={"p": success, "q": {"p"}},
+        failure={"p": failure, "q": set()},
+        lambda_free=bool(rule.rhs),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+# S -> S S on S S: two occurrences give one rewrite
+@example((step_grammar(Rule(S, (S, S)), {"p", "q"}, set()), (S, S), 3))
+# a cap that cuts every rewrite: pruned with a success field, not without
+@example((step_grammar(Rule(S, (a, S, a)), {"q"}, {"p"}), (S, a), 3))
+@example((step_grammar(Rule(S, (a, S, a)), set(), {"p"}), (S, a), 3))
+# appearance checking with an empty failure field, below and above the cap
+@example((step_grammar(Rule(A, (a,)), {"p"}, set()), (S, a), 2))
+@example((step_grammar(Rule(A, (a,)), {"p"}, set()), (S, a), 1))
+# appearance checking above the cap with a failure field
+@example((step_grammar(Rule(A, (a,)), {"p"}, {"p", "q"}), (S, a), 1))
+# an erasing rule
+@example((step_grammar(Rule(S, ()), {"p", "q"}, {"q"}), (a, S, S), 3))
+# a rule with a terminal lhs never applies
+@example((step_grammar(Rule(a, (S,)), {"p"}, {"q"}), (a, S), 3))
+@given(programmed_steps())
+def test_programmed_step_matches_rule_table_step(case):
+    pg, form, cap = case
+    code, space, _ = _compile(pg, None)
+    successors = space(cap)[1]
+    reference = reference_programmed_step(code, pg, cap)
+    x = code.encode(form)
+    for label in pg.labels:
+        got, want = successors((x, label)), reference((x, label))
+        assert got == want and repr(got) == repr(want)
 
 
 erasing_components = st.lists(any_rules, min_size=1, max_size=3).map(tuple)
