@@ -46,7 +46,9 @@ share them, whatever their lengths, unless the form cap cut one; then
 forms with the same cap on the skeleton do.  Witnesses are filled for
 traces alone.  The index search, which meets a form at many step counts
 and in many states, rewrites a (component, form) once and counts a
-form's nonterminals once per search.  `validate_trace` tests each CD step
+form's nonterminals once per search; for one word of a λ-free grammar it
+expands only the forms no longer than the word whose terminal ends agree
+with it, each tested once.  `validate_trace` tests each CD step
 with `_is_rewrite`, and each programmed step against its label's rule,
 rather than building every rewrite of the previous form.  The traces of
 one enumeration share the segment of each turn, and a compile's CD trace
@@ -201,6 +203,9 @@ class _Encoding:
     gives a form's nonterminal count (``cost``) and the terminal-form test.
     """
 
+    # set by `_compile`: the grammar is declared λ-free and no rule erases
+    lambda_free = False
+
     def __init__(self, symbols):
         symbols = set(symbols)
         nonterminals = sorted(s for s in symbols if not s.is_terminal())
@@ -208,11 +213,12 @@ class _Encoding:
         self.char = char = {s: chr(i) for i, s in enumerate(ordered)}
         self.symbol = dict(zip(char.values(), ordered))
         self.nonterminal = _char_class(map(char.get, nonterminals))
+        # the terminal characters, which `_goal_cost` strips off a form's ends
+        self.terminals = "".join(map(char.get, ordered[len(nonterminals) :]))
         # for `_turns`: a form split at its maximal terminal runs, which
         # land at the odd positions, and two characters outside the
         # encoding, the mark that stands for a run and a separator
-        runs = _char_class(char[s] for s in ordered[len(nonterminals) :]).pattern
-        self.split_runs = re.compile("(%s+)" % runs).split
+        self.split_runs = re.compile("(%s+)" % _char_class(self.terminals).pattern).split
         self.mark, self.sep = chr(len(ordered)), chr(len(ordered) + 1)
         # bound once, as the searches call them on every edge
         find_nonterminals = self.nonterminal.findall
@@ -355,6 +361,9 @@ def _path(rows, i: int, field: int) -> list:
     return out
 
 
+_DEAD = math.inf  # the cost of a form that cannot derive the target word
+
+
 def _minimax(starts, successors, form_of, cost_of, target=None):
     """Least cost of each reachable form, and whether a branch was pruned.
 
@@ -369,7 +378,9 @@ def _minimax(starts, successors, form_of, cost_of, target=None):
     search records only the target and returns when it is popped, so an
     unreached target has no entry; without, it runs to exhaustion and
     prices every form between turns.  Many states share a form, so a
-    form's ``cost_of`` is computed once per search and kept.
+    form's ``cost_of`` is computed once per search and kept.  A
+    ``cost_of`` of `_DEAD` says that the form cannot derive the target:
+    a state with that form is never pushed.
     """
     costs = {}
     counts = {}  # form -> cost_of(form)
@@ -379,7 +390,8 @@ def _minimax(starts, successors, form_of, cost_of, target=None):
         seen.add(state)
         if form not in counts:
             counts[form] = cost_of(form)
-        _push(buckets, counts[form], state)
+        if counts[form] < _DEAD:
+            _push(buckets, counts[form], state)
     pruned = False
     for cost, bucket in enumerate(buckets):  # the walk sees buckets appended later
         for state in bucket:  # and states appended to the bucket it walks
@@ -398,9 +410,25 @@ def _minimax(starts, successors, form_of, cost_of, target=None):
                         ncost = counts[form] = cost_of(form)
                     if ncost <= cost:
                         bucket.append(nxt)
-                    else:
+                    elif ncost < _DEAD:
                         _push(buckets, ncost, nxt)
     return costs, pruned
+
+
+def _goal_cost(code: _Encoding, target: str):
+    """``code.cost`` for the search for `target`, but `_DEAD` on a form whose
+    terminal prefix (before its first nonterminal) is not a prefix of
+    `target`, or whose terminal suffix (after its last) is not a suffix of
+    it.  No rule rewrites a terminal, so every form derived from that form
+    keeps both ends, and so does every word."""
+    terminals, cost = code.terminals, code.cost
+
+    def cost_of(form: str):
+        head = form[: len(form) - len(form.lstrip(terminals))]
+        tail = form[len(form.rstrip(terminals)) :]
+        return cost(form) if target.startswith(head) and target.endswith(tail) else _DEAD
+
+    return cost_of
 
 
 def _push(buckets, cost: int, state) -> None:
@@ -474,8 +502,9 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
             modes = grammar.modes
         else:
             raise TypeError("not a grammar: %r" % (grammar,))
-        rules = chain.from_iterable(grammar.components)
+        rules = list(chain.from_iterable(grammar.components))
     code = _local_encoding((grammar.nonterminals, grammar.terminals, (grammar.axiom,), *forms), rules)
+    code.lambda_free = grammar.lambda_free and all(rule.rhs for rule in rules)
     start = code.encode((grammar.axiom,))
     if modes is None:
         labels = {p: _label(code, grammar.rule_of[p], grammar.success[p], grammar.failure[p]) for p in grammar.labels}
@@ -960,6 +989,14 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
     does not prove the word lies outside the language.  The result is
     flagged as truncated when the grammar can erase and a branch was pruned
     by form length, since that branch might have derived the word.
+
+    When the grammar is declared λ-free and no rule erases, the search is
+    directed at the word, and both cuts are exact: forms are capped at the
+    word's length, as a form never shrinks, and a form whose terminal ends
+    disagree with the word is dead (`_goal_cost`), as no rule rewrites a
+    terminal.  So the bounds cost nothing there beyond the word's length,
+    and the result is never truncated.  Otherwise every form within
+    ``max_form_len`` is searched.
     """
     if len(word) > bounds.max_word_len:
         raise ValueError("word longer than max_word_len")
@@ -972,6 +1009,9 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
     except KeyError as e:
         raise ValueError("unknown terminal %s" % e)
     target = code.encode(symbols)
-    starts, successors, form_of, _ = space(bounds.max_form_len)
-    costs, pruned = _minimax(starts, successors, form_of, code.cost, target)
+    cap, cost_of = bounds.max_form_len, code.cost
+    if code.lambda_free:  # forms never shrink and keep their terminal ends
+        cap, cost_of = len(target), _goal_cost(code, target)
+    starts, successors, form_of, _ = space(cap)
+    costs, pruned = _minimax(starts, successors, form_of, cost_of, target)
     return WordIndexResult(costs.get(target), pruned and not grammar.lambda_free)

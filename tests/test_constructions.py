@@ -129,6 +129,18 @@ class TestCfIndexkToCd2:
         assert words_of(g, t_and(exactly(2)), 8) == oracle
         assert words_of(g, t_and(at_most(2)), 8) == oracle
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect (ROADMAP item 12): every round rewrites all "
+        "nonterminals at once, so b b b b, of index 3, needs B B B B in one "
+        "round; the system gives a a, a b b and b b a only",
+    )
+    @pytest.mark.parametrize("mode", [t_and(exactly(3)), t_and(at_most(3))], ids=mode_text)
+    def test_keeps_every_word_of_index_k(self, mode):
+        rules = (Rule(S, (A, A)), Rule(A, (B, B)), Rule(A, (a,)), Rule(B, (b,)))
+        src = C.IndexedCfGrammar(frozenset({S, A, B}), frozenset({a, b}), S, rules, 3)
+        assert words_of(C.cf_indexk_to_cd2(src), mode, 6) == cf_bounded(rules, S, 6)
+
     def test_requires_every_nonterminal_productive_lhs(self):
         with pytest.raises(ValueError):
             C.IndexedCfGrammar(

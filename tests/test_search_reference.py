@@ -49,6 +49,15 @@ own, must each get the forms of every live component's own `_turn`, in
 component order, the witnesses filled from the edge labels, and the OR of
 the components' pruned flags.
 
+The reference for `word_index` on a λ-free grammar, which caps forms at
+its word's length and never pushes a form whose terminal ends disagree
+with the word, is the search of every form within the form cap: on random
+CD, hybrid and programmed grammars over the terminals a and b (over a
+alone the end test never bites), erasing ones among them, every word up to
+length 4 must get its index and truncation flag.  On a λ-free grammar the
+search must expand the same states under a larger cap, and only forms that
+fit the word; otherwise it must expand the states of the uncut search.
+
 Criteria 2 and 6 of the acceptance suite are also checked here on the
 random systems, not only on the named examples.
 """
@@ -57,7 +66,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import replace
-from itertools import count
+from itertools import count, product, takewhile
 from unittest.mock import patch
 
 import pytest
@@ -1194,3 +1203,105 @@ def test_remembered_segments_change_no_verdict(case):
     for traces in (first, second):
         for trace in traces:
             assert validate_trace(g, trace, mode) == expected[id(trace)]
+
+
+TWO_LETTER = (S, A, a, b)
+GOAL_BOUNDS = Bounds(4, 5)
+TWO_LETTER_WORDS = [w for n in range(1, 5) for w in product("ab", repeat=n)]
+
+
+@st.composite
+def two_letter_grammars(draw):
+    """A CD system with its mode, a hybrid system or a programmed grammar
+    over the terminals a and b.  About 30% may erase, and half of those are
+    still declared λ-free, as an unvalidated grammar may be."""
+    erasing = draw(st.integers(min_value=0, max_value=9)) < 3
+    rhss = st.lists(st.sampled_from(TWO_LETTER), min_size=0 if erasing else 1, max_size=3)
+    rules = st.builds(Rule, st.sampled_from((S, A)), rhss.map(tuple))
+    fixed = dict(
+        nonterminals=frozenset({S, A}),
+        terminals=frozenset({a, b}),
+        axiom=S,
+        lambda_free=not erasing or draw(st.booleans()),
+    )
+    kind = draw(st.sampled_from(("cd", "hybrid", "programmed")))
+    if kind == "programmed":
+        labels = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
+        fields = st.frozensets(st.sampled_from(labels))
+        return ProgrammedGrammar(
+            labels=tuple(labels),
+            rule_of={p: draw(rules) for p in labels},
+            success={p: draw(fields) for p in labels},
+            failure={p: draw(fields) for p in labels},
+            **fixed,
+        ), None
+    comps = tuple(draw(st.lists(st.lists(rules, min_size=1, max_size=3).map(tuple), min_size=1, max_size=2)))
+    if kind == "hybrid":
+        return HcdSystem(components=comps, modes=tuple(draw(modes) for _ in comps), **fixed), None
+    return CdSystem(components=comps, **fixed), draw(modes)
+
+
+def uncut_word_index(grammar, word, bounds, mode=None):
+    """`word_index` by the search of every form within the form cap, and
+    the states it expanded, in order."""
+    code, space, _ = _compile(grammar, mode)
+    starts, successors, form_of, _ = space(bounds.max_form_len)
+    target = code.encode(map(terminal, word))
+    log = []
+    costs, pruned = _minimax(starts, logged(successors, log), form_of, code.cost, target)
+    return WordIndexResult(costs.get(target), pruned and not grammar.lambda_free), log
+
+
+def index_search(grammar, word, bounds, mode=None):
+    """`word_index`, and the states its search expanded, in order."""
+    log, real = [], engine._minimax
+
+    def spy(starts, successors, *rest):
+        return real(starts, logged(successors, log), *rest)
+
+    with patch.object(engine, "_minimax", spy):
+        return word_index(grammar, word, bounds, mode=mode), log
+
+
+def fits(form, word) -> bool:
+    """Whether `form` is no longer than `word`, the terminals before its
+    first nonterminal start `word`, and those after its last end it."""
+    names = [s.name if s.is_terminal() else None for s in form]
+    head = list(takewhile(lambda name: name is not None, names))
+    tail = list(takewhile(lambda name: name is not None, reversed(names)))
+    return len(form) <= len(word) and head == list(word[: len(head)]) and tail == list(reversed(word))[: len(tail)]
+
+
+@settings(max_examples=300, deadline=None)
+@example((cf3_cd2(), t_and(exactly(3))))  # of a+ b+, so b a is no member
+@given(two_letter_grammars())
+def test_goal_directed_index_matches_uncut_search(case):
+    g, mode = case
+    code = _compiled(g, mode)[0]
+    decode = code.decoder()
+    wider = Bounds(GOAL_BOUNDS.max_word_len, GOAL_BOUNDS.max_form_len + 3)
+    for word in TWO_LETTER_WORDS:
+        got, log = index_search(g, word, GOAL_BOUNDS, mode)
+        ref, ref_log = uncut_word_index(g, word, GOAL_BOUNDS, mode)
+        assert got == ref
+        if code.lambda_free:  # the search reads no cap and expands only forms that fit
+            assert index_search(g, word, wider, mode)[1] == log
+            assert all(fits(decode(state[0]), word) for state in log)
+        else:  # it is the uncut search
+            assert log == ref_log
+
+
+def test_index_search_cost_does_not_grow_with_max_len():
+    g, mode = cf3_cd2(), t_and(exactly(3))
+    for word, index in [(("b", "a"), None), (tuple("aabbb"), 2)]:
+        runs = [index_search(g, word, Bounds.for_words(n), mode) for n in (5, 8, 14, 40)]
+        assert runs[0][0] == WordIndexResult(index)
+        assert all(run == runs[0] for run in runs)
+    # not declared λ-free, or with a rule that erases, a search expands the
+    # states that the uncut search expands
+    erasing = replace(g, components=(g.components[0] + (Rule(A, ()),), g.components[1]))
+    for grammar in [replace(g, lambda_free=False), erasing, replace(erasing, lambda_free=False)]:
+        for word in [("b", "a"), tuple("aabbb")]:
+            assert index_search(grammar, word, Bounds.for_words(8), mode) == uncut_word_index(
+                grammar, word, Bounds.for_words(8), mode
+            )
