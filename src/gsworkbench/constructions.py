@@ -9,6 +9,7 @@ suffixing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -24,6 +25,7 @@ from .model import (
     at_most,
     exactly,
     is_in_mode_set_d,
+    mode_window,
     nonterminal,
     t_and,
     terminal,
@@ -535,16 +537,13 @@ NSF_DEPTH = 16
 
 
 def _fi_parameter(target: Mode) -> Optional[int]:
-    """Step parameter of a mode from the finite-index-compatible set.
-
-    Returns None for the bare t-mode (no parameter to match).
-    """
-    if target.kind == "t":
-        return None
-    if target.kind in ("eq", "ge"):
-        return target.k
-    if target.kind == "and" and is_in_mode_set_d(target):
-        return target.left.k if target.left.kind == "ge" else target.right.k
+    """Step parameter of a mode from the finite-index-compatible set: a
+    mode of D whose step window has a positive ``lo`` or sets ``t``.  It is
+    ``lo``, else the finite ``hi``, else None for the bare t-mode."""
+    if is_in_mode_set_d(target):
+        lo, hi, t = mode_window(target)
+        if lo or t:
+            return lo or (hi if hi < math.inf else None)
     raise ValueError("mode %r is not usable for the NSF simulation" % (target,))
 
 

@@ -49,18 +49,17 @@ and in many states, rewrites a (component, form) once and counts a
 form's nonterminals once per search; for one word of a λ-free grammar it
 expands only the forms no longer than the word whose terminal ends agree
 with it, each tested once.  `validate_trace` tests each CD step
-with `_is_rewrite`, and each programmed step against its label's rule,
-rather than building every rewrite of the previous form.  The traces of
-one enumeration share the segment of each turn, and a compile's CD trace
-check remembers each segment that passed, with the form it passed from,
-while the segment lives: each shared segment is checked once.
+with `_is_rewrite`, rather than building every rewrite of the previous
+form, and each programmed step against the edges of its state in the
+uncapped programmed space.  The traces of one enumeration share the
+segment of each turn, and a CD segment that passed keeps its verdict, so
+each shared segment is checked once by a compile.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -153,11 +152,16 @@ class TraceSegment:
     ``forms`` holds the form after each inner rule application.  For
     programmed grammars a segment is a single step; ``appearance_checking``
     marks failure-field steps, whose single form equals the previous one.
+    A CD segment that passed the trace check keeps its verdict in the
+    instance attribute ``_passed`` (`_turn_violations`).
     """
 
     actor: object  # component index (int, 1-based) or label (str)
     forms: Tuple[Form, ...]
     appearance_checking: bool = False
+
+    def __getstate__(self):  # pickle the fields, not the kept verdict
+        return {k: v for k, v in self.__dict__.items() if k != "_passed"}
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ class _Encoding:
     gives a form's nonterminal count (``cost``) and the terminal-form test.
     """
 
-    # set by `_compile`: the grammar is declared λ-free and no rule erases
+    # set by `_compile`: no rule of the grammar erases
     lambda_free = False
 
     def __init__(self, symbols):
@@ -483,7 +487,8 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     the symbols of `forms`.  ``space(max_form_len)`` is the grammar's search
     space over encoded forms of at most `max_form_len` symbols, from
     `_programmed_space` or `_hybrid_space`.  ``violations(trace)`` lists
-    the steps of `trace` that the grammar does not allow.  Both read one
+    the steps of `trace` that the grammar does not allow; a programmed
+    step is an edge of the space without a form cap.  Both read one
     compile of each programmed label (`_label`: its rule's lhs and rhs and
     its sorted fields) or of each CD component (`_component`).
 
@@ -504,13 +509,14 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
             raise TypeError("not a grammar: %r" % (grammar,))
         rules = list(chain.from_iterable(grammar.components))
     code = _local_encoding((grammar.nonterminals, grammar.terminals, (grammar.axiom,), *forms), rules)
-    code.lambda_free = grammar.lambda_free and all(rule.rhs for rule in rules)
+    code.lambda_free = all(rule.rhs for rule in rules)
     start = code.encode((grammar.axiom,))
     if modes is None:
         labels = {p: _label(code, grammar.rule_of[p], grammar.success[p], grammar.failure[p]) for p in grammar.labels}
-        return code, partial(_programmed_space, labels, start), partial(_programmed_violations, code, labels)
+        space = partial(_programmed_space, labels, start)
+        return code, space, partial(_programmed_violations, code, labels, space(math.inf)[1])
     components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
-    return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components, {})
+    return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components)
 
 
 # The compiles of the last few grammar objects and modes, so that the
@@ -794,9 +800,9 @@ class EnumerationResult:
 def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with_traces: bool = False) -> EnumerationResult:
     """Bounded language of any grammar kind (mode required for CdSystem).
 
-    Form-length pruning flags the language as truncated only when the
-    grammar can erase; otherwise a pruned form can never shrink back to a
-    word within the bound.
+    Form-length pruning flags the language as truncated only when some
+    rule erases, whatever the grammar's ``lambda_free`` flag claims;
+    otherwise a pruned form can never shrink back to a word within the bound.
     """
     code, space, _ = _compiled(grammar, mode)
     starts, _, _, turns = space(bounds.max_form_len)
@@ -805,7 +811,7 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     for i, (_, form, _, _) in enumerate(rows):
         if code.is_word(form):
             word_rows.setdefault(code.word(form), i)
-    language = make_language(word_rows, bounds, pruned and not grammar.lambda_free)
+    language = make_language(word_rows, bounds, pruned and not code.lambda_free)
     result = EnumerationResult(language)
     if with_traces:
         start: Form = (grammar.axiom,)
@@ -853,26 +859,24 @@ def validate_trace(grammar, trace: DerivationTrace, mode: Optional[Mode] = None)
     return problems
 
 
-def _turn_violations(code: _Encoding, components, passed, trace: DerivationTrace) -> list:
+def _turn_violations(code: _Encoding, components, trace: DerivationTrace) -> list:
     """The problems of a CD/HCD trace, segment by segment.
 
-    `passed` belongs to one compile.  It maps the id of each segment that
-    passed, from some form, to a weak reference to the segment, that form,
-    the form the segment ends on, and its actor and forms.  A segment met
-    again from the same form is then not checked again.  An entry is popped
-    when its segment dies, before the id can name another object.  Only a
-    segment whose forms are a tuple of tuples is kept, as a list could
-    change after it passed; and a hit compares the actor and forms by
-    identity, as a frozen dataclass can still be changed through
-    ``object.__setattr__``.  A segment that failed is checked every time.
-    When the last entry is popped, `passed` gives its grown table back.
+    A segment that passes keeps its verdict under ``_passed``: this
+    compile's `components`, the form it passed from, the form it ends on,
+    and its actor and forms.  A segment met again by this compile from the
+    same form is then not checked again.  Only a segment whose forms are a
+    tuple of tuples keeps one, as a list could change after it passed; and
+    a hit compares the actor and forms by identity, as a frozen dataclass
+    can still be changed through ``object.__setattr__``.  A segment that
+    failed is checked every time.
     """
     problems = []
     current = code.encode(trace.start)
     for n, seg in enumerate(trace.segments):
         actor, seg_forms = seg.actor, seg.forms
-        hit = passed.get(id(seg))
-        if hit is not None and hit[0]() is seg and hit[1] == current and hit[3] is actor and hit[4] is seg_forms:
+        hit = getattr(seg, "_passed", None)
+        if hit is not None and hit[0] is components and hit[1] == current and hit[3] is actor and hit[4] is seg_forms:
             current = hit[2]
             continue
         # type, not isinstance: a bool is an int, but no component index
@@ -900,24 +904,15 @@ def _turn_violations(code: _Encoding, components, passed, trace: DerivationTrace
                     % (n, actor, len(seg_forms))
                 )
             elif type(seg_forms) is tuple and all(type(f) is tuple for f in seg_forms):
-                key = id(seg)
-                passed[key] = weakref.ref(seg, partial(_forget, passed, key)), current, final, actor, seg_forms
+                object.__setattr__(seg, "_passed", (components, current, final, actor, seg_forms))
             current = final
     return problems
 
 
-def _forget(passed, key, _) -> None:
-    """Pop `key` from `passed`, and drop its table once it is empty: a dict
-    never shrinks on ``pop``, but ``clear`` frees its table."""
-    passed.pop(key, None)
-    if not passed:
-        passed.clear()
-
-
-def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> list:
-    # each segment must be a step that _programmed_space offers at its
-    # label, leading to the next segment's label: a rewrite when the
-    # label's rule applies, the unchanged form when it does not
+def _programmed_violations(code: _Encoding, labels, step, trace: DerivationTrace) -> list:
+    # each segment must be an edge that `step`, the successor function of
+    # the uncapped programmed space, offers from (current form, its label),
+    # leading to the next segment's label
     problems = []
     current = code.encode(trace.start)
     actors = [seg.actor for seg in trace.segments]
@@ -929,16 +924,11 @@ def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> l
             problems.append("segment %d: programmed steps are single steps" % n)
             continue
         nxt = actors[n + 1 : n + 2]  # the next label, if any
-        lhs, rhs, success, failure = labels[seg.actor]
-        ac = lhs not in current
-        nexts = failure if ac else success
         form = code.encode(seg.forms[0])
-        if not (
-            (nxt[0] in nexts if nxt else nexts)
-            and ac == seg.appearance_checking
-            and (form == current if ac else any(
-                form == current[:i] + rhs + current[i + 1 :] for i, c in enumerate(current) if c == lhs
-            ))
+        edges, _ = step((current, seg.actor))
+        if not any(
+            y == form and ac == seg.appearance_checking and (not nxt or q == nxt[0])
+            for (y, q), _, (_, _, _, ac) in edges
         ):
             problems.append(
                 "segment %d: not a %s step at label %r%s"
@@ -978,7 +968,7 @@ def indexed_language(
     starts, successors, form_of, _ = space(bounds.max_form_len)
     costs, pruned = _minimax(starts, successors, form_of, code.cost)
     indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
-    language = make_language(indices, bounds, pruned and not grammar.lambda_free)
+    language = make_language(indices, bounds, pruned and not code.lambda_free)
     return language, {word: indices[word] for word in language.words}
 
 
@@ -987,16 +977,15 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
 
     A ``None`` index means no derivation was found within the bounds; it
     does not prove the word lies outside the language.  The result is
-    flagged as truncated when the grammar can erase and a branch was pruned
-    by form length, since that branch might have derived the word.
+    flagged as truncated when some rule erases and a branch was pruned by
+    form length, since that branch might have derived the word.
 
-    When the grammar is declared λ-free and no rule erases, the search is
-    directed at the word, and both cuts are exact: forms are capped at the
-    word's length, as a form never shrinks, and a form whose terminal ends
-    disagree with the word is dead (`_goal_cost`), as no rule rewrites a
-    terminal.  So the bounds cost nothing there beyond the word's length,
-    and the result is never truncated.  Otherwise every form within
-    ``max_form_len`` is searched.
+    When no rule erases, the search is directed at the word, and both cuts
+    are exact: forms are capped at the word's length, as a form never
+    shrinks, and a form whose terminal ends disagree with the word is dead
+    (`_goal_cost`), as no rule rewrites a terminal.  So the bounds cost
+    nothing there beyond the word's length, and the result is never
+    truncated.  Otherwise every form within ``max_form_len`` is searched.
     """
     if len(word) > bounds.max_word_len:
         raise ValueError("word longer than max_word_len")
@@ -1014,4 +1003,4 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
         cap, cost_of = len(target), _goal_cost(code, target)
     starts, successors, form_of, _ = space(cap)
     costs, pruned = _minimax(starts, successors, form_of, cost_of, target)
-    return WordIndexResult(costs.get(target), pruned and not grammar.lambda_free)
+    return WordIndexResult(costs.get(target), pruned and not code.lambda_free)

@@ -317,6 +317,18 @@ class TestIndex:
         assert main(argv) == 0
         assert capsys.readouterr() == ("1\n", "")
 
+    def test_a_file_without_the_lambda_free_flag_whose_rules_never_erase_is_exact(self, tmp_path, capsys):
+        path = tmp_path / "aplus.gsw"
+        path.write_text(
+            "grammar aplus cdgs\nnonterminals S\nterminals a\naxiom S\n"
+            "mode t\ncomponent\n  S -> a S\n  S -> a\n",
+            encoding="utf-8",
+        )
+        assert main(["enumerate", str(path), "--max-len", "3", "--strict"]) == 0
+        assert capsys.readouterr() == ("a\na a\na a a\n", "")
+        assert main(["index", str(path), "--word", "aaa", "--max-len", "3", "--strict"]) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
     def test_empty_programmed_rhs_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "empty.gsw"
         path.write_text(

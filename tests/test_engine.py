@@ -1,6 +1,7 @@
+import copy
 import gc
 import pickle
-import sys
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -11,7 +12,9 @@ from gsworkbench.engine import (
     Bounds,
     DerivationTrace,
     TraceSegment,
+    WordIndexResult,
     enumerate_grammar,
+    indexed_language,
     make_language,
     mode_predicate,
     mode_step,
@@ -169,6 +172,23 @@ class TestEnumeration:
         lang = enumerate_grammar(g, Bounds(6, 6), mode=STAR).language
         assert not lang.truncated
 
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_truncation_comes_from_the_rules_not_the_flag(self, declared):
+        # S -> a S | a never erases: a cut form never shrinks back to a word
+        exact = cd([[Rule(S, (a, S)), Rule(S, (a,))]], nts=(S,), ts=(a,), lambda_free=declared)
+        bounds = Bounds.for_words(3)
+        lang = enumerate_grammar(exact, bounds, mode=T_MODE).language
+        assert (lang.words, lang.truncated) == ((("a",), ("a", "a"), ("a", "a", "a")), False)
+        assert indexed_language(exact, bounds, T_MODE) == (lang, {w: 1 for w in lang.words})
+        assert word_index(exact, ("a",) * 3, bounds, T_MODE) == WordIndexResult(1, False)
+        # S => a A A => a A => a: the cut a A A might have shrunk back to a word
+        erasing = cd([[Rule(S, (a, A, A)), Rule(A, ())]], nts=(S, A), ts=(a,), lambda_free=declared)
+        bounds = Bounds(1, 2)
+        lang = enumerate_grammar(erasing, bounds, mode=T_MODE).language
+        assert (lang.words, lang.truncated) == ((), True)
+        assert indexed_language(erasing, bounds, T_MODE) == (lang, {})
+        assert word_index(erasing, ("a",), bounds, T_MODE) == WordIndexResult(None, True)
+
     def test_degenerate_hcd_star(self):
         g = HcdSystem(
             nonterminals=frozenset({S}),
@@ -292,6 +312,17 @@ class TestTraces:
         bad = replace(trace, segments=tuple(segs))
         assert validate_trace(pg_abc, bad) != []
 
+    def test_a_programmed_step_must_go_on_to_a_label_of_its_field(self, pg_abc):
+        # each step rewrites as its label says, but p4 goes on only to p5,
+        # and p6 only to p6
+        C, c = nonterminal("C"), terminal("c")
+        forms = [(A, B, C), (a, B, C), (a, B, c), (a, b, c)]
+        trace = DerivationTrace((S,), tuple(TraceSegment(p, (f,)) for p, f in zip(["p0", "p4", "p6", "p5"], forms)))
+        assert validate_trace(pg_abc, trace) == [
+            "segment 1: not a rewriting step at label 'p4' on to label 'p6'",
+            "segment 2: not a rewriting step at label 'p6' on to label 'p5'",
+        ]
+
     @pytest.mark.parametrize("cut", ["off-axiom start", "unfinished"])
     def test_trace_must_run_from_axiom_to_word(self, cut):
         g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
@@ -350,8 +381,8 @@ class TestTraces:
 
 
 class TestPassedSegments:
-    """A CD trace check remembers each segment that passed, with the form
-    it passed from, while the segment lives.  No verdict changes."""
+    """A CD segment that passed keeps its verdict, with the form it passed
+    from and the compile that passed it.  No verdict changes."""
 
     @staticmethod
     def system():
@@ -362,17 +393,26 @@ class TestPassedSegments:
     def traces(g):
         return enumerate_grammar(g, Bounds(2, 2), mode=T_MODE, with_traces=True).traces
 
-    @staticmethod
-    def passed(g):
-        # the memo of the compile that validate_trace reads
-        return engine._compiled(g, T_MODE)[2].args[-1]
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The one-step tests the trace checks make."""
+        calls, is_rewrite = [], engine._is_rewrite
 
-    def test_a_passed_segment_is_checked_again_from_another_form(self):
+        def counted(*args):
+            calls.append(args)
+            return is_rewrite(*args)
+
+        monkeypatch.setattr(engine, "_is_rewrite", counted)
+        return calls
+
+    def test_a_passed_segment_is_checked_again_from_another_form(self, checks):
         g = self.system()
         trace = self.traces(g)[("a", "b")]
         first, second = trace.segments
         assert validate_trace(g, trace, T_MODE) == []
-        assert id(first) in self.passed(g) and id(second) in self.passed(g)
+        assert len(checks) == 3
+        del checks[:]
+        assert validate_trace(g, trace, T_MODE) == [] and checks == []
         # S => A A passed from S; from A A, component 1 has no S to rewrite
         again = replace(trace, segments=(first, first, second))
         assert validate_trace(g, again, T_MODE) == ["segment 1: form not reachable in one step of component 1"]
@@ -402,18 +442,56 @@ class TestPassedSegments:
             "segment 1: form not reachable in one step of component 2",
         ]
 
-    def test_the_memo_lives_as_long_as_its_segments(self):
+    def test_a_segment_is_checked_again_by_another_compile(self, checks):
+        g = self.system()
+        trace = self.traces(g)[("a", "b")]
+        assert validate_trace(g, trace, T_MODE) == []
+        # A A => a A => a b is no turn of component 2 in a system whose
+        # component 2 has no rule for A
+        other = cd([[Rule(S, (A, A))], [Rule(B, (a,))]])
+        assert validate_trace(other, trace, T_MODE) == [
+            "segment 1: form not reachable in one step of component 2"
+        ]
+        # S => A A is one step, not two
+        assert validate_trace(g, trace, t_and(exactly(2))) == [
+            "segment 0: mode predicate fails for component 1 after 1 steps"
+        ]
+        # a value-equal grammar is compiled again
+        del checks[:]
+        assert validate_trace(replace(g), trace, T_MODE) == []
+        assert len(checks) == 3
+        # so is the grammar of a trace with a symbol outside it, under
+        # another encoding: the passed segments are checked again there
+        assert validate_trace(g, trace, T_MODE) == []
+        del checks[:]
+        longer = replace(trace, segments=trace.segments + (TraceSegment(2, ((a, terminal("c")),)),))
+        assert validate_trace(g, longer, T_MODE) == [
+            "segment 2: form not reachable in one step of component 2"
+        ]
+        assert len(checks) == 3 + 1
+
+    def test_a_verdict_lives_as_long_as_its_segment(self):
         g = self.system()
         traces = self.traces(g)
         assert all(validate_trace(g, trace, T_MODE) == [] for trace in traces.values())
-        passed = self.passed(g)
-        # S => A A and one turn of component 2 per word
-        assert len(passed) == len({id(seg) for t in traces.values() for seg in t.segments}) == 5
+        segment = weakref.ref(traces[("a", "b")].segments[0])
         del traces
         gc.collect()
-        assert passed == {}
-        # a dict never shrinks on pop: the last pop also gives its table back
-        assert sys.getsizeof(passed) == sys.getsizeof({})
+        assert segment() is None
+        assert engine._COMPILED[(id(g), T_MODE)][0] is g
+
+    def test_a_copied_segment_carries_no_verdict(self, checks):
+        g = self.system()
+        trace = self.traces(g)[("a", "b")]
+        assert validate_trace(g, trace, T_MODE) == []
+        for seg in trace.segments:
+            fresh = replace(seg)
+            assert pickle.dumps(seg) == pickle.dumps(fresh)
+            assert pickle.loads(pickle.dumps(seg)) == seg == copy.copy(seg)
+        del checks[:]
+        copied = replace(trace, segments=tuple(map(copy.copy, trace.segments)))
+        assert validate_trace(g, copied, T_MODE) == []
+        assert len(checks) == 3
 
     def test_a_failing_trace_gets_the_same_problems_again(self):
         g = self.system()

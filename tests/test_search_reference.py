@@ -37,10 +37,10 @@ pruned flag.
 
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
 membership in the list of all rewrites (`_rewrites`).  The reference for
-`validate_trace` on CD and hybrid traces, whose check remembers the
-segments that passed, is the check of a fresh compile, which remembers
-none: enumerated traces and tampered copies of them, checked in a random
-order and then in another, must get its verdicts.
+`validate_trace` on CD and hybrid traces, whose segments keep the verdict
+of the compile that passed them, is the check of a fresh compile, which
+reads no kept verdict: enumerated traces and tampered copies of them,
+checked in a random order and then in another, must get its verdicts.
 
 The reference for the turns of a state, shared by skeleton (`_turns`), is
 `_turn` on the full form, per component: two forms with one skeleton and
@@ -604,6 +604,14 @@ def reference_turns(successors, form_of):
     return turns
 
 
+def erases(grammar) -> bool:
+    """Whether some rule of `grammar` erases: only then may a form cut for
+    its length have shrunk back to a word, whatever ``lambda_free`` says."""
+    if isinstance(grammar, ProgrammedGrammar):
+        return any(rule.is_erasing() for rule in grammar.rule_of.values())
+    return any(rule.is_erasing() for rules in grammar.components for rule in rules)
+
+
 def reference_enumerate(g, mode, modes, bounds):
     """The bounded language and traces by `reference_turns` of a CD system
     in `mode` or a hybrid system, whose components run in `modes`."""
@@ -616,7 +624,7 @@ def reference_enumerate(g, mode, modes, bounds):
     for i, (_, form, _, _) in enumerate(rows):
         if code.is_word(form):
             word_rows.setdefault(code.word(form), i)
-    language = make_language(word_rows, bounds, pruned and not g.lambda_free)
+    language = make_language(word_rows, bounds, pruned and erases(g))
     decode = code.decoder()
     traces = {}
     for word in language.words:
@@ -783,7 +791,8 @@ def test_word_index_checks_its_word(pg_abc):
     [
         # (S, q), queued before the word at its cost, is cut before a pops
         (Rule(S, (A, A, a)), Rule(A, ()), True),
-        # the cut comes after a pops, from (A A, r) at cost 2
+        # the cut comes after a pops, from (A A, r) at cost 2; the erasing
+        # rule of label e, which never fires, keeps the search uncut
         (Rule(S, (A, A)), Rule(A, (A, A, a)), False),
     ],
     ids=["cut before the pop", "cut after the pop"],
@@ -792,15 +801,16 @@ def test_search_stops_when_the_last_word_is_popped(q_rule, r_rule, truncated):
     # A word costs the same whether taken when pushed or when popped, since
     # its parents pop in cost order; what the pop decides is where the
     # search stops, and so whether it met a cut.  Of the starts (S, p),
-    # (S, q), (S, r), all of cost 1, (S, p) pushes the word a at cost 1.
+    # (S, q), (S, r), (S, e), all of cost 1, (S, p) pushes the word a at
+    # cost 1.
     pg = ProgrammedGrammar(
         nonterminals=frozenset({S, A}),
         terminals=frozenset({a}),
         axiom=S,
-        labels=("p", "q", "r"),
-        rule_of={"p": Rule(S, (a,)), "q": q_rule, "r": r_rule},
-        success={"p": frozenset({"p"}), "q": frozenset({"r"}), "r": frozenset({"r"})},
-        failure={"p": frozenset(), "q": frozenset(), "r": frozenset()},
+        labels=("p", "q", "r", "e"),
+        rule_of={"p": Rule(S, (a,)), "q": q_rule, "r": r_rule, "e": Rule(A, ())},
+        success={"p": frozenset({"p"}), "q": frozenset({"r"}), "r": frozenset({"r"}), "e": frozenset()},
+        failure={"p": frozenset(), "q": frozenset(), "r": frozenset(), "e": frozenset()},
         lambda_free=False,
     )
     bounds = Bounds(1, 2)
@@ -1145,7 +1155,7 @@ def test_the_index_search_rewrites_and_counts_each_form_once(monkeypatch):
 
 
 def fresh_trace_check(grammar, trace, mode):
-    """`validate_trace` on a fresh compile, which remembers no segment."""
+    """`validate_trace` on a fresh compile, which reads no kept verdict."""
     problems = []
     if trace.start != (grammar.axiom,):
         problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
@@ -1249,7 +1259,7 @@ def uncut_word_index(grammar, word, bounds, mode=None):
     target = code.encode(map(terminal, word))
     log = []
     costs, pruned = _minimax(starts, logged(successors, log), form_of, code.cost, target)
-    return WordIndexResult(costs.get(target), pruned and not grammar.lambda_free), log
+    return WordIndexResult(costs.get(target), pruned and erases(grammar)), log
 
 
 def index_search(grammar, word, bounds, mode=None):
@@ -1297,10 +1307,12 @@ def test_index_search_cost_does_not_grow_with_max_len():
         runs = [index_search(g, word, Bounds.for_words(n), mode) for n in (5, 8, 14, 40)]
         assert runs[0][0] == WordIndexResult(index)
         assert all(run == runs[0] for run in runs)
-    # not declared λ-free, or with a rule that erases, a search expands the
+        # the rules decide, not the flag: declared not λ-free, it is the same search
+        assert index_search(replace(g, lambda_free=False), word, Bounds.for_words(40), mode) == runs[0]
+    # with a rule that erases, declared λ-free or not, a search expands the
     # states that the uncut search expands
     erasing = replace(g, components=(g.components[0] + (Rule(A, ()),), g.components[1]))
-    for grammar in [replace(g, lambda_free=False), erasing, replace(erasing, lambda_free=False)]:
+    for grammar in [erasing, replace(erasing, lambda_free=False)]:
         for word in [("b", "a"), tuple("aabbb")]:
             assert index_search(grammar, word, Bounds.for_words(8), mode) == uncut_word_index(
                 grammar, word, Bounds.for_words(8), mode
