@@ -34,16 +34,16 @@ forms it reports.
 
 Each piece of work is done once where it repeats.  `_compile` is the one
 place that tells the grammar kinds apart: it compiles a grammar to its
-encoding, its search space and its trace check.  Every search and
-`validate_trace` read one cache of the compiles of the last few grammar
-objects and modes, so an enumeration and the traces it gives compile their
-grammar once.  A turn builds the rewrites of a form once, however many
-step counts it meets the form at, reads ``t`` off them, and drops them
-when the turn ends; it does not revisit a form above its step window's
-``lo``.  Within one search the turns run once per nonterminal skeleton:
-forms that differ only in their terminal runs, which no rule rewrites,
-share them, whatever their lengths, unless the form cap cut one; then
-forms with the same cap on the skeleton do.  Witnesses are filled for
+encoding, its search space and its trace check.  A grammar object keeps
+its compile per mode, read by every search and `validate_trace`, so an
+enumeration and the traces it gives compile their grammar once.  A turn
+builds the rewrites of a form once, however many step counts it meets the
+form at, reads ``t`` off them, and drops them when the turn ends; it does
+not revisit a form above its step window's ``lo``.  Within one search the
+turns of the components on a nonterminal skeleton run once: forms that
+differ only in their terminal runs, which no rule rewrites, share them,
+whatever their lengths, unless the form cap cut one of them; then they
+all run again for each cap on the skeleton.  Witnesses are filled for
 traces alone.  The index search, which meets a form at many step counts
 and in many states, rewrites a (component, form) once and counts a
 form's nonterminals once per search; for one word of a λ-free grammar it
@@ -519,24 +519,16 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components)
 
 
-# The compiles of the last few grammar objects and modes, so that the
-# searches and trace checks on one grammar compile it once.  An entry holds
-# its grammar, so that the grammar's id is not reused while the entry is
-# cached.  The cache is emptied when full.
-_COMPILED: Dict[tuple, tuple] = {}
-_COMPILED_SIZE = 16
-
-
 def _compiled(grammar, mode: Optional[Mode]) -> tuple:
-    """`_compile(grammar, mode)`, from the cache."""
-    key = id(grammar), mode
-    hit = _COMPILED.get(key)
+    """`_compile(grammar, mode)`, kept on the grammar object in a dict by
+    mode, so that the searches and trace checks on one grammar compile it
+    once.  Copies and pickles of the grammar leave it out."""
+    kept = getattr(grammar, "_compiles", {})
+    hit = kept.get(mode)
     if hit is None:
-        hit = grammar, _compile(grammar, mode)
-        if len(_COMPILED) >= _COMPILED_SIZE:
-            _COMPILED.clear()
-        _COMPILED[key] = hit
-    return hit[1]
+        kept[mode] = hit = _compile(grammar, mode)
+        object.__setattr__(grammar, "_compiles", kept)
+    return hit
 
 
 def _label(code: _Encoding, rule: Rule, success, failure):
@@ -686,15 +678,23 @@ def _turns(memo, components, code: _Encoding, max_form_len, state):
     skeleton (x with one ``code.mark`` per maximal terminal run) under the
     cap less what the marks save, the marks filled by the runs.  Two
     skeleton forms may fill to one (``M a`` and ``a M`` with the run
-    ``a``); x's turn hands back the first.  `memo` keeps `_skeleton_turns`.
+    ``a``); x's turn hands back the first.  `memo` keeps each skeleton's
+    `_skeleton_turns`: whole, under the skeleton, for every cap from its
+    longest row up; cut, under (skeleton, cap), for that cap alone.
     """
     x = state[0]
     pieces = code.split_runs(x)  # the runs at odd positions
     runs = tuple(pieces[1::2])
     skeleton = code.mark.join(pieces[::2])
     cap = max_form_len - len(x) + len(skeleton)
-    kept = memo if runs else {}  # a form without runs shares no turn
-    template, n, groups, pruned, _ = _kept(kept, skeleton, cap, _skeleton_turns, kept, components, code, skeleton, cap)
+    hit = memo.get(skeleton)
+    if hit is None or hit[-1] > cap:
+        hit = memo.get((skeleton, cap))
+        if hit is None:
+            hit = _skeleton_turns(components, code, skeleton, cap)
+            if runs:  # a form without runs shares no turn
+                memo[(skeleton, cap) if hit[-2] else skeleton] = hit
+    template, n, groups, pruned, _ = hit
     filled = iter((template % (runs * n)).split(code.sep))
     edges = []
     for j, witnesses in groups:
@@ -706,41 +706,22 @@ def _turns(memo, components, code: _Encoding, max_form_len, state):
     return edges, pruned
 
 
-def _kept(memo, key, cap, build, *args):
-    """`memo`'s entry for `key` under `cap`, else `build(*args)`, kept.  An
-    entry ends with its cut flag and longest row: whole, it serves every cap
-    from that row up, kept under `key`; cut, its cap alone, under (key, cap)."""
-    hit = memo.get(key)
-    if hit is None or hit[-1] > cap:
-        hit = memo.get((key, cap))
-        if hit is None:
-            hit = build(*args)
-            memo[(key, cap) if hit[-2] else key] = hit
-    return hit
-
-
-def _skeleton_turns(memo, components, code: _Encoding, skeleton: str, cap):
-    """The turns on `skeleton` under `cap` of the components live on it, as
-    ``(template, n, groups, pruned, longest)``, each form a ``%``-template
-    with a ``%s`` per mark: the n handed-back forms joined by ``code.sep``,
-    each component's index and the witness of each form it hands back, and
-    whether some turn was cut and the longest row of any.  Each turn is kept
-    in `memo` under ``(j, skeleton)``: another cap reruns only those it cuts.
+def _skeleton_turns(components, code: _Encoding, skeleton: str, cap):
+    """The `_turn` on `skeleton` under `cap` of each component live on it,
+    as ``(template, n, groups, pruned, longest)``, each form a
+    ``%``-template with a ``%s`` per mark: the n handed-back forms joined
+    by ``code.sep``, each component's index and the witness of each form it
+    hands back, and whether some turn was cut and the longest row of any.
     """
     mark = code.mark
     escape = "%" if mark == "%" else "%%"  # a "%" that is not the mark is a symbol or sep
     fill = lambda form: form.replace("%", escape).replace(mark, "%s")
-
-    def turn(component):
-        handed, cut, longest = _turn(component, skeleton, cap)
-        return [y for y, _ in handed], [tuple(map(fill, witness)) for _, witness in handed], cut, longest
-
     handed, groups, pruned, longest = [], [], False, 0
     for j, component in enumerate(components, 1):
         if component[0][1].search(skeleton) is not None:  # a dead turn hands back the form alone
-            ys, witnesses, cut, row = _kept(memo, (j, skeleton), cap, turn, component)
-            handed += ys
-            groups.append((j, witnesses))
+            turn, cut, row = _turn(component, skeleton, cap)
+            handed += [y for y, _ in turn]
+            groups.append((j, [tuple(map(fill, witness)) for _, witness in turn]))
             pruned, longest = pruned or cut, max(longest, row)
     return fill(code.sep.join(handed)), len(handed), groups, pruned, longest
 

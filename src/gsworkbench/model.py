@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from types import MappingProxyType
 from typing import FrozenSet, Mapping, Optional, Tuple
@@ -244,6 +244,9 @@ class _Grammar:
     def alphabet(self) -> FrozenSet[Symbol]:
         return self.nonterminals | self.terminals
 
+    def __getstate__(self):  # pickle and copy the fields, not the kept compiles
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class _Components(_Grammar):
@@ -299,7 +302,7 @@ class ProgrammedGrammar(_Grammar):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "labels", tuple(self.labels))
-        # read-only mappings: the searches cache a grammar's compile by id
+        # read-only mappings: the searches keep a grammar's compile on it
         object.__setattr__(self, "rule_of", MappingProxyType(dict(self.rule_of)))
         for name in ("success", "failure"):
             fields = {p: frozenset(s) for p, s in getattr(self, name).items()}

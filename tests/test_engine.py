@@ -40,6 +40,8 @@ from gsworkbench.model import (
 )
 from gsworkbench.verifier import nsf_check
 
+from conftest import make_pg_abc
+
 S = nonterminal("S")
 A = nonterminal("A")
 B = nonterminal("B")
@@ -55,6 +57,20 @@ def cd(components, nts=(S, A, B), ts=(a, b), axiom=S, **kw):
         components=tuple(tuple(c) for c in components),
         **kw,
     )
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The arguments of each `_compile` call; they hold the grammar."""
+    calls = []
+    compile_ = engine._compile
+
+    def counted(*args):
+        calls.append(args)
+        return compile_(*args)
+
+    monkeypatch.setattr(engine, "_compile", counted)
+    return calls
 
 
 class TestBounds:
@@ -470,7 +486,7 @@ class TestPassedSegments:
         ]
         assert len(checks) == 3 + 1
 
-    def test_a_verdict_lives_as_long_as_its_segment(self):
+    def test_a_verdict_lives_as_long_as_its_segment(self, compiles):
         g = self.system()
         traces = self.traces(g)
         assert all(validate_trace(g, trace, T_MODE) == [] for trace in traces.values())
@@ -478,7 +494,9 @@ class TestPassedSegments:
         del traces
         gc.collect()
         assert segment() is None
-        assert engine._COMPILED[(id(g), T_MODE)][0] is g
+        # the grammar's compile lives on
+        assert validate_trace(g, self.traces(g)[("a", "b")], T_MODE) == []
+        assert len(compiles) == 1
 
     def test_a_copied_segment_carries_no_verdict(self, checks):
         g = self.system()
@@ -539,21 +557,8 @@ class TestWordIndex:
 
 
 class TestSharedCompile:
-    """The searches and trace checks on one grammar object and mode read one
-    cached compile."""
-
-    @pytest.fixture
-    def compiles(self, monkeypatch):
-        calls = []
-        compile_ = engine._compile
-
-        def counted(*args):
-            calls.append(args)
-            return compile_(*args)
-
-        monkeypatch.setattr(engine, "_compile", counted)
-        monkeypatch.setattr(engine, "_COMPILED", {})
-        return calls
+    """The searches and trace checks on one grammar object and mode share one
+    compile, kept on the object."""
 
     def answers(self, grammar, mode, bounds):
         res = enumerate_grammar(grammar, bounds, mode=mode, with_traces=True)
@@ -579,8 +584,35 @@ class TestSharedCompile:
         assert (self.answers(copy, None, Bounds(9, 9)), nsf_check(copy, 12).lines()) == first
         assert len(compiles) == 2
 
-    def test_the_cache_stays_bounded(self, compiles):
-        for n in range(1, 2 * engine._COMPILED_SIZE):
+    def test_a_grammar_keeps_its_compile_whatever_else_is_searched(self, compiles):
+        g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
+        traces = enumerate_grammar(g, Bounds(8, 8), mode=STAR, with_traces=True).traces
+        for n in range(1, 17):
             enumerate_grammar(cd([[Rule(S, (a,) * n)]]), Bounds(3, 3), mode=STAR)
-            assert len(engine._COMPILED) <= engine._COMPILED_SIZE
-        assert len(compiles) == 2 * engine._COMPILED_SIZE - 1
+        del compiles[:]
+        assert all(validate_trace(g, trace, STAR) == [] for trace in traces.values())
+        assert compiles == []
+
+    def test_a_searched_grammar_is_not_kept_alive(self):
+        g = cd([[Rule(S, (a, S, b)), Rule(S, (a, b))]])
+        assert len(self.answers(g, STAR, Bounds(8, 8))[0]) == 4
+        grammar = weakref.ref(g)
+        del g
+        gc.collect()
+        assert grammar() is None
+
+    @pytest.mark.parametrize("kind", ["cd", "hcd", "programmed"])
+    def test_a_copied_grammar_carries_no_compile(self, compiles, kind):
+        rules = ((Rule(S, (a, S, b)), Rule(S, (a, b))),)
+        grammar, mode, bounds = {
+            "cd": (cd(rules), STAR, Bounds(8, 8)),
+            "hcd": (HcdSystem(frozenset({S}), frozenset({a, b}), S, rules, (t_and(at_most(2)),)), None, Bounds(8, 8)),
+            "programmed": (make_pg_abc(), None, Bounds(9, 9)),
+        }[kind]
+        first = self.answers(grammar, mode, bounds)
+        assert len(compiles) == 1 and len(first[0]) > 0
+        assert pickle.dumps(grammar) == pickle.dumps(replace(grammar))
+        copies = [pickle.loads(pickle.dumps(grammar)), copy.copy(grammar), copy.deepcopy(grammar)]
+        for n, other in enumerate(copies, 2):
+            assert other == grammar and self.answers(other, mode, bounds) == first
+            assert len(compiles) == n

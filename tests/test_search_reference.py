@@ -993,7 +993,8 @@ def skeleton_cases(draw):
 # three components on the skeleton S M: under cap 4 the first, whose
 # longest row a a S M is the entry's, and the second (S => S) are whole,
 # and the third, dead, is left out.  S a a a under cap 5, on the skeleton
-# at cap 3, cuts the first and reuses the second; S a under cap 3 is a hit
+# at cap 3, cuts the first, so both live components run again at that cap;
+# S a under cap 3 is a hit on their entry
 @example(
     (
         (S, a),
