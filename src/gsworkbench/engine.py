@@ -9,8 +9,10 @@ and a CD system's turn-level successors run it per component, through
 `_turns`.  `_bfs`, a breadth-first search with parent pointers,
 walks a space turn by turn for enumeration and traces (a programmed step
 is a one-edge turn).  `_minimax`, a breadth-first search over one bucket
-per cost, walks it state by state for the index of one word, or, run to
-exhaustion, for the bounded language with every word's index.
+per cost, walks it state by state for the index of one word.  Run to
+exhaustion for the bounded language with every word's index, it walks a
+CD system turn by turn (`_turn_walk`), each turn priced by a `_minimax`
+over the states inside it, and a programmed grammar step by step.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -44,11 +46,14 @@ turns of the components on a nonterminal skeleton run once: forms that
 differ only in their terminal runs, which no rule rewrites, share them,
 whatever their lengths, unless the form cap cut one of them; then they
 all run again for each cap on the skeleton.  Witnesses are filled for
-traces alone.  The index search, which meets a form at many step counts
-and in many states, rewrites a (component, form) once and counts a
-form's nonterminals once per search; for one word of a λ-free grammar it
-expands only the forms no longer than the word whose terminal ends agree
-with it, each tested once.  `validate_trace` tests each CD step
+traces alone.  The exhaustive index search shares the turns on a
+skeleton the same way: each is priced once, by the least cost to each form
+it hands back, and a form's turns are walked once.  The index search,
+which meets a form at many step counts and in many states, rewrites a
+(component, form) once per search, under every cap, and counts a form's
+nonterminals once per state-by-state search; for one word of a λ-free
+grammar it expands only the forms no longer than the word whose terminal
+ends agree with it, each tested once.  `validate_trace` tests each CD step
 with `_is_rewrite`, rather than building every rewrite of the previous
 form, and each programmed step against the edges of its state in the
 uncapped programmed space.  The traces of one enumeration share the
@@ -224,6 +229,8 @@ class _Encoding:
         # encoding, the mark that stands for a run and a separator
         self.split_runs = re.compile("(%s+)" % _char_class(self.terminals).pattern).split
         self.mark, self.sep = chr(len(ordered)), chr(len(ordered) + 1)
+        # a "%" that is not the mark is a symbol or sep, escaped in a template
+        self.escape = "%" if self.mark == "%" else "%%"
         # bound once, as the searches call them on every edge
         find_nonterminals = self.nonterminal.findall
         self.cost = lambda code: len(find_nonterminals(code))
@@ -245,6 +252,10 @@ class _Encoding:
             return form
 
         return decode
+
+    def template(self, form: str) -> str:
+        """`form`, which may hold marks, as a ``%``-template with a ``%s`` per mark."""
+        return form.replace("%", self.escape).replace(self.mark, "%s")
 
     def is_word(self, code: str) -> bool:
         return self.nonterminal.search(code) is None
@@ -513,7 +524,7 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     start = code.encode((grammar.axiom,))
     if modes is None:
         labels = {p: _label(code, grammar.rule_of[p], grammar.success[p], grammar.failure[p]) for p in grammar.labels}
-        space = partial(_programmed_space, labels, start)
+        space = partial(_programmed_space, code, labels, start)
         return code, space, partial(_programmed_violations, code, labels, space(math.inf)[1])
     components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
     return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components)
@@ -541,9 +552,9 @@ def _label(code: _Encoding, rule: Rule, success, failure):
     return lhs, code.encode(rule.rhs), sorted(success), sorted(failure)
 
 
-def _programmed_space(labels, start: str, max_form_len):
+def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
     """The search space of a programmed grammar: ``(starts, successors,
-    form_of, turns)``.
+    form_of, turns, walk)``.
 
     `labels` maps each label to its `_label`.  A state is (form, next
     label), and an edge is one derivation step, which is also a whole turn,
@@ -557,7 +568,9 @@ def _programmed_space(labels, start: str, max_form_len):
     A step is one rule, not a rule table: ``str.find`` gives the
     occurrences of its lhs, every rewrite has ``len(form) + len(rhs) - 1``
     symbols, so the form cap is one test per step, and only two or more
-    occurrences, whose rewrites may coincide, need deduplicating.
+    occurrences, whose rewrites may coincide, need deduplicating.  A step
+    is already a whole turn, so the exhaustive index search, ``walk`` (the
+    arguments of `_minimax`), walks these states priced by ``code.cost``.
     """
 
     def successors(state):
@@ -584,20 +597,25 @@ def _programmed_space(labels, start: str, max_form_len):
             edges += [((y, q), y, edge) for q in success]
         return edges, False
 
-    return [((start, r), start) for r in labels], successors, itemgetter(0), successors
+    starts = [((start, r), start) for r in labels]
+    return starts, successors, itemgetter(0), successors, (starts, successors, itemgetter(0), code.cost)
 
 
 def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
     """The search space of a hybrid CD system: ``(starts, successors,
-    form_of, turns)``.
+    form_of, turns, walk)``.
 
     `components` holds the `_component` of each component, over the
     encoding `code`.  A state is one of `_inner_steps`, and ``successors``
     is its successor function; ``form_of`` gives the form of a state between
-    turns, ``None`` inside a turn; ``turns`` is `_turns` on a new memo.
+    turns, ``None`` inside a turn; ``turns`` is `_turns` on a new memo, and
+    ``walk`` the exhaustive index search by whole turns (`_turn_walk`).
+    Both index searches read one rewrite memo per component.
     """
-    steps = _inner_steps(components, max_form_len)
-    return [((start, 0, 0), start)], steps, _between_turns, partial(_turns, {}, components, code, max_form_len)
+    steps = [{} for _ in components]  # per component: form -> its rewrites
+    turns = partial(_turns, {}, components, code, max_form_len)
+    walk = _turn_walk(components, code, start, max_form_len, steps)
+    return [((start, 0, 0), start)], _inner_steps(components, max_form_len, steps), _between_turns, turns, walk
 
 
 def _between_turns(state) -> Optional[str]:
@@ -669,20 +687,18 @@ def _turn(component, x: str, max_form_len):
     return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned, longest
 
 
-def _turns(memo, components, code: _Encoding, max_form_len, state):
-    """The successors of a state between turns by the turns of each live
-    component in order, labelled ``(j, templates, runs, False)``: the
-    component, its witness's templates and the runs of x that fill them.
+def _by_skeleton(memo, code: _Encoding, max_form_len, x: str, build, *args):
+    """``build(*args, skeleton, cap)`` for the turns on x, kept in `memo`,
+    and the runs of x.
 
     A turn never rewrites a terminal, so the turn on x is the turn on its
     skeleton (x with one ``code.mark`` per maximal terminal run) under the
-    cap less what the marks save, the marks filled by the runs.  Two
-    skeleton forms may fill to one (``M a`` and ``a M`` with the run
-    ``a``); x's turn hands back the first.  `memo` keeps each skeleton's
-    `_skeleton_turns`: whole, under the skeleton, for every cap from its
-    longest row up; cut, under (skeleton, cap), for that cap alone.
+    cap less what the marks save, the marks filled by the runs.  Marks are
+    terminals, so a skeleton form has the nonterminal count of its filling.
+    An entry ends with whether the cap cut a rewrite and the least cap it
+    holds for; `memo` keeps it whole, under the skeleton, for every cap
+    from that one up, or cut, under (skeleton, cap), for that cap alone.
     """
-    x = state[0]
     pieces = code.split_runs(x)  # the runs at odd positions
     runs = tuple(pieces[1::2])
     skeleton = code.mark.join(pieces[::2])
@@ -691,10 +707,24 @@ def _turns(memo, components, code: _Encoding, max_form_len, state):
     if hit is None or hit[-1] > cap:
         hit = memo.get((skeleton, cap))
         if hit is None:
-            hit = _skeleton_turns(components, code, skeleton, cap)
+            hit = build(*args, skeleton, cap)
             if runs:  # a form without runs shares no turn
                 memo[(skeleton, cap) if hit[-2] else skeleton] = hit
-    template, n, groups, pruned, _ = hit
+    return hit, runs
+
+
+def _turns(memo, components, code: _Encoding, max_form_len, state):
+    """The successors of a state between turns by the turns of each live
+    component in order, labelled ``(j, templates, runs, False)``: the
+    component, its witness's templates and the runs of x that fill them.
+
+    `memo` keeps each skeleton's `_skeleton_turns` (`_by_skeleton`).  Two
+    skeleton forms may fill to one (``M a`` and ``a M`` with the run
+    ``a``); x's turn hands back the first.
+    """
+    (template, n, groups, pruned, _), runs = _by_skeleton(
+        memo, code, max_form_len, state[0], _skeleton_turns, components, code
+    )
     filled = iter((template % (runs * n)).split(code.sep))
     edges = []
     for j, witnesses in groups:
@@ -709,24 +739,65 @@ def _turns(memo, components, code: _Encoding, max_form_len, state):
 def _skeleton_turns(components, code: _Encoding, skeleton: str, cap):
     """The `_turn` on `skeleton` under `cap` of each component live on it,
     as ``(template, n, groups, pruned, longest)``, each form a
-    ``%``-template with a ``%s`` per mark: the n handed-back forms joined
-    by ``code.sep``, each component's index and the witness of each form it
-    hands back, and whether some turn was cut and the longest row of any.
+    `code.template`: the n handed-back forms joined by ``code.sep``, each
+    component's index and the witness of each form it hands back, and
+    whether some turn was cut and the longest row of any.
     """
-    mark = code.mark
-    escape = "%" if mark == "%" else "%%"  # a "%" that is not the mark is a symbol or sep
-    fill = lambda form: form.replace("%", escape).replace(mark, "%s")
     handed, groups, pruned, longest = [], [], False, 0
     for j, component in enumerate(components, 1):
         if component[0][1].search(skeleton) is not None:  # a dead turn hands back the form alone
             turn, cut, row = _turn(component, skeleton, cap)
             handed += [y for y, _ in turn]
-            groups.append((j, [tuple(map(fill, witness)) for _, witness in turn]))
+            groups.append((j, [tuple(map(code.template, witness)) for _, witness in turn]))
             pruned, longest = pruned or cut, max(longest, row)
-    return fill(code.sep.join(handed)), len(handed), groups, pruned, longest
+    return code.template(code.sep.join(handed)), len(handed), groups, pruned, longest
 
 
-def _inner_steps(components, max_form_len):
+def _turn_walk(components, code: _Encoding, start: str, max_form_len, steps):
+    """The exhaustive index search of a hybrid CD system by whole turns:
+    the arguments ``(starts, successors, form_of, cost_of)`` of `_minimax`.
+
+    A turn's price to a form it hands back is the least cost of the turn's
+    paths to it, where a path costs the largest nonterminal count on it,
+    its first form included: one `_minimax` over `_inner_steps` (rewrites
+    kept in `steps`) from each live component that stops at the closing
+    edges.  The turns on a skeleton are priced once per entry of
+    `_by_skeleton`, and the runs of a form fill them in.
+
+    A state is a pair (form between turns, price of a turn to it), priced
+    at that price, so that its first push carries its least cost; a form's
+    turns are priced at its first pair, as a later pair of it would offer
+    only pairs already pushed.  So the walk visits the forms between turns
+    that `enumerate_grammar` visits, prices each as the state-by-state
+    search does, and meets the same cuts.
+    """
+    memo, expanded = {}, set()
+
+    def price(skeleton, cap):
+        lengths = [len(skeleton)]  # of the forms of the popped states
+
+        def form_of(state):  # `_between_turns`, noting the longest form
+            form, i, _ = state
+            lengths.append(len(form))
+            return None if i else form
+
+        starts = [((skeleton, j, 0), skeleton) for j, (table, *_) in enumerate(components, 1) if table[1].search(skeleton)]
+        costs, pruned = _minimax(starts, _inner_steps(components, cap, steps, False), form_of, code.cost)
+        return code.template(code.sep.join(costs)), len(costs), list(costs.values()), pruned, max(lengths)
+
+    def successors(state):
+        x = state[0]
+        if x in expanded:  # a later pair of x: its turns offer pairs already pushed
+            return (), False
+        expanded.add(x)
+        (template, n, prices, pruned, _), runs = _by_skeleton(memo, code, max_form_len, x, price)
+        return [(pair, pair, None) for pair in zip((template % (runs * n)).split(code.sep), prices)], pruned
+
+    first = (start, code.cost(start))
+    return [(first, first)], successors, itemgetter(0), itemgetter(1)
+
+
+def _inner_steps(components, max_form_len, steps, opens=True):
     """Successors of (form, active component or 0, tracked inner step count).
 
     `components` holds the `_component` of each component.  An edge opens
@@ -735,13 +806,14 @@ def _inner_steps(components, max_form_len):
     closes the active turn when its mode predicate holds (labelled None).
     A turn opens only when one of the component's rules applies: otherwise
     it could only close on the unchanged form, whose state is the one being
-    expanded.  This is the state-by-state form of `_turn`, for `_minimax`,
-    which must price the forms inside a turn.  Each component keeps the
-    rewrites of the forms it rewrote for one call, so one search rewrites
-    a (component, form) once; they depend on the form and table alone.
+    expanded; without `opens` none does, so a search from inside a turn
+    stops at the states that close it.  This is the state-by-state form of
+    `_turn`, for `_minimax`, which must price the forms inside a turn.
+    `steps` keeps per component the rewrites of each form it rewrote, so
+    one search rewrites a (component, form) once under every cap; they
+    depend on the form and table alone.
     """
-    opened = [(j, table[1].search) for j, (table, _, _, _) in enumerate(components, 1)]
-    steps = [{} for _ in components]  # per component: form -> its rewrites
+    opened = [(j, table[1].search) for j, (table, _, _, _) in enumerate(components, 1)] if opens else []
 
     def successors(state):
         form, i, m = state
@@ -786,7 +858,7 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
     otherwise a pruned form can never shrink back to a word within the bound.
     """
     code, space, _ = _compiled(grammar, mode)
-    starts, _, _, turns = space(bounds.max_form_len)
+    starts, _, _, turns, _ = space(bounds.max_form_len)
     rows, pruned = _bfs(starts, turns)
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
@@ -940,14 +1012,16 @@ def indexed_language(
 ) -> Tuple[BoundedLanguage, Dict[Word, int]]:
     """The bounded language of `grammar` and the `word_index` of each word.
 
-    One exhaustive index search finds the words and prices them: it expands
-    every state that `enumerate_grammar` expands, so the language and its
-    truncation flag are the ones enumeration gives, and the pop order does
-    not depend on the target, so each index is the one `word_index` gives.
+    One exhaustive index search finds the words and prices them.  It visits
+    the forms between turns that `enumerate_grammar` visits and meets every
+    cut that enumeration meets, so the language and its truncation flag are
+    the ones enumeration gives.  Each form gets the least cost over its
+    derivations, so each index is the one `word_index` gives.  The compiled
+    space hands it the search to run (``walk``): on a CD or hybrid system
+    it walks whole turns, priced once per skeleton (`_turn_walk`).
     """
     code, space, _ = _compiled(grammar, mode)
-    starts, successors, form_of, _ = space(bounds.max_form_len)
-    costs, pruned = _minimax(starts, successors, form_of, code.cost)
+    costs, pruned = _minimax(*space(bounds.max_form_len)[4])
     indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
     language = make_language(indices, bounds, pruned and not code.lambda_free)
     return language, {word: indices[word] for word in language.words}
@@ -982,6 +1056,6 @@ def word_index(grammar, word: Word, bounds: Bounds, mode: Optional[Mode] = None)
     cap, cost_of = bounds.max_form_len, code.cost
     if code.lambda_free:  # forms never shrink and keep their terminal ends
         cap, cost_of = len(target), _goal_cost(code, target)
-    starts, successors, form_of, _ = space(cap)
+    starts, successors, form_of = space(cap)[:3]
     costs, pruned = _minimax(starts, successors, form_of, cost_of, target)
     return WordIndexResult(costs.get(target), pruned and not code.lambda_free)

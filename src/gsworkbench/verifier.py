@@ -269,7 +269,7 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
         )
 
     code, space, _ = _compiled(pg, None)
-    starts, steps, _, _ = space(math.inf)
+    starts, steps = space(math.inf)[:2]
     decode = code.decoder()
     # every start is on level 0 before the search: an appearance-checking
     # step can reach another start before that start is visited
@@ -342,8 +342,10 @@ def certify_index_bound(grammar, bound: int, bounds: Bounds, mode=None) -> Index
     """Check that every word found within bounds has word index <= bound.
 
     One exhaustive index search finds the words and gives their indices
-    (`indexed_language`).  A pass is desk-scale evidence, not a proof: only
-    words and derivations inside the bounds are examined.
+    (`indexed_language`); on a CD or hybrid system it walks whole turns and
+    prices the turns on each nonterminal skeleton once.  A pass is
+    desk-scale evidence, not a proof: only words and derivations inside the
+    bounds are examined.
     """
     language, indices = indexed_language(grammar, bounds, mode=mode)
     cert = IndexCertificate(bound, len(language), truncated=language.truncated)

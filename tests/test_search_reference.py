@@ -24,10 +24,18 @@ a heap-based Dijkstra search, which must pop the same states in the same
 order, with one target word or none.  The reference for
 `indexed_language` and `certify_index_bound`, one exhaustive index
 search, is an enumeration followed by one `word_index` search per word it
-found.  The reference for the index search's successor function, which
-keeps each form's rewrites for the whole search, is a fresh `_inner_steps`
-on each state it expands.  The reference for `nsf_check` is a
+found.  The reference for `word_index`'s successor function, which keeps
+each form's rewrites for the whole search, is a fresh `_inner_steps` on
+each state it expands.  The reference for `nsf_check` is a
 level-by-level search over symbol tuples.
+
+The reference for the exhaustive index search of a CD or hybrid system,
+which walks whole turns priced once per skeleton (`_turn_walk`), is the
+state-by-state search: `_minimax` over the space's successors, priced by
+the nonterminal count.  On random systems, erasing ones among them, and
+under form caps equal to and above the word cap, it must give every form
+between turns the same least cost and the same pruned flag, and price
+exactly the forms between turns that enumeration visits.
 
 The reference for a programmed step, which finds its label's one lhs with
 ``str.find`` and tests the form cap once, is the step on that label's
@@ -521,7 +529,7 @@ def check_against_heap(grammar, mode=None):
     the first enumerated words, and with a word it never reaches.  Both run
     on the space's encoded forms and its cost function."""
     code, space, _ = _compile(grammar, mode)
-    starts, successors, form_of, _ = space(BOUNDS.max_form_len)
+    starts, successors, form_of = space(BOUNDS.max_form_len)[:3]
     language = enumerate_grammar(grammar, BOUNDS, mode=mode).language
     beyond = ("a",) * (BOUNDS.max_form_len + 1)  # longer than any form in the space
     words = list(language.words[:3]) + [beyond]
@@ -693,25 +701,32 @@ def test_turns_match_nested_reference_on_hybrid_systems(g, form):
 
 
 def check_memoized_steps(grammar, mode=None):
-    """Every state that one `indexed_language` search expands gets, from the
+    """Every state that a `word_index` search expands gets, from the
     search's successor function, whose rewrites are kept for the whole
     search, the edges and pruned flag of a fresh `_inner_steps` called on
-    that state alone."""
-    components = _compiled(grammar, mode)[1].args[0]
+    that state alone.  The words are the last enumerated ones and a word
+    of the longest length, which the search may not reach."""
+    code, space, _ = _compiled(grammar, mode)
+    components = space.args[0]
+    words = list(enumerate_grammar(grammar, BOUNDS, mode=mode).language.words[-3:])
+    words.append(("a",) * BOUNDS.max_word_len)
     real_minimax = engine._minimax
     expanded = []
+    for word in words:
+        # a λ-free grammar's search caps forms at its word's length
+        cap = len(word) if code.lambda_free else BOUNDS.max_form_len
 
-    def checked_minimax(starts, successors, *rest):
-        def expand(state):
-            got = successors(state)
-            assert got == _inner_steps(components, BOUNDS.max_form_len)(state)
-            expanded.append(state)
-            return got
+        def checked_minimax(starts, successors, *rest):
+            def expand(state):
+                got = successors(state)
+                assert got == _inner_steps(components, cap, [{} for _ in components])(state)
+                expanded.append(state)
+                return got
 
-        return real_minimax(starts, expand, *rest)
+            return real_minimax(starts, expand, *rest)
 
-    with patch.object(engine, "_minimax", checked_minimax):
-        indexed_language(grammar, BOUNDS, mode=mode)
+        with patch.object(engine, "_minimax", checked_minimax):
+            word_index(grammar, word, BOUNDS, mode=mode)
     assert expanded
 
 
@@ -1067,6 +1082,10 @@ def test_mark_cannot_collide_with_a_symbol(n_nonterminals, n_terminals, mark, mo
     assert res.language == language and len(language) > 3
     assert any("#" in word and len(set(word)) == 3 for word in language.words)
     assert list(res.traces.items()) == list(traces.items())
+    # the exhaustive index search prices the turns on a skeleton as
+    # %-templates too
+    answer = state_by_state_index(g, bounds, mode)[0]
+    assert indexed_language(g, bounds, mode=mode) == answer and answer[0] == language
 
 
 def cf3_cd2():
@@ -1132,27 +1151,105 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
 
 
 def test_the_index_search_rewrites_and_counts_each_form_once(monkeypatch):
-    # the state-by-state search meets a form at many step counts, and a
-    # form inside many states; it rewrites a form once per component and
-    # counts its nonterminals once
+    # the exhaustive index search prices the turns of many skeletons, each
+    # under one or more caps, and meets a form at many step counts and in
+    # many states; it rewrites a (component, skeleton form) once, whatever
+    # the cap, and each search over the states inside turns or between
+    # them counts a form's nonterminals once
     g, mode = cf3_cd2(), t_and(exactly(3))
-    code = _compiled(g, mode)[0]
-    real_rewrites, real_cost = engine._rewrites, code.cost
-    rewrites, counts = Counter(), Counter()
+    real_rewrites, real_minimax = engine._rewrites, engine._minimax
+    rewrites, searches = Counter(), []
 
     def counted_rewrites(form, table):
         rewrites[id(table), form] += 1
         return real_rewrites(form, table)
 
-    def counted_cost(form):
-        counts[form] += 1
-        return real_cost(form)
+    def counted_minimax(starts, successors, form_of, cost_of, target=None):
+        counts = Counter()
+        searches.append(counts)
+
+        def counted_cost(form):
+            counts[form] += 1
+            return cost_of(form)
+
+        return real_minimax(starts, successors, form_of, counted_cost, target)
 
     monkeypatch.setattr(engine, "_rewrites", counted_rewrites)
-    monkeypatch.setattr(code, "cost", counted_cost)
+    monkeypatch.setattr(engine, "_minimax", counted_minimax)
     indexed_language(g, Bounds.for_words(9), mode=mode)
     assert sum(rewrites.values()) == len(rewrites) > 0
-    assert sum(counts.values()) == len(counts) > 0
+    assert len(searches) > 1  # the walk between turns and the turn pricings
+    assert all(sum(counts.values()) == len(counts) for counts in searches)
+    assert sum(map(len, searches)) > 0
+
+
+def state_by_state_index(grammar, bounds, mode=None):
+    """`indexed_language` by the state-by-state search: `_minimax` over
+    the successors of the compiled space, priced by ``code.cost``.  Returns
+    its answer, its costs and pruned flag, and the states it expanded."""
+    code, space, _ = _compile(grammar, mode)
+    starts, successors, form_of = space(bounds.max_form_len)[:3]
+    log = []
+    costs, pruned = _minimax(starts, logged(successors, log), form_of, code.cost)
+    indices = {code.word(form): cost for form, cost in costs.items() if code.is_word(form)}
+    language = make_language(indices, bounds, pruned and erases(grammar))
+    return (language, {word: indices[word] for word in language.words}), (costs, pruned), log
+
+
+INDEX_BOUNDS = (Bounds(4, 4), Bounds(3, 6), Bounds(4, 5))  # form caps at and above the word cap
+
+
+@settings(max_examples=200, deadline=None)
+@example((cf3_cd2(), t_and(exactly(3))), Bounds.for_words(9))
+@given(st.one_of(st.tuples(cd_systems(), modes), st.tuples(hybrid_systems(), st.none())), st.sampled_from(INDEX_BOUNDS))
+def test_turn_walk_matches_state_by_state_search(case, bounds):
+    g, mode = case
+    code, space, _ = _compile(g, mode)
+    starts, _, _, turns, walk = space(bounds.max_form_len)
+    answer, (costs, pruned), _ = state_by_state_index(g, bounds, mode)
+    # the same least cost of every form between turns, and the same cuts
+    assert _minimax(*walk) == (costs, pruned)
+    assert indexed_language(g, bounds, mode=mode) == answer
+    # the forms it prices are those between turns of the enumeration
+    rows, _ = _bfs(starts, turns)
+    assert set(costs) == {form for _, form, _, _ in rows}
+
+
+def test_a_search_prices_each_skeleton_once(monkeypatch):
+    # cf3-cd2 has index 3, so many forms between its turns share a
+    # skeleton: 486 forms have 39 skeletons at max_len 9
+    g, mode, bounds = cf3_cd2(), t_and(exactly(3)), Bounds.for_words(9)
+    real_by_skeleton, real_minimax = engine._by_skeleton, engine._minimax
+    priced, memos, pops = [], [], []
+
+    def counted_by_skeleton(memo, code, max_form_len, x, build, *args):
+        def counted_build(*built):
+            entry = build(*built)
+            skeleton, cap = built[-2:]
+            priced.append((skeleton, cap) if entry[-2] else skeleton)
+            return entry
+
+        memos.append(memo)
+        return real_by_skeleton(memo, code, max_form_len, x, counted_build, *args)
+
+    def counted_minimax(starts, successors, *rest):
+        return real_minimax(starts, logged(successors, pops), *rest)
+
+    monkeypatch.setattr(engine, "_by_skeleton", counted_by_skeleton)
+    monkeypatch.setattr(engine, "_minimax", counted_minimax)
+    got = indexed_language(g, bounds, mode=mode)
+    monkeypatch.undo()
+    # no skeleton is priced twice under one key of the memo, and the memo
+    # keeps both whole and cut entries
+    assert len(priced) == len(set(priced)) > 0
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    assert {type(key) for key in memo} == {str, tuple}
+    # the walk and the pricings pop fewer than half the states of the
+    # state-by-state search, for the same answer
+    answer, _, log = state_by_state_index(g, bounds, mode)
+    assert got == answer
+    assert 2 * len(pops) < len(log)
 
 
 def fresh_trace_check(grammar, trace, mode):
@@ -1256,7 +1353,7 @@ def uncut_word_index(grammar, word, bounds, mode=None):
     """`word_index` by the search of every form within the form cap, and
     the states it expanded, in order."""
     code, space, _ = _compile(grammar, mode)
-    starts, successors, form_of, _ = space(bounds.max_form_len)
+    starts, successors, form_of = space(bounds.max_form_len)[:3]
     target = code.encode(map(terminal, word))
     log = []
     costs, pruned = _minimax(starts, logged(successors, log), form_of, code.cost, target)
