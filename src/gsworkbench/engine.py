@@ -1,18 +1,20 @@
 """Derivation engine: single steps, mode predicate, bounded searches.
 
 Each grammar kind has one search space, and a plain CD system is searched
-as the hybrid system with its mode on every component.  There are three
-search loops.  `_turn` is one CD turn: a breadth-first search over the
-(form, step count) pairs of one component, which gives the forms the
-component may hand back with shortest witnesses; `mode_step` is `_turn`,
-and a CD system's turn-level successors run it per component, through
-`_turns`.  `_bfs`, a breadth-first search with parent pointers,
-walks a space turn by turn for enumeration and traces (a programmed step
-is a one-edge turn).  `_minimax`, a breadth-first search over one bucket
-per cost, walks it state by state for the index of one word.  Run to
-exhaustion for the bounded language with every word's index, it walks a
-CD system turn by turn (`_turn_walk`), each turn priced by a `_minimax`
-over the states inside it, and a programmed grammar step by step.
+as the hybrid system with its mode on every component.  There are two
+search loops over one step relation.  A CD state is (form, active
+component, step count), and `_inner_steps` is its successor function.
+`_bfs`, a breadth-first search with parent pointers, walks a space turn by
+turn for enumeration and traces (a programmed step is a one-edge turn);
+one CD turn (`_turn`) is a `_bfs` over `_inner_steps` from the state that
+opens it to the states that close it, which gives the forms the component
+may hand back with shortest witnesses.  `mode_step` is `_turn`, and a CD
+system's turn-level successors run it per component, through `_turns`.
+`_minimax`, a breadth-first search over one bucket per cost, walks a space
+state by state for the index of one word.  Run to exhaustion for the
+bounded language with every word's index, it walks a CD system turn by
+turn (`_turn_walk`), each turn priced by a `_minimax` over `_inner_steps`
+inside it, and a programmed grammar step by step.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -38,10 +40,10 @@ Each piece of work is done once where it repeats.  `_compile` is the one
 place that tells the grammar kinds apart: it compiles a grammar to its
 encoding, its search space and its trace check.  A grammar object keeps
 its compile per mode, read by every search and `validate_trace`, so an
-enumeration and the traces it gives compile their grammar once.  A turn
-builds the rewrites of a form once, however many step counts it meets the
-form at, reads ``t`` off them, and drops them when the turn ends; it does
-not revisit a form above its step window's ``lo``.  Within one search the
+enumeration and the traces it gives compile their grammar once.  Every
+search on a CD space, its turns included, rewrites a (component, form)
+once, under every cap and at every step count, through one rewrite memo
+per component, and reads ``t`` off the rewrites.  Within one search the
 turns of the components on a nonterminal skeleton run once: forms that
 differ only in their terminal runs, which no rule rewrites, share them,
 whatever their lengths, unless the form cap cut one of them; then they
@@ -49,14 +51,13 @@ all run again for each cap on the skeleton.  Witnesses are filled for
 traces alone.  The exhaustive index search shares the turns on a
 skeleton the same way: each is priced once, by the least cost to each form
 it hands back, and a form's turns are walked once.  The index search,
-which meets a form at many step counts and in many states, rewrites a
-(component, form) once per search, under every cap, and counts a form's
-nonterminals once per state-by-state search; for one word of a λ-free
-grammar it expands only the forms no longer than the word whose terminal
-ends agree with it, each tested once.  `validate_trace` tests each CD step
-with `_is_rewrite`, rather than building every rewrite of the previous
-form, and each programmed step against the edges of its state in the
-uncapped programmed space.  The traces of one enumeration share the
+which meets a form at many step counts and in many states, counts a
+form's nonterminals once per state-by-state search; for one word of a
+λ-free grammar it expands only the forms no longer than the word whose
+terminal ends agree with it, each tested once.  `validate_trace` tests
+each CD step with `_is_rewrite`, rather than building every rewrite of
+the previous form, and each programmed step against the edges of its
+state in the uncapped programmed space.  The traces of one enumeration share the
 segment of each turn, and a CD segment that passed keeps its verdict, so
 each shared segment is checked once by a compile.
 """
@@ -476,12 +477,13 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     """All y with form =>^m y via `ruleset` and P(f, m, ruleset, y) true.
 
     One `_turn` of the component from `form`: breadth-first reachability
-    over (form, tracked step count) states, finite because forms are capped
-    by ``max_form_len`` and counts by the mode's step window, and exact
-    within that form cap.
+    over (form, tracked step count) states (`_inner_steps` on a fresh
+    rewrite memo), finite because forms are capped by ``max_form_len`` and
+    counts by the mode's step window, and exact within that form cap.
     """
     code = _local_encoding((form,), ruleset)
-    handed, pruned, _ = _turn(_component(code, ruleset, f), code.encode(form), bounds.max_form_len)
+    successors = _inner_steps([_component(code, ruleset, f)], bounds.max_form_len, [{}], False)
+    handed, pruned, _ = _turn(successors, 1, code.encode(form))
     decode = code.decoder()
     return ModeStepResult({decode(y): tuple(map(decode, forms)) for y, forms in handed}, pruned)
 
@@ -610,10 +612,11 @@ def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
     is its successor function; ``form_of`` gives the form of a state between
     turns, ``None`` inside a turn; ``turns`` is `_turns` on a new memo, and
     ``walk`` the exhaustive index search by whole turns (`_turn_walk`).
-    Both index searches read one rewrite memo per component.
+    A search on the space, its turns included, reads one rewrite memo per
+    component.
     """
     steps = [{} for _ in components]  # per component: form -> its rewrites
-    turns = partial(_turns, {}, components, code, max_form_len)
+    turns = partial(_turns, {}, steps, components, code, max_form_len)
     walk = _turn_walk(components, code, start, max_form_len, steps)
     return [((start, 0, 0), start)], _inner_steps(components, max_form_len, steps), _between_turns, turns, walk
 
@@ -636,55 +639,21 @@ def _component(code: _Encoding, rules: Sequence[Rule], mode: Mode):
     return _rhs_table(code, rules), window, hi, hi if hi < math.inf else lo
 
 
-def _turn(component, x: str, max_form_len):
-    """The turns of a compiled component on form `x`.
+def _turn(successors, j: int, x: str):
+    """The turns of component `j` on form `x`: a `_bfs` from ``(x, j, 0)``
+    over `successors`, an `_inner_steps` without ``opens``, which stops at
+    the states ``(y, 0, 0)`` that close the turn.
 
-    A breadth-first search over (form, step count) pairs from ``(x, 0)``,
-    with counts saturated as `_component` says.  Returns the forms the
-    component may hand back, in the order their first accepting pair is
-    visited, each with the forms of the shortest witness path to that pair
-    (the forms after each step), whether a rewrite was dropped because its
-    form exceeded `max_form_len`, and the length of the longest row.  A
-    turn that dropped nothing is the same turn under every cap from that
-    length up, and drops a rewrite under any smaller cap.
-
-    A form met again at another step count reuses the rewrites built for
-    it.  That memo lives only as long as the turn's rows: kept for a whole
-    search, it holds every form of every turn at once; a search keeps one
-    turn per skeleton instead (`_turns`).  Every lhs of the table
-    has a rhs, so a form is stuck, as ``t`` asks, iff its rewrite list is
-    empty; only a row at ``hi``, never expanded, scans for ``t``.
+    Returns the forms the component may hand back, in the order of their
+    closing states' rows, each with the forms of the shortest witness path
+    to that state (the forms after each step), whether a rewrite was dropped
+    because its form exceeded the cap of `successors`, and the length of the
+    longest row.  A turn that dropped nothing is the same turn under every
+    cap from that length up, and drops a rewrite under any smaller cap.
     """
-    table, (lo, _, t), hi, top = component
-    rows = [(x, 0, -1)]  # (form, step count, parent row)
-    # seen[n]: the forms reached with step count n, where seen[n] is the set
-    # seen[min(n, lo)]: a form met at counts lo <= c < c' hands back nothing
-    # at c' that it does not at c, in fewer steps and earlier rows.
-    seen = [{x}]
-    accepted = {}  # handed-back form -> its first accepting row
-    steps = {}  # form -> its rewrites
-    pruned = False
-    for i, (form, m, _) in enumerate(rows):  # the loop visits the rows it appends
-        if m < hi:
-            ys = steps.get(form)
-            if ys is None:
-                ys = steps[form] = _rewrites(form, table)
-            if m >= lo and not (t and ys) and form not in accepted:
-                accepted[form] = i
-            n = min(m + 1, top)
-            if n == len(seen):  # counts never drop along the rows
-                seen.append(seen[lo] if n > lo else set())
-            level = seen[n]
-            for y in ys:
-                if len(y) > max_form_len:
-                    pruned = True
-                elif y not in level:
-                    level.add(y)
-                    rows.append((y, n, i))
-        elif lo <= m and form not in accepted and not (t and table[1].search(form)):
-            accepted[form] = i
-    longest = max([len(form) for form, _, _ in rows])
-    return [(y, _path(rows, i, 0)) for y, i in accepted.items()], pruned, longest
+    rows, pruned = _bfs([((x, j, 0), x)], successors)
+    handed = [(row[1], _path(rows, i, 3)[:-1]) for i, row in enumerate(rows) if not row[0][1]]
+    return handed, pruned, max([len(row[1]) for row in rows])
 
 
 def _by_skeleton(memo, code: _Encoding, max_form_len, x: str, build, *args):
@@ -713,17 +682,18 @@ def _by_skeleton(memo, code: _Encoding, max_form_len, x: str, build, *args):
     return hit, runs
 
 
-def _turns(memo, components, code: _Encoding, max_form_len, state):
+def _turns(memo, steps, components, code: _Encoding, max_form_len, state):
     """The successors of a state between turns by the turns of each live
     component in order, labelled ``(j, templates, runs, False)``: the
     component, its witness's templates and the runs of x that fill them.
 
-    `memo` keeps each skeleton's `_skeleton_turns` (`_by_skeleton`).  Two
-    skeleton forms may fill to one (``M a`` and ``a M`` with the run
-    ``a``); x's turn hands back the first.
+    `memo` keeps each skeleton's `_skeleton_turns` (`_by_skeleton`), and
+    `steps` the search's rewrites per component.  Two skeleton forms may
+    fill to one (``M a`` and ``a M`` with the run ``a``); x's turn hands
+    back the first.
     """
     (template, n, groups, pruned, _), runs = _by_skeleton(
-        memo, code, max_form_len, state[0], _skeleton_turns, components, code
+        memo, code, max_form_len, state[0], _skeleton_turns, components, steps, code
     )
     filled = iter((template % (runs * n)).split(code.sep))
     edges = []
@@ -736,17 +706,19 @@ def _turns(memo, components, code: _Encoding, max_form_len, state):
     return edges, pruned
 
 
-def _skeleton_turns(components, code: _Encoding, skeleton: str, cap):
+def _skeleton_turns(components, steps, code: _Encoding, skeleton: str, cap):
     """The `_turn` on `skeleton` under `cap` of each component live on it,
-    as ``(template, n, groups, pruned, longest)``, each form a
-    `code.template`: the n handed-back forms joined by ``code.sep``, each
-    component's index and the witness of each form it hands back, and
-    whether some turn was cut and the longest row of any.
+    over one `_inner_steps` on the rewrites `steps`, as ``(template, n,
+    groups, pruned, longest)``, each form a `code.template`: the n
+    handed-back forms joined by ``code.sep``, each component's index and the
+    witness of each form it hands back, and whether some turn was cut and
+    the longest row of any.
     """
+    successors = _inner_steps(components, cap, steps, False)
     handed, groups, pruned, longest = [], [], False, 0
     for j, component in enumerate(components, 1):
         if component[0][1].search(skeleton) is not None:  # a dead turn hands back the form alone
-            turn, cut, row = _turn(component, skeleton, cap)
+            turn, cut, row = _turn(successors, j, skeleton)
             handed += [y for y, _ in turn]
             groups.append((j, [tuple(map(code.template, witness)) for _, witness in turn]))
             pruned, longest = pruned or cut, max(longest, row)
@@ -782,6 +754,8 @@ def _turn_walk(components, code: _Encoding, start: str, max_form_len, steps):
             return None if i else form
 
         starts = [((skeleton, j, 0), skeleton) for j, (table, *_) in enumerate(components, 1) if table[1].search(skeleton)]
+        if not starts:  # no live component: no turn hands back a form
+            return "", 0, [], False, len(skeleton)
         costs, pruned = _minimax(starts, _inner_steps(components, cap, steps, False), form_of, code.cost)
         return code.template(code.sep.join(costs)), len(costs), list(costs.values()), pruned, max(lengths)
 
@@ -807,11 +781,13 @@ def _inner_steps(components, max_form_len, steps, opens=True):
     A turn opens only when one of the component's rules applies: otherwise
     it could only close on the unchanged form, whose state is the one being
     expanded; without `opens` none does, so a search from inside a turn
-    stops at the states that close it.  This is the state-by-state form of
-    `_turn`, for `_minimax`, which must price the forms inside a turn.
+    stops at the states that close it: `_turn` is a `_bfs` over it, and the
+    index searches' `_minimax` prices the forms inside a turn with it.
     `steps` keeps per component the rewrites of each form it rewrote, so
     one search rewrites a (component, form) once under every cap; they
-    depend on the form and table alone.
+    depend on the form and table alone.  Every lhs of a table has a rhs, so
+    a form is stuck, as ``t`` asks, iff its rewrite list is empty; only a
+    state at ``hi``, never rewritten, scans for ``t``.
     """
     opened = [(j, table[1].search) for j, (table, _, _, _) in enumerate(components, 1)] if opens else []
 
@@ -819,21 +795,21 @@ def _inner_steps(components, max_form_len, steps, opens=True):
         form, i, m = state
         if i == 0:
             return [((form, j, 0), form, j) for j, applies in opened if applies(form)], False
-        table, window, hi, top = components[i - 1]
-        edges, pruned = [], False
-        if _accepts(window, m, table, form):
-            edges.append(((form, 0, 0), form, None))
-        if m < hi:
-            n = min(m + 1, top)
-            memo = steps[i - 1]
-            ys = memo.get(form)
-            if ys is None:
-                ys = memo[form] = _rewrites(form, table)
-            for y in ys:
-                if len(y) > max_form_len:
-                    pruned = True
-                else:
-                    edges.append(((y, i, n), y, y))
+        table, (lo, _, t), hi, top = components[i - 1]
+        if m >= hi:
+            closes = lo <= m and not (t and table[1].search(form))
+            return [((form, 0, 0), form, None)] if closes else [], False
+        memo = steps[i - 1]
+        ys = memo.get(form)
+        if ys is None:
+            ys = memo[form] = _rewrites(form, table)
+        edges = [((form, 0, 0), form, None)] if lo <= m and not (t and ys) else []
+        n, pruned = min(m + 1, top), False
+        for y in ys:
+            if len(y) > max_form_len:
+                pruned = True
+            else:
+                edges.append(((y, i, n), y, y))
         return edges, pruned
 
     return successors

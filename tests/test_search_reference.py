@@ -14,10 +14,11 @@ component, which stops at the states between turns.  It must give the
 same words, truncation flag, traces and `mode_step` results in the same
 order.
 
-The reference for `_turn` itself is the same loop with one seen set per
-step count and `_accepts` on every row, on components whose rules meet a
-form at several step counts; it must give the same forms, witnesses and
-pruned flag in the same order.
+The reference for `_turn` itself, a `_bfs` over `_inner_steps`, is a turn
+as its own loop over (form, step count) rows, with one seen set per step
+count and `_accepts` on every row, on components whose rules meet a form
+at several step counts; it must give the same forms, witnesses, pruned
+flag and longest row, in the same order.
 
 The reference for the bucket queue inside the index search (`_minimax`) is
 a heap-based Dijkstra search, which must pop the same states in the same
@@ -52,8 +53,9 @@ checked in a random order and then in another, must get its verdicts.
 
 The reference for the turns of a state, shared by skeleton (`_turns`), is
 `_turn` on the full form, per component: two forms with one skeleton and
-different terminal runs, run through one memo, each under a cap of its
-own, must each get the forms of every live component's own `_turn`, in
+different terminal runs, run through one turn memo and one rewrite memo,
+as in a search, each under a cap of its own, must each get the forms of
+every live component's own `_turn` on a fresh rewrite memo, in
 component order, the witnesses filled from the edge labels, and the OR of
 the components' pruned flags.
 
@@ -894,12 +896,15 @@ def test_is_rewrite_tries_every_occurrence():
     check_is_rewrite((A, A), (rule,))
 
 
-def reference_turn_per_count(component, x: str, max_form_len):
-    """`_turn` with one seen set per step count and `_accepts` on every row.
+def one_turn(component, x: str, max_form_len):
+    """`_turn` of a compiled component, alone in its system, on form x
+    under `max_form_len`, on a fresh rewrite memo."""
+    return _turn(_inner_steps([component], max_form_len, [{}], False), 1, x)
 
-    Its rows may hold a form at more step counts than `_turn`'s, but they
-    hold the same forms, so the longest row is the same.
-    """
+
+def reference_turn_per_count(component, x: str, max_form_len):
+    """A CD turn as its own loop: one seen set per step count and `_accepts`
+    on every row.  It must give what `_turn` gives."""
     table, window, hi, top = component
     rows = [(x, 0, -1)]  # (form, step count, parent row)
     seen = [{x}]  # seen[n]: the forms reached with step count n
@@ -945,7 +950,7 @@ def test_turn_matches_one_seen_set_per_count(case):
     code = _local_encoding((form,), ruleset)
     component = _component(code, ruleset, mode)
     x = code.encode(form)
-    assert _turn(component, x, cap) == reference_turn_per_count(component, x, cap)
+    assert one_turn(component, x, cap) == reference_turn_per_count(component, x, cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -957,12 +962,12 @@ def test_a_whole_turn_holds_from_its_longest_row(case):
     code = _local_encoding((form,), ruleset)
     component = _component(code, ruleset, mode)
     x = code.encode(form)
-    handed, pruned, longest = _turn(component, x, cap)
+    handed, pruned, longest = one_turn(component, x, cap)
     assert len(x) <= longest <= cap
     if not pruned:
-        assert _turn(component, x, longest) == (handed, False, longest)
+        assert one_turn(component, x, longest) == (handed, False, longest)
         if longest > len(x):
-            assert _turn(component, x, longest - 1)[1]
+            assert one_turn(component, x, longest - 1)[1]
 
 
 @st.composite
@@ -1023,16 +1028,16 @@ def test_turns_match_turn_per_component(case):
     x, y, components, caps = case
     code = _local_encoding((STEP_ALPHABET,), [r for ruleset, _ in components for r in ruleset])
     compiled = [_component(code, ruleset, mode) for ruleset, mode in components]
-    memo = {}
+    memo, steps = {}, [{} for _ in compiled]  # one of each for all three, as in a search
     for form, cap in zip((x, y, x), caps):  # the second x may be a memo hit
         form = code.encode(form)
         expected, pruned = [], False
         for j, component in enumerate(compiled, 1):
             if component[0][1].search(form) is not None:  # a live component
-                handed, cut, _ = _turn(component, form, cap)
+                handed, cut, _ = one_turn(component, form, cap)
                 expected += [(j, z, witness) for z, witness in handed]
                 pruned = pruned or cut
-        edges, got_pruned = _turns(memo, compiled, code, cap, (form, 0, 0))
+        edges, got_pruned = _turns(memo, steps, compiled, code, cap, (form, 0, 0))
         assert [(nxt, label[3]) for nxt, _, label in edges] == [((z, 0, 0), False) for _, z, _ in edges]
         # each witness is filled on demand, one template per form, from the runs
         got = [(j, z, [template % runs for template in templates]) for _, z, (j, templates, runs, _) in edges]
@@ -1120,9 +1125,9 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
         groups = [(j, [tuple(map(Witness, witness)) for witness in witnesses]) for j, witnesses in groups]
         return template, n, groups, pruned, longest
 
-    def counted_turns(memo, components, code, max_form_len, state):
+    def counted_turns(memo, steps, components, code, max_form_len, state):
         states.append(sum(c[0][1].search(state[0]) is not None for c in components))
-        return real_turns(memo, components, code, max_form_len, state)
+        return real_turns(memo, steps, components, code, max_form_len, state)
 
     monkeypatch.setattr(engine, "_turn", counted_turn)
     monkeypatch.setattr(engine, "_skeleton_turns", counted_build)
@@ -1220,7 +1225,7 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
     # skeleton: 486 forms have 39 skeletons at max_len 9
     g, mode, bounds = cf3_cd2(), t_and(exactly(3)), Bounds.for_words(9)
     real_by_skeleton, real_minimax = engine._by_skeleton, engine._minimax
-    priced, memos, pops = [], [], []
+    priced, memos, pops, searches = [], [], [], []
 
     def counted_by_skeleton(memo, code, max_form_len, x, build, *args):
         def counted_build(*built):
@@ -1233,6 +1238,7 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
         return real_by_skeleton(memo, code, max_form_len, x, counted_build, *args)
 
     def counted_minimax(starts, successors, *rest):
+        searches.append(starts)
         return real_minimax(starts, logged(successors, pops), *rest)
 
     monkeypatch.setattr(engine, "_by_skeleton", counted_by_skeleton)
@@ -1245,6 +1251,9 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
     memo = memos[0]
     assert all(m is memo for m in memos)
     assert {type(key) for key in memo} == {str, tuple}
+    # the walk and every pricing search start somewhere: a skeleton on
+    # which no component is live is priced without a search
+    assert len(searches) > 1 and all(searches)
     # the walk and the pricings pop fewer than half the states of the
     # state-by-state search, for the same answer
     answer, _, log = state_by_state_index(g, bounds, mode)
