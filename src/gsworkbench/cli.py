@@ -306,7 +306,7 @@ def _index_args(p):
 
 def _nsf_check_args(p):
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--depth", type=int, default=constructions.NSF_DEPTH)
     p.set_defaults(func=_cmd_nsf_check)
 
 

@@ -31,6 +31,7 @@ from .model import (
     terminal,
     validate,
 )
+from .verifier import nsf_check
 
 VARIANT_EXACTLY = "exactly"
 VARIANT_ATMOST = "atmost"
@@ -556,14 +557,17 @@ def nsf_programmed_to_cdgs(pg: ProgrammedGrammar, m: int, target: Mode) -> CdSys
     the component always makes exactly m steps); an initialization
     component unfolds the axiom.  Labels with an empty success field can
     never be applied under the programmed semantics and get no component.
+    Appearance checking is not simulated: a grammar with a non-empty
+    failure field raises ValueError, as its system would drop those steps.
 
     The returned system is meant to run with `target`; a target parameter
     that is a multiple of m is realized by composing with `prolong`.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    from .verifier import nsf_check  # deferred: verifier imports engine
-
+    checking = " ".join(p for p in pg.labels if pg.failure[p])
+    if checking:
+        raise ValueError("appearance checking is not simulated: label(s) %s have a failure field" % checking)
     report = nsf_check(pg, NSF_DEPTH)
     if not report.holds:
         raise ValueError("not in NSF: %s" % "; ".join(d for _, d in report.violations))

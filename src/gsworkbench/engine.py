@@ -339,9 +339,12 @@ def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
 #
 # A successor function maps a state to ``(edges, pruned)``: the
 # ``(next state, its form, edge label)`` triples, and whether a branch was
-# dropped because its form exceeded ``max_form_len``.  A whole turn's label
-# is ``(actor, templates, args, appearance checking)``: the forms of its
-# witness are each ``template % args``, filled only for a trace.
+# dropped because its form exceeded ``max_form_len``.  It may repeat a
+# state, as two rewrites may be one form: `_bfs` and `_minimax` keep the
+# first edge into each state, and nothing else drops a repeat.  A whole
+# turn's label is ``(actor, templates, args, appearance checking)``: the
+# forms of its witness are each ``template % args``, filled only for a
+# trace.
 
 
 def _bfs(starts, successors):
@@ -562,17 +565,18 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
     label), and an edge is one derivation step, which is also a whole turn,
     labelled with the label, the new form (template ``"%s"``, args
     ``(form,)``) and whether the step is appearance checking: when the
-    label's rule applies, each distinct rewrite goes on to every success
-    label; otherwise the unchanged form goes on to every failure label.
-    The search starts from (axiom, r) for every label r, per the
-    existential over the first label in the language definition.
+    label's rule applies, the rewrite at each occurrence of its lhs, left
+    to right, goes on to every success label; otherwise the unchanged form
+    goes on to every failure label.  The search starts from (axiom, r) for
+    every label r, per the existential over the first label in the
+    language definition.
 
     A step is one rule, not a rule table: ``str.find`` gives the
-    occurrences of its lhs, every rewrite has ``len(form) + len(rhs) - 1``
-    symbols, so the form cap is one test per step, and only two or more
-    occurrences, whose rewrites may coincide, need deduplicating.  A step
-    is already a whole turn, so the exhaustive index search, ``walk`` (the
-    arguments of `_minimax`), walks these states priced by ``code.cost``.
+    occurrences of its lhs, and every rewrite has ``len(form) + len(rhs) -
+    1`` symbols, so the form cap is one test per step.  Two occurrences may
+    give one form, and the search keeps its first edge.  A step is already
+    a whole turn, so the exhaustive index search, ``walk`` (the arguments
+    of `_minimax`), walks these states priced by ``code.cost``.
     """
 
     def successors(state):
@@ -586,17 +590,12 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
             return [((form, q), form, edge) for q in failure], False
         if len(form) + len(rhs) > max_form_len + 1:
             return [], bool(success)
-        ys = [form[:i] + rhs + form[i + 1 :]]
-        i = form.find(lhs, i + 1)
-        if i >= 0:  # a second occurrence: two rewrites may be one form
-            while i >= 0:
-                ys.append(form[:i] + rhs + form[i + 1 :])
-                i = form.find(lhs, i + 1)
-            ys = dict.fromkeys(ys)
         edges = []
-        for y in ys:
+        while i >= 0:
+            y = form[:i] + rhs + form[i + 1 :]
             edge = label, ("%s",), (y,), False
             edges += [((y, q), y, edge) for q in success]
+            i = form.find(lhs, i + 1)
         return edges, False
 
     starts = [((start, r), start) for r in labels]
@@ -689,40 +688,33 @@ def _turns(memo, steps, components, code: _Encoding, max_form_len, state):
 
     `memo` keeps each skeleton's `_skeleton_turns` (`_by_skeleton`), and
     `steps` the search's rewrites per component.  Two skeleton forms may
-    fill to one (``M a`` and ``a M`` with the run ``a``); x's turn hands
-    back the first.
+    fill to one (``M a`` and ``a M`` with the run ``a``): both edges are
+    handed back, and the search keeps the first.
     """
-    (template, n, groups, pruned, _), runs = _by_skeleton(
+    (template, n, witnesses, pruned, _), runs = _by_skeleton(
         memo, code, max_form_len, state[0], _skeleton_turns, components, steps, code
     )
-    filled = iter((template % (runs * n)).split(code.sep))
-    edges = []
-    for j, witnesses in groups:
-        handed = set()
-        for witness, y in zip(witnesses, filled):  # witnesses first: zip stops on them
-            if y not in handed:
-                handed.add(y)
-                edges.append(((y, 0, 0), y, (j, witness, runs, False)))
-    return edges, pruned
+    filled = (template % (runs * n)).split(code.sep)
+    return [((y, 0, 0), y, (j, witness, runs, False)) for (j, witness), y in zip(witnesses, filled)], pruned
 
 
 def _skeleton_turns(components, steps, code: _Encoding, skeleton: str, cap):
     """The `_turn` on `skeleton` under `cap` of each component live on it,
     over one `_inner_steps` on the rewrites `steps`, as ``(template, n,
-    groups, pruned, longest)``, each form a `code.template`: the n
-    handed-back forms joined by ``code.sep``, each component's index and the
-    witness of each form it hands back, and whether some turn was cut and
-    the longest row of any.
+    witnesses, pruned, longest)``, each form a `code.template`: the n
+    handed-back forms joined by ``code.sep``, a ``(component index, witness)``
+    pair for each of them in the same order, and whether some turn was cut
+    and the longest row of any.
     """
     successors = _inner_steps(components, cap, steps, False)
-    handed, groups, pruned, longest = [], [], False, 0
+    handed, witnesses, pruned, longest = [], [], False, 0
     for j, component in enumerate(components, 1):
         if component[0][1].search(skeleton) is not None:  # a dead turn hands back the form alone
             turn, cut, row = _turn(successors, j, skeleton)
             handed += [y for y, _ in turn]
-            groups.append((j, [tuple(map(code.template, witness)) for _, witness in turn]))
+            witnesses += [(j, tuple(map(code.template, witness))) for _, witness in turn]
             pruned, longest = pruned or cut, max(longest, row)
-    return code.template(code.sep.join(handed)), len(handed), groups, pruned, longest
+    return code.template(code.sep.join(handed)), len(handed), witnesses, pruned, longest
 
 
 def _turn_walk(components, code: _Encoding, start: str, max_form_len, steps):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the NSF programmed grammar for a^n b^n c^n and an
+"""Shared fixtures: the NSF programmed grammar for a^n b^n c^n, a
+programmed grammar whose derivations take a failure field, and an
 independent plain context-free enumerator used as a differential oracle."""
 
 from collections import deque
@@ -81,3 +82,41 @@ def make_pg_abc() -> ProgrammedGrammar:
 @pytest.fixture
 def pg_abc():
     return make_pg_abc()
+
+
+@pytest.fixture
+def pg_ac():
+    """A programmed grammar for {a^n b^n : n >= 2} whose every derivation
+    takes the failure field of p1: C never occurs, so p1 always fails on
+    to p2, which starts the growth cycle p2 -> p3 -> p1."""
+    S, A, B, C = (nonterminal(n) for n in "SABC")
+    a, b, c = terminal("a"), terminal("b"), terminal("c")
+    labels = ("p0", "p1", "p2", "p3", "p4", "p5")
+    rule_of = {
+        "p0": Rule(S, (A, B)),
+        "p1": Rule(C, (c,)),
+        "p2": Rule(A, (a, A)),
+        "p3": Rule(B, (b, B)),
+        "p4": Rule(A, (a,)),
+        "p5": Rule(B, (b,)),
+    }
+    success = {
+        "p0": frozenset({"p1"}),
+        "p1": frozenset(),
+        "p2": frozenset({"p3"}),
+        "p3": frozenset({"p1", "p4"}),
+        "p4": frozenset({"p5"}),
+        "p5": frozenset({"p5"}),
+    }
+    failure = {p: frozenset({"p2"} if p == "p1" else ()) for p in labels}
+    return ProgrammedGrammar(
+        nonterminals=frozenset({S, A, B, C}),
+        terminals=frozenset({a, b, c}),
+        axiom=S,
+        labels=labels,
+        rule_of=rule_of,
+        success=success,
+        failure=failure,
+        lambda_free=True,
+        name="pg_ac",
+    )

@@ -232,6 +232,15 @@ class TestTransform:
         assert code == 2
         assert "error: terminal name 'b#' is not an identifier" in capsys.readouterr().err
 
+    def test_nsf_to_cdgs_rejects_appearance_checking(self, tmp_path, pg_ac, capsys):
+        path, out = tmp_path / "ac.gsw", tmp_path / "cd.gsw"
+        path.write_text(F.serialize(pg_ac), encoding="utf-8")
+        code = main(["transform", "nsf-to-cdgs", str(path), "--m", "2",
+                     "--mode", "(t & =2)", "-o", str(out)])
+        assert code == 2
+        assert "appearance checking is not simulated" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheckEquiv:
     def test_equal_is_exit_zero(self, example1_file, example1_prog_file, capsys):
@@ -393,6 +402,10 @@ class TestNsfCheck:
 
     def test_needs_programmed_grammar(self, example1_file):
         assert main(["nsf-check", example1_file, "--depth", "4"]) == 2
+
+    def test_default_depth_is_the_construction_depth(self):
+        # the depth nsf-to-cdgs checks NSF to is written once
+        assert build_parser().parse_args(["nsf-check", "p.gsw"]).depth == C.NSF_DEPTH == 16
 
     def test_negative_depth_is_an_error(self, example1_prog_file, capsys):
         assert main(["nsf-check", example1_prog_file, "--depth", "-1"]) == 2

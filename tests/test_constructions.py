@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -311,3 +312,14 @@ class TestNsfToCdgs:
         )
         with pytest.raises(ValueError, match="not in NSF"):
             C.nsf_programmed_to_cdgs(pg, 1, t_and(exactly(1)))
+
+    def test_rejects_appearance_checking(self, pg_ac):
+        # the components simulate success fields only, so a grammar whose
+        # derivations take a failure field would get a system that derives
+        # none of its words; it is rejected before the NSF check runs
+        assert validate(pg_ac) == []
+        assert words_of(pg_ac, None, 10) == {tuple("a" * n + "b" * n) for n in range(2, 6)}
+        with patch.object(C, "nsf_check") as nsf_check:
+            with pytest.raises(ValueError, match="label\\(s\\) p1 have a failure field"):
+                C.nsf_programmed_to_cdgs(pg_ac, 2, t_and(exactly(2)))
+        nsf_check.assert_not_called()

@@ -41,8 +41,14 @@ exactly the forms between turns that enumeration visits.
 The reference for a programmed step, which finds its label's one lhs with
 ``str.find`` and tests the form cap once, is the step on that label's
 one-rule table (`_rhs_table`, `_rewrites`): on random forms and caps, at
-every label, it must give the same edges in the same order and the same
-pruned flag.
+every label, it must give the same edges in the same order, one rewrite
+per occurrence of the lhs, and the same pruned flag.
+
+Only the two search loops drop a repeated successor.  With every successor
+function they walk handing back each edge twice, enumeration by whole
+turns, the exhaustive index search, `word_index` and `nsf_check` must give
+the same rows, costs, answers and pruned flags on random CD, hybrid and
+programmed grammars.
 
 The reference for the one-step test of `validate_trace` (`_is_rewrite`) is
 membership in the list of all rewrites (`_rewrites`).  The reference for
@@ -57,7 +63,8 @@ different terminal runs, run through one turn memo and one rewrite memo,
 as in a search, each under a cap of its own, must each get the forms of
 every live component's own `_turn` on a fresh rewrite memo, in
 component order, the witnesses filled from the edge labels, and the OR of
-the components' pruned flags.
+the components' pruned flags, once each repeat of a (component, form)
+after its first is dropped, as the search drops it.
 
 The reference for `word_index` on a λ-free grammar, which caps forms at
 its word's length and never pushes a form whose terminal ends disagree
@@ -337,7 +344,8 @@ def test_nsf_check_matches_reference_on_constructed_grammars(variant):
 
 def reference_programmed_step(code, pg, max_form_len):
     """The programmed successor function on one-rule tables: every rewrite
-    built by `_rewrites`, deduplicated, and the cap tested per rewrite."""
+    built by `_rewrites`, one per occurrence of the lhs even where two are
+    one form, and the cap tested per rewrite."""
     labels = {
         p: (_rhs_table(code, (pg.rule_of[p],)), sorted(pg.success[p]), sorted(pg.failure[p]))
         for p in pg.labels
@@ -348,7 +356,7 @@ def reference_programmed_step(code, pg, max_form_len):
         table, success, failure = labels[label]
         ys = _rewrites(form, table)
         if ys:
-            ys, nexts, ac = dict.fromkeys(ys), success, False
+            nexts, ac = success, False
         else:  # the rule does not apply: an appearance-checking step
             ys, nexts, ac = (form,), failure, True
         edges, pruned = [], False
@@ -397,7 +405,7 @@ def step_grammar(rule, success, failure):
 
 
 @settings(max_examples=300, deadline=None)
-# S -> S S on S S: two occurrences give one rewrite
+# S -> S S on S S: two occurrences give one form, handed back twice
 @example((step_grammar(Rule(S, (S, S)), {"p", "q"}, set()), (S, S), 3))
 # a cap that cuts every rewrite: pruned with a success field, not without
 @example((step_grammar(Rule(S, (a, S, a)), {"q"}, {"p"}), (S, a), 3))
@@ -999,7 +1007,8 @@ def skeleton_cases(draw):
 # the cap cuts the turn on the longer form only
 @example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), t_and(exactly(2))),), (4, 4, 4)))
 # erasing rules: M a and a M, both in the skeleton's turn, fill to a a
-# with the run a, so the second of them is dropped; with the run b they do not
+# with the run a, so the turn hands back a a twice and the search drops the
+# second; with the run b they do not
 @example(((S, a, A), (S, b, A), (((Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2)),), (5, 5, 5)))
 # under =2 the turn on the skeleton S M (M the mark) has longest row
 # a a S M, of length 4.  The turn of S a under cap 4 is whole and serves
@@ -1039,8 +1048,12 @@ def test_turns_match_turn_per_component(case):
                 pruned = pruned or cut
         edges, got_pruned = _turns(memo, steps, compiled, code, cap, (form, 0, 0))
         assert [(nxt, label[3]) for nxt, _, label in edges] == [((z, 0, 0), False) for _, z, _ in edges]
-        # each witness is filled on demand, one template per form, from the runs
-        got = [(j, z, [template % runs for template in templates]) for _, z, (j, templates, runs, _) in edges]
+        # each witness is filled on demand, one template per form, from the
+        # runs; a (component, form) may repeat, and the search keeps its first
+        firsts = {}
+        for _, z, (j, templates, runs, _) in edges:
+            firsts.setdefault((j, z), [template % runs for template in templates])
+        got = [(j, z, witness) for (j, z), witness in firsts.items()]
         assert (got, got_pruned) == (expected, pruned)
 
 
@@ -1121,9 +1134,9 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
 
     def counted_build(*args):
         builds.append(args)
-        template, n, groups, pruned, longest = real_build(*args)
-        groups = [(j, [tuple(map(Witness, witness)) for witness in witnesses]) for j, witnesses in groups]
-        return template, n, groups, pruned, longest
+        template, n, witnesses, pruned, longest = real_build(*args)
+        witnesses = [(j, tuple(map(Witness, witness))) for j, witness in witnesses]
+        return template, n, witnesses, pruned, longest
 
     def counted_turns(memo, steps, components, code, max_form_len, state):
         states.append(sum(c[0][1].search(state[0]) is not None for c in components))
@@ -1218,6 +1231,63 @@ def test_turn_walk_matches_state_by_state_search(case, bounds):
     # the forms it prices are those between turns of the enumeration
     rows, _ = _bfs(starts, turns)
     assert set(costs) == {form for _, form, _, _ in rows}
+
+
+def twice(successors):
+    """`successors` with each edge handed back twice in a row."""
+
+    def expand(state):
+        edges, pruned = successors(state)
+        return [edge for edge in edges for _ in (0, 1)], pruned
+
+    return expand
+
+
+def search_answers(grammar, mode):
+    """What the searches on a fresh compile of `grammar` give: the rows and
+    pruned flag of the search by whole turns, the costs and pruned flag of
+    the exhaustive index search, the `word_index` answers of the last
+    enumerated words and of a word of the longest length, which the search
+    may not reach, and the NSF report of a programmed grammar."""
+    code, space, _ = _compile(grammar, mode)
+    starts, _, _, turns, walk = space(BOUNDS.max_form_len)
+    rows, pruned = engine._bfs(starts, turns)
+    words = [code.word(form) for _, form, _, _ in rows if form and code.is_word(form)][-3:]
+    words.append(("a",) * BOUNDS.max_word_len)
+    indices = [word_index(grammar, word, BOUNDS, mode=mode) for word in words]
+    nsf = nsf_check(grammar, 6) if isinstance(grammar, ProgrammedGrammar) else None
+    return (rows, pruned), engine._minimax(*walk), indices, nsf
+
+
+@settings(max_examples=150, deadline=None)
+# S -> S S on S S rewrites both occurrences to S S S
+@example((step_grammar(Rule(S, (S, S)), {"p", "q"}, {"q"}), None))
+@example((CdSystem(frozenset({S, A}), frozenset({a}), S, ((Rule(S, (S, S)), Rule(S, (a,))),)), t_and(at_most(2))))
+@given(
+    st.one_of(
+        st.tuples(cd_systems(), modes),
+        st.tuples(hybrid_systems(), st.none()),
+        st.tuples(programmed_grammars(), st.none()),
+    )
+)
+def test_searches_drop_repeated_successors(case):
+    # only the two search loops drop a repeated successor: with every
+    # successor function they walk handing back each edge twice, the turns
+    # and their pricings inside the searches among them, every search keeps
+    # the first edge into each state and gives the same answer
+    g, mode = case
+    plain = search_answers(g, mode)
+    real_bfs, real_minimax = engine._bfs, engine._minimax
+
+    def bfs(starts, successors):
+        return real_bfs(starts, twice(successors))
+
+    def minimax(starts, successors, *rest):
+        return real_minimax(starts, twice(successors), *rest)
+
+    with patch.object(engine, "_bfs", bfs), patch.object(engine, "_minimax", minimax):
+        with patch("gsworkbench.verifier._bfs", bfs):
+            assert search_answers(g, mode) == plain
 
 
 def test_a_search_prices_each_skeleton_once(monkeypatch):
