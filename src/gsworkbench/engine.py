@@ -8,13 +8,14 @@ component, step count), and `_inner_steps` is its successor function.
 turn for enumeration and traces (a programmed step is a one-edge turn);
 one CD turn (`_turn`) is a `_bfs` over `_inner_steps` from the state that
 opens it to the states that close it, which gives the forms the component
-may hand back with shortest witnesses.  `mode_step` is `_turn`, and a CD
-system's turn-level successors run it per component, through `_turns`.
-`_minimax`, a breadth-first search over one bucket per cost, walks a space
-state by state for the index of one word.  Run to exhaustion for the
-bounded language with every word's index, it walks a CD system turn by
-turn (`_turn_walk`), each turn priced by a `_minimax` over `_inner_steps`
-inside it, and a programmed grammar step by step.
+may hand back with shortest witnesses.  `mode_step` is `_turn` on one
+component, and a CD system's turn-level successors, `_turns`, run it over
+the live components.  `_minimax`, a breadth-first search over one bucket
+per cost, walks a space state by state for the index of one word.  Run to
+exhaustion for the bounded language with every word's index, it walks a
+CD system turn by turn (`_turn_walk`), the turns of the live components
+priced by one `_minimax` over `_inner_steps` inside them (`_price`), and a
+programmed grammar step by step.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -47,10 +48,10 @@ per component, and reads ``t`` off the rewrites.  Within one search the
 turns of the components on a nonterminal skeleton run once: forms that
 differ only in their terminal runs, which no rule rewrites, share them,
 whatever their lengths, unless the form cap cut one of them; then they
-all run again for each cap on the skeleton.  Witnesses are filled for
-traces alone.  The exhaustive index search shares the turns on a
-skeleton the same way: each is priced once, by the least cost to each form
-it hands back, and a form's turns are walked once.  The index search,
+all run again for each cap on the skeleton.  `_by_skeleton` builds, keeps
+and fills a skeleton's turns, for enumeration with a witness per form
+(`_turn`), filled only for a trace, and for the exhaustive index search
+with a price per form (`_price`).  The index search,
 which meets a form at many step counts and in many states, counts a
 form's nonterminals once per state-by-state search; for one word of a
 λ-free grammar it expands only the forms no longer than the word whose
@@ -342,9 +343,9 @@ def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
 # dropped because its form exceeded ``max_form_len``.  It may repeat a
 # state, as two rewrites may be one form: `_bfs` and `_minimax` keep the
 # first edge into each state, and nothing else drops a repeat.  A whole
-# turn's label is ``(actor, templates, args, appearance checking)``: the
-# forms of its witness are each ``template % args``, filled only for a
-# trace.
+# turn's label is ``(actor, forms, runs, appearance checking)``: its
+# witness (skeleton forms of a CD turn, a programmed step's new form) and
+# the runs that fill it, as ``code.template(form) % runs``, for a trace.
 
 
 def _bfs(starts, successors):
@@ -486,9 +487,9 @@ def mode_step(form: Form, ruleset: Sequence[Rule], f: Mode, bounds: Bounds) -> M
     """
     code = _local_encoding((form,), ruleset)
     successors = _inner_steps([_component(code, ruleset, f)], bounds.max_form_len, [{}], False)
-    handed, pruned, _ = _turn(successors, 1, code.encode(form))
+    forms, payloads, pruned, _ = _turn(successors, [1], code.encode(form))
     decode = code.decoder()
-    return ModeStepResult({decode(y): tuple(map(decode, forms)) for y, forms in handed}, pruned)
+    return ModeStepResult({decode(y): tuple(map(decode, w)) for y, (_, w) in zip(forms, payloads)}, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +564,8 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
 
     `labels` maps each label to its `_label`.  A state is (form, next
     label), and an edge is one derivation step, which is also a whole turn,
-    labelled with the label, the new form (template ``"%s"``, args
-    ``(form,)``) and whether the step is appearance checking: when the
+    labelled ``(label, (form,), (), ac)``: the new form, a witness of one
+    form with no runs, and whether the step is appearance checking: when the
     label's rule applies, the rewrite at each occurrence of its lhs, left
     to right, goes on to every success label; otherwise the unchanged form
     goes on to every failure label.  The search starts from (axiom, r) for
@@ -586,14 +587,14 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
         if i < 0:  # the rule does not apply: an appearance-checking step
             if len(form) > max_form_len:
                 return [], bool(failure)
-            edge = label, ("%s",), (form,), True
+            edge = label, (form,), (), True
             return [((form, q), form, edge) for q in failure], False
         if len(form) + len(rhs) > max_form_len + 1:
             return [], bool(success)
         edges = []
         while i >= 0:
             y = form[:i] + rhs + form[i + 1 :]
-            edge = label, ("%s",), (y,), False
+            edge = label, (y,), (), False
             edges += [((y, q), y, edge) for q in success]
             i = form.find(lhs, i + 1)
         return edges, False
@@ -638,34 +639,61 @@ def _component(code: _Encoding, rules: Sequence[Rule], mode: Mode):
     return _rhs_table(code, rules), window, hi, hi if hi < math.inf else lo
 
 
-def _turn(successors, j: int, x: str):
-    """The turns of component `j` on form `x`: a `_bfs` from ``(x, j, 0)``
-    over `successors`, an `_inner_steps` without ``opens``, which stops at
-    the states ``(y, 0, 0)`` that close the turn.
+def _turn(successors, live, x: str):
+    """The turns on form `x` of each component j in `live`, in order: a
+    `_bfs` from ``(x, j, 0)`` over `successors`, an `_inner_steps` without
+    ``opens``, which stops at the states ``(y, 0, 0)`` that close the turn.
 
-    Returns the forms the component may hand back, in the order of their
-    closing states' rows, each with the forms of the shortest witness path
-    to that state (the forms after each step), whether a rewrite was dropped
-    because its form exceeded the cap of `successors`, and the length of the
-    longest row.  A turn that dropped nothing is the same turn under every
+    Returns the forms handed back in the order of their closing rows, a
+    ``(j, witness)`` for each, the forms after each step of a shortest path
+    there, whether the cap of `successors` dropped a rewrite, and the length
+    of the longest row: a turn that dropped nothing is the same under every
     cap from that length up, and drops a rewrite under any smaller cap.
     """
-    rows, pruned = _bfs([((x, j, 0), x)], successors)
-    handed = [(row[1], _path(rows, i, 3)[:-1]) for i, row in enumerate(rows) if not row[0][1]]
-    return handed, pruned, max([len(row[1]) for row in rows])
+    forms, payloads, pruned, longest = [], [], False, 0
+    for j in live:
+        rows, cut = _bfs([((x, j, 0), x)], successors)
+        for i, row in enumerate(rows):
+            if not row[0][1]:
+                forms.append(row[1])
+                payloads.append((j, _path(rows, i, 3)[:-1]))
+        pruned, longest = pruned or cut, max(longest, *[len(row[1]) for row in rows])
+    return forms, payloads, pruned, longest
 
 
-def _by_skeleton(memo, code: _Encoding, max_form_len, x: str, build, *args):
-    """``build(*args, skeleton, cap)`` for the turns on x, kept in `memo`,
-    and the runs of x.
+def _price(cost, successors, live, x: str):
+    """The turns on form `x` of the components in `live`, priced by one
+    `_minimax` over `successors` (as in `_turn`) from every opening state.
+
+    A form's price is the least cost of the turns' paths to it, a path
+    costing the largest `cost` on it, its first form included.  Returns the
+    forms handed back, their prices, the pruned flag and the longest form.
+    """
+    lengths = [len(x)]  # of the forms of the popped states
+
+    def form_of(state):  # `_between_turns`, noting the longest form
+        form, i, _ = state
+        lengths.append(len(form))
+        return None if i else form
+
+    costs, pruned = _minimax([((x, j, 0), x) for j in live], successors, form_of, cost)
+    return costs, list(costs.values()), pruned, max(lengths)
+
+
+def _by_skeleton(memo, components, steps, code: _Encoding, max_form_len, x: str, turn):
+    """The turns on form `x` of the components live on it by `turn`
+    (`_turn` or `_price`), kept in `memo`: the forms handed back zipped with
+    their payloads, whether the cap cut a rewrite, and the runs of x.
 
     A turn never rewrites a terminal, so the turn on x is the turn on its
     skeleton (x with one ``code.mark`` per maximal terminal run) under the
     cap less what the marks save, the marks filled by the runs.  Marks are
     terminals, so a skeleton form has the nonterminal count of its filling.
-    An entry ends with whether the cap cut a rewrite and the least cap it
-    holds for; `memo` keeps it whole, under the skeleton, for every cap
-    from that one up, or cut, under (skeleton, cap), for that cap alone.
+    On a miss `turn` runs over one `_inner_steps` under that cap on the
+    rewrites `steps`, unless no component is live, and its forms are kept as
+    one `code.template` joined by ``code.sep``.  `memo` keeps an entry whole,
+    under the skeleton, for every cap from its longest row up, or cut, under
+    (skeleton, cap), for that cap alone.
     """
     pieces = code.split_runs(x)  # the runs at odd positions
     runs = tuple(pieces[1::2])
@@ -675,89 +703,51 @@ def _by_skeleton(memo, code: _Encoding, max_form_len, x: str, build, *args):
     if hit is None or hit[-1] > cap:
         hit = memo.get((skeleton, cap))
         if hit is None:
-            hit = build(*args, skeleton, cap)
+            live = [j for j, (table, *_) in enumerate(components, 1) if table[1].search(skeleton)]
+            entry = turn(_inner_steps(components, cap, steps, False), live, skeleton) if live else ((), (), False, 0)
+            forms, payloads, pruned, longest = entry
+            hit = code.template(code.sep.join(forms)), len(forms), payloads, pruned, longest
             if runs:  # a form without runs shares no turn
-                memo[(skeleton, cap) if hit[-2] else skeleton] = hit
-    return hit, runs
+                memo[(skeleton, cap) if pruned else skeleton] = hit
+    template, n, payloads, pruned, _ = hit
+    return zip((template % (runs * n)).split(code.sep), payloads), pruned, runs
 
 
 def _turns(memo, steps, components, code: _Encoding, max_form_len, state):
     """The successors of a state between turns by the turns of each live
-    component in order, labelled ``(j, templates, runs, False)``: the
-    component, its witness's templates and the runs of x that fill them.
+    component in order, labelled ``(j, witness, runs, False)``: the
+    component, its witness's skeleton forms and the runs of x that fill them.
 
-    `memo` keeps each skeleton's `_skeleton_turns` (`_by_skeleton`), and
-    `steps` the search's rewrites per component.  Two skeleton forms may
-    fill to one (``M a`` and ``a M`` with the run ``a``): both edges are
-    handed back, and the search keeps the first.
+    `memo` keeps each skeleton's `_turn` (`_by_skeleton`), and `steps` the
+    search's rewrites per component.  Two skeleton forms may fill to one
+    (``M a`` and ``a M`` with the run ``a``): both edges are handed back,
+    and the search keeps the first.
     """
-    (template, n, witnesses, pruned, _), runs = _by_skeleton(
-        memo, code, max_form_len, state[0], _skeleton_turns, components, steps, code
-    )
-    filled = (template % (runs * n)).split(code.sep)
-    return [((y, 0, 0), y, (j, witness, runs, False)) for (j, witness), y in zip(witnesses, filled)], pruned
-
-
-def _skeleton_turns(components, steps, code: _Encoding, skeleton: str, cap):
-    """The `_turn` on `skeleton` under `cap` of each component live on it,
-    over one `_inner_steps` on the rewrites `steps`, as ``(template, n,
-    witnesses, pruned, longest)``, each form a `code.template`: the n
-    handed-back forms joined by ``code.sep``, a ``(component index, witness)``
-    pair for each of them in the same order, and whether some turn was cut
-    and the longest row of any.
-    """
-    successors = _inner_steps(components, cap, steps, False)
-    handed, witnesses, pruned, longest = [], [], False, 0
-    for j, component in enumerate(components, 1):
-        if component[0][1].search(skeleton) is not None:  # a dead turn hands back the form alone
-            turn, cut, row = _turn(successors, j, skeleton)
-            handed += [y for y, _ in turn]
-            witnesses += [(j, tuple(map(code.template, witness))) for _, witness in turn]
-            pruned, longest = pruned or cut, max(longest, row)
-    return code.template(code.sep.join(handed)), len(handed), witnesses, pruned, longest
+    handed, pruned, runs = _by_skeleton(memo, components, steps, code, max_form_len, state[0], _turn)
+    return [((y, 0, 0), y, (j, witness, runs, False)) for y, (j, witness) in handed], pruned
 
 
 def _turn_walk(components, code: _Encoding, start: str, max_form_len, steps):
     """The exhaustive index search of a hybrid CD system by whole turns:
     the arguments ``(starts, successors, form_of, cost_of)`` of `_minimax`.
 
-    A turn's price to a form it hands back is the least cost of the turn's
-    paths to it, where a path costs the largest nonterminal count on it,
-    its first form included: one `_minimax` over `_inner_steps` (rewrites
-    kept in `steps`) from each live component that stops at the closing
-    edges.  The turns on a skeleton are priced once per entry of
-    `_by_skeleton`, and the runs of a form fill them in.
-
-    A state is a pair (form between turns, price of a turn to it), priced
-    at that price, so that its first push carries its least cost; a form's
-    turns are priced at its first pair, as a later pair of it would offer
-    only pairs already pushed.  So the walk visits the forms between turns
-    that `enumerate_grammar` visits, prices each as the state-by-state
-    search does, and meets the same cuts.
+    A form's turns are priced by `_price` on the rewrites `steps`, once per
+    entry of `_by_skeleton`.  A state is a pair (form between turns, price
+    of a turn to it), priced at that price, so that its first push carries
+    its least cost; a form's turns are expanded at its first pair, as a
+    later pair would offer only pairs already pushed.  So the walk visits
+    the forms between turns that `enumerate_grammar` visits, prices each as
+    the state-by-state search does, and meets the same cuts.
     """
-    memo, expanded = {}, set()
-
-    def price(skeleton, cap):
-        lengths = [len(skeleton)]  # of the forms of the popped states
-
-        def form_of(state):  # `_between_turns`, noting the longest form
-            form, i, _ = state
-            lengths.append(len(form))
-            return None if i else form
-
-        starts = [((skeleton, j, 0), skeleton) for j, (table, *_) in enumerate(components, 1) if table[1].search(skeleton)]
-        if not starts:  # no live component: no turn hands back a form
-            return "", 0, [], False, len(skeleton)
-        costs, pruned = _minimax(starts, _inner_steps(components, cap, steps, False), form_of, code.cost)
-        return code.template(code.sep.join(costs)), len(costs), list(costs.values()), pruned, max(lengths)
+    memo, expanded, price = {}, set(), partial(_price, code.cost)
 
     def successors(state):
         x = state[0]
         if x in expanded:  # a later pair of x: its turns offer pairs already pushed
             return (), False
         expanded.add(x)
-        (template, n, prices, pruned, _), runs = _by_skeleton(memo, code, max_form_len, x, price)
-        return [(pair, pair, None) for pair in zip((template % (runs * n)).split(code.sep), prices)], pruned
+        pairs, pruned, _ = _by_skeleton(memo, components, steps, code, max_form_len, x, price)
+        return [(pair, pair, None) for pair in pairs], pruned
 
     first = (start, code.cost(start))
     return [(first, first)], successors, itemgetter(0), itemgetter(1)
@@ -846,8 +836,8 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
             for j in _path(rows, i, 2)[1:] + [i]:
                 seg = segments.get(j)
                 if seg is None:
-                    actor, templates, args, ac = rows[j][3]
-                    seg = segments[j] = TraceSegment(actor, tuple([decode(t % args) for t in templates]), ac)
+                    actor, forms, runs, ac = rows[j][3]
+                    seg = segments[j] = TraceSegment(actor, tuple([decode(code.template(f) % runs) for f in forms]), ac)
                 trace.append(seg)
             result.traces[word] = DerivationTrace(start, tuple(trace))
     return result

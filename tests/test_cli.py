@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,41 @@ def hcd_file(tmp_path):
                     (t_and(exactly(1)),) * g.degree, g.lambda_free, g.name)
     path = tmp_path / "anbnambm_hcd.gsw"
     path.write_text(F.serialize(hcd), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def sources(tmp_path, example1_file, pg_abc):
+    """Source files for the transforms, by name: a linear and an index-3
+    one-component cdgs file, one with a non-linear rule, example1(2) (two
+    components) and the programmed grammar for a^n b^n c^n."""
+    texts = {
+        "linear": "grammar lin cdgs\nnonterminals S\nterminals a b\naxiom S\nmode t\n"
+        "component\n  S -> a S b\n  S -> a b\n",
+        "cf3": "grammar cf3 cdgs\nnonterminals S A B\nterminals a b\naxiom S\nmode t\ncomponent\n"
+        "  S -> A B\n  A -> a A\n  A -> a\n  A -> A B\n  B -> b B\n  B -> b\n",
+        "nonlinear": "grammar nl cdgs\nnonterminals S A\nterminals a\naxiom S\nmode t\n"
+        "component\n  S -> A A\n  A -> a\n",
+        "pg": F.serialize(pg_abc),
+    }
+    paths = {"example1": example1_file}
+    for name, text in texts.items():
+        path = tmp_path / ("%s.gsw" % name)
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture
+def cut_file(tmp_path):
+    """An erasing system whose one word a is found while the form cap 2
+    cuts the turn S => A A A a, which might erase back to a shorter word."""
+    path = tmp_path / "cut.gsw"
+    path.write_text(
+        "grammar cut cdgs\nnonterminals S A\nterminals a\naxiom S\nmode (t & =1)\n"
+        "component\n  S -> a\n  S -> A A A a\n  A -> #\n",
+        encoding="utf-8",
+    )
     return str(path)
 
 
@@ -128,6 +164,14 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+    def test_strict_exits_3_on_a_cut_erasing_grammar(self, cut_file, capsys):
+        argv = ["enumerate", cut_file, "--max-len", "1", "--max-form-len", "2"]
+        assert main(argv + ["--strict"]) == 3
+        assert capsys.readouterr() == ("a\n", "TRUNCATED\n")
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("a\n", "")
 
 
 def parse_traces(out, grammar):
@@ -241,6 +285,84 @@ class TestTransform:
         assert "appearance checking is not simulated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_linear_to_cd2(self, sources, tmp_path):
+        out = tmp_path / "out.gsw"
+        assert main(["transform", "linear-to-cd2", sources["linear"], "-o", str(out)]) == 0
+        g = F.parse_grammar(Path(sources["linear"]).read_text(encoding="utf-8"))
+        source = C.LinearGrammar(g.nonterminals, g.terminals, g.axiom, g.components[0])
+        assert F.parse_file(out.read_text(encoding="utf-8")) == F.GrammarFile(C.linear_to_cd2(source))
+
+    def test_cf_to_cd2(self, sources, tmp_path):
+        out = tmp_path / "out.gsw"
+        assert main(["transform", "cf-to-cd2", sources["cf3"], "--k", "3", "-o", str(out)]) == 0
+        g = F.parse_grammar(Path(sources["cf3"]).read_text(encoding="utf-8"))
+        source = C.IndexedCfGrammar(g.nonterminals, g.terminals, g.axiom, g.components[0], 3)
+        assert F.parse_file(out.read_text(encoding="utf-8")) == F.GrammarFile(C.cf_indexk_to_cd2(source))
+
+    def test_prolong(self, example1_file, tmp_path):
+        out = tmp_path / "out.gsw"
+        assert main(["transform", "prolong", example1_file, "--ell", "2", "-o", str(out)]) == 0
+        want = C.prolong(C.build_example1(2), 2)
+        assert F.parse_file(out.read_text(encoding="utf-8")) == F.GrammarFile(want)
+
+    def test_anbnambm(self, tmp_path):
+        out = tmp_path / "out.gsw"
+        assert main(["transform", "anbnambm", "-o", str(out)]) == 0
+        assert F.parse_file(out.read_text(encoding="utf-8")) == F.GrammarFile(C.build_anbnambm())
+
+    def test_nsf_to_cdgs_writes_its_target_mode(self, sources, pg_abc, tmp_path):
+        out = tmp_path / "out.gsw"
+        argv = ["transform", "nsf-to-cdgs", sources["pg"], "--m", "3", "--mode", "(t & =3)", "-o", str(out)]
+        assert main(argv) == 0
+        target = t_and(exactly(3))
+        want = F.GrammarFile(C.nsf_programmed_to_cdgs(pg_abc, 3, target), target)
+        assert F.parse_file(out.read_text(encoding="utf-8")) == want
+
+    def test_dash_output_writes_the_grammar_to_stdout(self, capsys):
+        assert main(["transform", "snk", "--n", "1", "--k", "1", "-o", "-"]) == 0
+        want = F.serialize(C.build_snk_cdgs(1, 1), uniform_mode=C.snk_mode(1))
+        assert capsys.readouterr() == (want, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cf-to-cd2", "linear"], "cf-to-cd2 needs --k (the index bound)"),
+            (["cd-to-programmed", "example1"], "cd-to-programmed needs --k"),
+            (["snk", "--n", "1"], "snk needs --n and --k"),
+            (["snk", "--k", "1"], "snk needs --n and --k"),
+            (["nsf-to-cdgs", "pg", "--m", "3"], "nsf-to-cdgs needs --m and --mode"),
+            (["nsf-to-cdgs", "pg", "--mode", "(t & =3)"], "nsf-to-cdgs needs --m and --mode"),
+            (["finite-to-cd1", "--k", "2"], "finite-to-cd1 needs at least one --words entry"),
+            (["prolong", "--ell", "2"], "transform 'prolong' needs a source grammar file"),
+            (["cd-to-programmed", "pg", "--k", "2"], "cd-to-programmed needs a cdgs file"),
+            (["nsf-to-cdgs", "example1", "--m", "3", "--mode", "(t & =3)"], "nsf-to-cdgs needs a programmed file"),
+            (["linear-to-cd2", "pg"], "source grammar must be a single-component cdgs file"),
+            (["linear-to-cd2", "example1"], "source grammar must have exactly one component"),
+            (["linear-to-cd2", "nonlinear"], "non-linear rule S -> A A"),
+        ],
+        ids=[
+            "cf-to-cd2 without --k",
+            "cd-to-programmed without --k",
+            "snk without --k",
+            "snk without --n",
+            "nsf-to-cdgs without --mode",
+            "nsf-to-cdgs without --m",
+            "finite-to-cd1 without --words",
+            "no source file",
+            "programmed source for cd-to-programmed",
+            "cdgs source for nsf-to-cdgs",
+            "programmed source for linear-to-cd2",
+            "two-component source for linear-to-cd2",
+            "non-linear rule for linear-to-cd2",
+        ],
+    )
+    def test_usage_error(self, sources, tmp_path, argv, message, capsys):
+        out = tmp_path / "out.gsw"
+        argv = ["transform"] + [sources.get(arg, arg) for arg in argv] + ["-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+        assert not out.exists()
+
 
 class TestCheckEquiv:
     def test_equal_is_exit_zero(self, example1_file, example1_prog_file, capsys):
@@ -257,6 +379,14 @@ class TestCheckEquiv:
         assert code == 1
         out = capsys.readouterr().out
         assert out.startswith("MISSING ") or out.startswith("EXTRA ")
+
+
+    def test_strict_exits_3_on_a_cut_erasing_grammar(self, cut_file, capsys):
+        argv = ["check-equiv", cut_file, cut_file, "--max-len", "1", "--max-form-len", "2"]
+        assert main(argv + ["--strict"]) == 3
+        assert capsys.readouterr() == ("", "TRUNCATED\n")
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 class TestIndex:
@@ -525,3 +655,32 @@ class TestCommandLineSurface:
         args = build_parser().parse_args(MINIMAL_ARGV[name])
         assert args.command == name
         assert callable(args.func)
+
+
+def readme_cli_lines():
+    """Each ``gsw`` line of README's CLI block, in order, with the exit code
+    the comment above it documents: ``exits N`` where it says so, else 0."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    comment, lines = "", []
+    for line in block.splitlines():
+        if not line.strip():
+            comment = ""
+        elif line.startswith("#"):
+            comment += line
+        else:
+            found = re.search(r"exits (\d)", comment)
+            lines.append((shlex.split(line, comments=True), int(found.group(1)) if found else 0))
+    return lines
+
+
+def test_readme_cli_block_runs_top_to_bottom(tmp_path, monkeypatch, capsys):
+    # the block is run in order in an empty directory, so each file a line
+    # reads is written by a line above it
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert {argv[1] for argv, _ in lines} == set(NAMES)
+    for argv, code in lines:
+        assert argv[0] == "gsw"
+        assert (argv, main(argv[1:])) == (argv, code)
+        assert capsys.readouterr().err == ""

@@ -45,6 +45,7 @@ from conftest import make_pg_abc
 S = nonterminal("S")
 A = nonterminal("A")
 B = nonterminal("B")
+C = nonterminal("C")
 a = terminal("a")
 b = terminal("b")
 
@@ -331,13 +332,33 @@ class TestTraces:
     def test_a_programmed_step_must_go_on_to_a_label_of_its_field(self, pg_abc):
         # each step rewrites as its label says, but p4 goes on only to p5,
         # and p6 only to p6
-        C, c = nonterminal("C"), terminal("c")
+        c = terminal("c")
         forms = [(A, B, C), (a, B, C), (a, B, c), (a, b, c)]
         trace = DerivationTrace((S,), tuple(TraceSegment(p, (f,)) for p, f in zip(["p0", "p4", "p6", "p5"], forms)))
         assert validate_trace(pg_abc, trace) == [
             "segment 1: not a rewriting step at label 'p4' on to label 'p6'",
             "segment 2: not a rewriting step at label 'p6' on to label 'p5'",
         ]
+
+    @pytest.mark.parametrize(
+        "segments, problems",
+        [
+            (
+                [("p0", [(A, B, C), (a, B, C)])],
+                ["segment 0: programmed steps are single steps", "end: final form a B C is not terminal"],
+            ),
+            ([("p0", [])], ["segment 0: programmed steps are single steps", "end: final form S is not terminal"]),
+            ([("zz", [(a,)])], ["segment 0: unknown label 'zz'"]),
+            (
+                [("p1", [(A, B, C)])],
+                ["segment 0: not a rewriting step at label 'p1'", "end: final form A B C is not terminal"],
+            ),
+        ],
+        ids=["two forms", "no form", "unknown label", "not a step"],
+    )
+    def test_programmed_trace_problem_table(self, pg_abc, segments, problems):
+        segs = tuple(TraceSegment(p, tuple(forms)) for p, forms in segments)
+        assert validate_trace(pg_abc, DerivationTrace((S,), segs)) == problems
 
     @pytest.mark.parametrize("cut", ["off-axiom start", "unfinished"])
     def test_trace_must_run_from_axiom_to_word(self, cut):

@@ -34,6 +34,10 @@ D_ATOMS = {"*": STAR, "t": T_MODE, "<=1": at_most(1), "=1": exactly(1),
            ">=1": at_least(1), "<=2": at_most(2), ">=2": at_least(2)}
 
 
+# the first four lines of a file of each kind, before its mode or rules
+CD_HEAD = "grammar x cdgs\nnonterminals S A\nterminals a\naxiom S\n"
+PG_HEAD = CD_HEAD.replace("cdgs", "programmed")
+
 KEYWORDS = ("grammar", "nonterminals", "terminals", "axiom", "mode", "component", "rule")
 
 EXAMPLE1_TEXT = """\
@@ -185,6 +189,42 @@ class TestParseGrammar:
         with pytest.raises(F.GswParseError, match=message) as err:
             F.parse_grammar(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (CD_HEAD + "component\n  S ->\n", "expected '<lhs> -> <rhs>'", 6),
+            (CD_HEAD + "component\n  Z -> a\n", "unknown symbol 'Z'", 6),
+            (CD_HEAD + "component\n  S A -> a\n", "expected '<lhs> -> <rhs>'", 6),
+            (CD_HEAD + "S -> a\n", "rule outside a component block", 5),
+            ("grammar x\n", "grammar header needs a name and a kind", 1),
+            ("grammar x bogus\n", "unknown grammar kind 'bogus'", 1),
+            ("grammar x cdgs fast\n", "unknown header flags ['fast']", 1),
+            (CD_HEAD.replace("axiom S", "axiom Z"), "axiom must be one declared symbol", 4),
+            (CD_HEAD.replace("axiom S", "axiom S S"), "axiom must be one declared symbol", 4),
+            (CD_HEAD.replace("cdgs", "hcdgs") + "mode t\n", "uniform mode is only valid for cdgs files", 5),
+            (CD_HEAD + "mode (t & =0)\n", "mode expression '(t & =0)' is outside the mode set D", 5),
+            (PG_HEAD + "component\n", "component block in a programmed file", 5),
+            (CD_HEAD + "component t\n", "per-component modes are only valid for hcdgs files", 5),
+            (CD_HEAD.replace("cdgs", "hcdgs") + "component\n", "hcdgs component blocks need a mode", 5),
+            (CD_HEAD + "rule p : S -> a ; succ p ; fail\n", "rule lines are only valid in programmed files", 5),
+            (PG_HEAD + "rule p S -> a ; succ p ; fail\n",
+             "expected 'rule <label> : <lhs> -> <rhs> ; succ ... ; fail ...'", 5),
+            (PG_HEAD + "rule p : S -> a ; succ p\n",
+             "expected 'rule <label> : <lhs> -> <rhs> ; succ ... ; fail ...'", 5),
+            (PG_HEAD + "rule p : S -> a ; succ p ; fail\nrule p : S -> a a ; succ p ; fail\n",
+             "label 'p' declared twice", 6),
+            (PG_HEAD + "rule p : Z -> a ; succ p ; fail\n", "unknown symbol 'Z'", 5),
+            (PG_HEAD + "rule p : S -> a Z ; succ p ; fail\n", "unknown symbol 'Z'", 5),
+            (PG_HEAD + "rule p : S -> a ; fail ; succ p\n", "expected 'succ' and 'fail' sections", 5),
+            (CD_HEAD + "component\n  S -> a\nbogus line\n", "unrecognized line 'bogus line'", 7),
+            ("grammar x cdgs\nnonterminals S\nterminals a\ncomponent\n  S -> a\n", "missing axiom", 0),
+        ],
+    )
+    def test_parse_error_table(self, text, message, line):
+        with pytest.raises(F.GswParseError) as err:
+            F.parse_file(text)
+        assert (str(err.value), err.value.line) == (message + (" (line %d)" % line if line else ""), line)
 
     def test_duplicate_symbol_rejected(self):
         text = "grammar g cdgs\nnonterminals S\nterminals S\naxiom S\ncomponent\n  S -> S\n"

@@ -51,6 +51,21 @@ def simple_cd(components, **kw):
     return CdSystem(**defaults)
 
 
+def one_label_pg(**kw):
+    """A programmed grammar with the one label p, S -> a, fields replaced by `kw`."""
+    fields = dict(
+        nonterminals=frozenset({S}),
+        terminals=frozenset({a}),
+        axiom=S,
+        labels=("p",),
+        rule_of={"p": Rule(S, (a,))},
+        success={"p": frozenset({"p"})},
+        failure={"p": frozenset()},
+    )
+    fields.update(kw)
+    return ProgrammedGrammar(**fields)
+
+
 class TestSymbolsAndForms:
     def test_symbol_kinds(self):
         assert a.is_terminal() and not S.is_terminal()
@@ -281,6 +296,48 @@ class TestValidation:
             failure={"p": frozenset(), "q": frozenset()},
         )
         assert any(v.startswith("rule-missing:") for v in validate(pg))
+
+    @pytest.mark.parametrize(
+        "grammar, message",
+        [
+            (one_label_pg(labels=()), "labels: at least one label required"),
+            (one_label_pg(labels=("p", "p")), "labels: duplicate labels"),
+            (one_label_pg(success={}), "field-missing: succ field not defined for label p"),
+            (one_label_pg(failure={}), "field-missing: fail field not defined for label p"),
+            (
+                HcdSystem(frozenset({S}), frozenset({a}), S, ((Rule(S, (a,)),),), (T_MODE, STAR)),
+                "modes: one mode per component required",
+            ),
+            (simple_cd(((Rule(S, (b,)),),), nonterminals={S, a}, terminals={b}), "kind-mismatch: a listed as nonterminal"),
+            (simple_cd(((Rule(S, (a,)),),), nonterminals={S}, terminals={a, A}), "kind-mismatch: A listed as terminal"),
+            (
+                simple_cd(((Rule(S, (a,)),),), terminals={a, terminal("b#")}),
+                "bad-name: symbol name 'b#' not an identifier",
+            ),
+            (
+                simple_cd(((Rule(S, (a,)), Rule(a, (S,))),)),
+                "lhs-not-nonterminal: component 1 rule a -> S has lhs outside the nonterminal alphabet",
+            ),
+            (
+                one_label_pg(rule_of={"p": Rule(A, (a,))}, nonterminals={S}),
+                "lhs-not-nonterminal: programmed rule A -> a has lhs outside the nonterminal alphabet",
+            ),
+        ],
+        ids=[
+            "no label",
+            "duplicate label",
+            "no success field",
+            "no failure field",
+            "two modes for one component",
+            "terminal listed as nonterminal",
+            "nonterminal listed as terminal",
+            "symbol name",
+            "terminal lhs",
+            "programmed lhs outside the alphabet",
+        ],
+    )
+    def test_violation_table(self, grammar, message):
+        assert validate(grammar) == [message]
 
     def test_validation_is_pure_and_never_raises(self, pg_abc):
         assert validate(pg_abc) == []

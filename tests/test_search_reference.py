@@ -362,7 +362,7 @@ def reference_programmed_step(code, pg, max_form_len):
         edges, pruned = [], False
         for y in ys:
             if len(y) <= max_form_len:
-                edge = label, ("%s",), (y,), ac
+                edge = label, (y,), (), ac
                 edges += [((y, q), y, edge) for q in nexts]
             elif nexts:  # an edge is dropped
                 pruned = True
@@ -906,8 +906,10 @@ def test_is_rewrite_tries_every_occurrence():
 
 def one_turn(component, x: str, max_form_len):
     """`_turn` of a compiled component, alone in its system, on form x
-    under `max_form_len`, on a fresh rewrite memo."""
-    return _turn(_inner_steps([component], max_form_len, [{}], False), 1, x)
+    under `max_form_len`, on a fresh rewrite memo: each form it hands back
+    with its witness, its pruned flag and its longest row."""
+    forms, payloads, pruned, longest = _turn(_inner_steps([component], max_form_len, [{}], False), [1], x)
+    return [(y, witness) for y, (_, witness) in zip(forms, payloads)], pruned, longest
 
 
 def reference_turn_per_count(component, x: str, max_form_len):
@@ -1048,11 +1050,12 @@ def test_turns_match_turn_per_component(case):
                 pruned = pruned or cut
         edges, got_pruned = _turns(memo, steps, compiled, code, cap, (form, 0, 0))
         assert [(nxt, label[3]) for nxt, _, label in edges] == [((z, 0, 0), False) for _, z, _ in edges]
-        # each witness is filled on demand, one template per form, from the
-        # runs; a (component, form) may repeat, and the search keeps its first
+        # each witness is filled on demand, one template per skeleton form,
+        # from the runs; a (component, form) may repeat, and the search
+        # keeps its first
         firsts = {}
-        for _, z, (j, templates, runs, _) in edges:
-            firsts.setdefault((j, z), [template % runs for template in templates])
+        for _, z, (j, forms, runs, _) in edges:
+            firsts.setdefault((j, z), [code.template(f) % runs for f in forms])
         got = [(j, z, witness) for (j, z), witness in firsts.items()]
         assert (got, got_pruned) == (expected, pruned)
 
@@ -1119,36 +1122,43 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     g = cf3_cd2()
     turns, builds, fills = [], [], []
     states = []  # per state between turns, the number of its live components
-    real_turn, real_build, real_turns = engine._turn, engine._skeleton_turns, engine._turns
+    real_turn, real_turns, real_inner_steps = engine._turn, engine._turns, engine._inner_steps
+    real_template = engine._Encoding.template
 
     class Witness(str):
-        """A witness template that records each fill."""
-
-        def __mod__(self, args):
-            fills.append(self)
-            return str.__mod__(self, args)
+        """A witness form, whose templates are counted as fills."""
 
     def counted_turn(*args):
         turns.append(args)
-        return real_turn(*args)
+        forms, payloads, pruned, longest = real_turn(*args)
+        return forms, [(j, list(map(Witness, witness))) for j, witness in payloads], pruned, longest
 
-    def counted_build(*args):
-        builds.append(args)
-        template, n, witnesses, pruned, longest = real_build(*args)
-        witnesses = [(j, tuple(map(Witness, witness))) for j, witness in witnesses]
-        return template, n, witnesses, pruned, longest
+    def counted_template(code, form):
+        if isinstance(form, Witness):
+            fills.append(form)
+        return real_template(code, form)
+
+    def counted_inner_steps(components, max_form_len, steps, opens=True):
+        if not opens:  # the successors of a skeleton's turns
+            builds.append(max_form_len)
+        return real_inner_steps(components, max_form_len, steps, opens)
 
     def counted_turns(memo, steps, components, code, max_form_len, state):
         states.append(sum(c[0][1].search(state[0]) is not None for c in components))
         return real_turns(memo, steps, components, code, max_form_len, state)
 
     monkeypatch.setattr(engine, "_turn", counted_turn)
-    monkeypatch.setattr(engine, "_skeleton_turns", counted_build)
+    monkeypatch.setattr(engine._Encoding, "template", counted_template)
+    monkeypatch.setattr(engine, "_inner_steps", counted_inner_steps)
     monkeypatch.setattr(engine, "_turns", counted_turns)
     mode, bounds = t_and(exactly(3)), Bounds.for_words(10)
     enumerate_grammar(g, bounds, mode=mode)
-    # without sharing, a turn runs for nearly every state between turns
-    assert 2 * len(turns) < len(states) and 2 * len(builds) < len(states)
+    # without sharing, a turn runs for nearly every state between turns and
+    # live component
+    assert 2 * sum(len(live) for _, live, _ in turns) < sum(states) and 2 * len(turns) < len(states)
+    # a skeleton's turns are built over one step relation, and only where
+    # some component is live: no word's skeleton is, and none gets one
+    assert len(builds) == len(turns) and all(live for _, live, _ in turns) and 0 in states
     # an enumeration without traces fills no witness; one with traces fills
     # the forms of each segment it builds once
     assert fills == []
@@ -1165,7 +1175,8 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
         builds.clear()
         states.clear()
         enumerate_grammar(g, Bounds.for_words(max_len), mode=mode)
-        assert 2 * len(turns) < sum(states) and 2 * len(builds) < len(states)
+        assert 2 * sum(len(live) for _, live, _ in turns) < sum(states) and 2 * len(turns) < len(states)
+        assert len(builds) == len(turns)
 
 
 def test_the_index_search_rewrites_and_counts_each_form_once(monkeypatch):
@@ -1297,15 +1308,15 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
     real_by_skeleton, real_minimax = engine._by_skeleton, engine._minimax
     priced, memos, pops, searches = [], [], [], []
 
-    def counted_by_skeleton(memo, code, max_form_len, x, build, *args):
-        def counted_build(*built):
-            entry = build(*built)
-            skeleton, cap = built[-2:]
+    def counted_by_skeleton(memo, components, steps, code, max_form_len, x, turn):
+        def counted_turn(successors, live, skeleton):
+            entry = turn(successors, live, skeleton)
+            cap = max_form_len - len(x) + len(skeleton)
             priced.append((skeleton, cap) if entry[-2] else skeleton)
             return entry
 
         memos.append(memo)
-        return real_by_skeleton(memo, code, max_form_len, x, counted_build, *args)
+        return real_by_skeleton(memo, components, steps, code, max_form_len, x, counted_turn)
 
     def counted_minimax(starts, successors, *rest):
         searches.append(starts)
