@@ -1,7 +1,8 @@
 """Command-line entry points: enumerate / transform / check-equiv / index / nsf-check.
 
 Exit codes: 0 success, 1 check-equiv difference or nsf-check violation,
-2 parse, validation, read or write error, 3 truncated result under --strict.
+2 every bad input (a parse, validation, usage, read or write error, raised
+as ValueError and reported by `main` alone), 3 truncated result under --strict.
 """
 
 from __future__ import annotations
@@ -20,30 +21,21 @@ EXIT_PARSE = 2
 EXIT_TRUNCATED = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_PARSE):
-        super().__init__(message)
-        self.code = code
-
-
 def _load(path: str) -> fileformat.GrammarFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise CliError("cannot read %s: %s" % (path, err))
+        raise ValueError("cannot read %s: %s" % (path, err))
     try:
         return fileformat.parse_file(text)
     except GswParseError as err:
-        raise CliError("%s: %s" % (path, err))
+        raise ValueError("%s: %s" % (path, err))
 
 
 def _bounds(args) -> engine.Bounds:
     form_len = args.max_len if args.max_form_len is None else args.max_form_len
-    try:
-        return engine.Bounds(args.max_len, form_len)
-    except ValueError as err:
-        raise CliError(str(err))
+    return engine.Bounds(args.max_len, form_len)
 
 
 def _mode_for(gf: fileformat.GrammarFile, flag: Optional[str]) -> Optional[Mode]:
@@ -52,25 +44,18 @@ def _mode_for(gf: fileformat.GrammarFile, flag: Optional[str]) -> Optional[Mode]
     Other grammar kinds need no mode, so they get None; a malformed flag is
     an error for every kind.
     """
-    try:
-        mode = None if flag is None else fileformat.parse_mode(flag)
-    except GswParseError as err:
-        raise CliError(str(err))
+    mode = None if flag is None else fileformat.parse_mode(flag)
     if not isinstance(gf.grammar, CdSystem):
         return None
     mode = mode or gf.uniform_mode
     if mode is None:
-        raise CliError("a cdgs file needs a mode (file 'mode' line or --mode)")
+        raise ValueError("a cdgs file needs a mode (file 'mode' line or --mode)")
     return mode
 
 
-def _enumerate(gf: fileformat.GrammarFile, mode_flag, bounds, with_traces: bool):
-    try:
-        return engine.enumerate_grammar(
-            gf.grammar, bounds, mode=_mode_for(gf, mode_flag), with_traces=with_traces
-        )
-    except ValueError as err:
-        raise CliError(str(err))
+def _enumerate(gf: fileformat.GrammarFile, flag, bounds, traces: bool):
+    mode = _mode_for(gf, flag)
+    return engine.enumerate_grammar(gf.grammar, bounds, mode=mode, with_traces=traces)
 
 
 def _trace_lines(trace: engine.DerivationTrace):
@@ -90,7 +75,7 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
     if all(p in names for p in parts):
         return tuple(parts)
     if len(parts) != 1:
-        raise CliError("word symbols %r not in the terminal alphabet" % text)
+        raise ValueError("word symbols %r not in the terminal alphabet" % text)
     # segment a glued word like "aabb": the first success of a depth-first
     # search that tries the longest terminal first.  ends[i] holds whether
     # the suffix from i segments, so the walk never takes a dead end, and
@@ -100,7 +85,7 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
     for i in reversed(range(len(glued))):
         ends[i] = any(glued.startswith(n, i) and ends[i + len(n)] for n in names)
     if not ends[0]:
-        raise CliError("cannot segment word %r over the terminal alphabet" % text)
+        raise ValueError("cannot segment word %r over the terminal alphabet" % text)
     out: List[str] = []
     i = 0
     while i < len(glued):
@@ -108,6 +93,14 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
         out.append(name)
         i += len(name)
     return tuple(out)
+
+
+def _strict_exit(args, truncated: bool, code: int = EXIT_OK) -> int:
+    """`code`, or under --strict exit 3 after a TRUNCATED line on stderr for a cut result."""
+    if args.strict and truncated:
+        print("TRUNCATED", file=sys.stderr)
+        return EXIT_TRUNCATED
+    return code
 
 
 def _cmd_enumerate(args) -> int:
@@ -118,75 +111,72 @@ def _cmd_enumerate(args) -> int:
         if args.traces:
             for line in _trace_lines(result.traces[word]):
                 print(line)
-    if result.language.truncated and args.strict:
-        print("TRUNCATED", file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    return _strict_exit(args, result.language.truncated)
 
 
 def _linear_from_component(grammar: CdSystem, index_k: Optional[int]):
     if grammar.degree != 1:
-        raise CliError("source grammar must have exactly one component")
+        raise ValueError("source grammar must have exactly one component")
     fields = grammar.nonterminals, grammar.terminals, grammar.axiom, grammar.components[0]
-    try:
-        if index_k is None:
-            return constructions.LinearGrammar(*fields)
-        return constructions.IndexedCfGrammar(*fields, index_k)
-    except ValueError as err:
-        raise CliError(str(err))
+    if index_k is None:
+        return constructions.LinearGrammar(*fields)
+    return constructions.IndexedCfGrammar(*fields, index_k)
+
+
+def _nsf_to_cdgs(args, source):
+    target = fileformat.parse_mode(args.mode)
+    return constructions.nsf_programmed_to_cdgs(source, args.m, target), target
+
+
+_ONE_COMPONENT = "source grammar must be a single-component cdgs file"
+
+# name -> (the source file's grammar kind, or None for no source; the error
+# for a source of another kind; the arguments the build needs; the error
+# when one is None or an empty --words; the build from (args, source) to
+# (grammar, the uniform mode its file is written with))
+_TRANSFORMS = {
+    "finite-to-cd1": (
+        None, None, ("words",), "finite-to-cd1 needs at least one --words entry",
+        lambda a, s: (constructions.finite_to_cd1(
+            [tuple(w.split()) for w in a.words], 1 if a.k is None else a.k), None)),
+    "linear-to-cd2": (
+        CdSystem, _ONE_COMPONENT, (), None,
+        lambda a, s: (constructions.linear_to_cd2(_linear_from_component(s, None)), None)),
+    "cf-to-cd2": (
+        CdSystem, _ONE_COMPONENT, ("k",), "cf-to-cd2 needs --k (the index bound)",
+        lambda a, s: (constructions.cf_indexk_to_cd2(_linear_from_component(s, a.k)), None)),
+    "cd-to-programmed": (
+        CdSystem, "cd-to-programmed needs a cdgs file", ("k",), "cd-to-programmed needs --k",
+        lambda a, s: (constructions.cd_to_programmed(s, a.k, a.variant), None)),
+    "prolong": (CdSystem, "prolong needs a cdgs file", ("ell",), "prolong needs --ell",
+                lambda a, s: (constructions.prolong(s, a.ell), None)),
+    "nsf-to-cdgs": (ProgrammedGrammar, "nsf-to-cdgs needs a programmed file",
+                    ("m", "mode"), "nsf-to-cdgs needs --m and --mode", _nsf_to_cdgs),
+    "example1": (None, None, (), None,
+                 lambda a, s: (constructions.build_example1(2 if a.k is None else a.k), None)),
+    "snk": (None, None, ("n", "k"), "snk needs --n and --k",
+            lambda a, s: (constructions.build_snk_cdgs(a.n, a.k, a.variant),
+                          constructions.snk_mode(a.k, a.variant))),
+    "anbnambm": (None, None, (), None, lambda a, s: (constructions.build_anbnambm(), None)),
+    "s3": (None, None, (), None, lambda a, s: (constructions.build_s3_cd3(), None)),
+}
 
 
 def _cmd_transform(args) -> int:
-    name = args.name
-    uniform_mode = None
-    try:
-        if name == "finite-to-cd1":
-            if not args.words:
-                raise CliError("finite-to-cd1 needs at least one --words entry")
-            out = constructions.finite_to_cd1(
-                [tuple(w.split()) for w in args.words], 1 if args.k is None else args.k
-            )
-        elif name in ("linear-to-cd2", "cf-to-cd2"):
-            source = _source(args, CdSystem, "source grammar must be a single-component cdgs file")
-            if name == "linear-to-cd2":
-                out = constructions.linear_to_cd2(_linear_from_component(source, None))
-            else:
-                if args.k is None:
-                    raise CliError("cf-to-cd2 needs --k (the index bound)")
-                out = constructions.cf_indexk_to_cd2(_linear_from_component(source, args.k))
-        elif name == "cd-to-programmed":
-            source = _source(args, CdSystem, "cd-to-programmed needs a cdgs file")
-            if args.k is None:
-                raise CliError("cd-to-programmed needs --k")
-            out = constructions.cd_to_programmed(source, args.k, args.variant)
-        elif name == "prolong":
-            source = _source(args, CdSystem, "prolong needs a cdgs file")
-            if args.ell is None:
-                raise CliError("prolong needs --ell")
-            out = constructions.prolong(source, args.ell)
-        elif name == "nsf-to-cdgs":
-            source = _source(args, ProgrammedGrammar, "nsf-to-cdgs needs a programmed file")
-            if args.m is None or args.mode is None:
-                raise CliError("nsf-to-cdgs needs --m and --mode")
-            target = fileformat.parse_mode(args.mode)
-            out = constructions.nsf_programmed_to_cdgs(source, args.m, target)
-            uniform_mode = target
-        elif name == "example1":
-            out = constructions.build_example1(args.k if args.k is not None else 2)
-        elif name == "snk":
-            if args.n is None or args.k is None:
-                raise CliError("snk needs --n and --k")
-            out = constructions.build_snk_cdgs(args.n, args.k, args.variant)
-            uniform_mode = constructions.snk_mode(args.k, args.variant)
-        elif name == "anbnambm":
-            out = constructions.build_anbnambm()
-        elif name == "s3":
-            out = constructions.build_s3_cd3()
-        else:
-            raise CliError("unknown transform %r" % name)
-    except (ValueError, GswParseError) as err:
-        raise CliError(str(err))
-    text = fileformat.serialize(out, uniform_mode=uniform_mode)
+    if args.name not in _TRANSFORMS:
+        raise ValueError("unknown transform %r" % args.name)
+    kind, wrong_kind, needs, missing, build = _TRANSFORMS[args.name]
+    source = None
+    if kind is not None:
+        if not args.file:
+            raise ValueError("transform %r needs a source grammar file" % args.name)
+        source = _load(args.file).grammar
+        if not isinstance(source, kind):
+            raise ValueError(wrong_kind)
+    if any(getattr(args, name) in (None, []) for name in needs):
+        raise ValueError(missing)
+    grammar, uniform_mode = build(args, source)
+    text = fileformat.serialize(grammar, uniform_mode=uniform_mode)
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -194,18 +184,8 @@ def _cmd_transform(args) -> int:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as err:
-            raise CliError("cannot write %s: %s" % (args.output, err))
+            raise ValueError("cannot write %s: %s" % (args.output, err))
     return EXIT_OK
-
-
-def _source(args, kind: type, message: str):
-    """The grammar of the transform's source file; `message` when it is not a `kind`."""
-    if not args.file:
-        raise CliError("transform %r needs a source grammar file" % args.name)
-    grammar = _load(args.file).grammar
-    if not isinstance(grammar, kind):
-        raise CliError(message)
-    return grammar
 
 
 def _cmd_check_equiv(args) -> int:
@@ -216,10 +196,8 @@ def _cmd_check_equiv(args) -> int:
     report = verifier.bounded_equal(res_a.language, res_b.language)
     for line in report.lines():
         print(line)
-    if args.strict and (res_a.language.truncated or res_b.language.truncated):
-        print("TRUNCATED", file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK if report.equal else EXIT_DIFF
+    truncated = res_a.language.truncated or res_b.language.truncated
+    return _strict_exit(args, truncated, EXIT_OK if report.equal else EXIT_DIFF)
 
 
 def _cmd_index(args) -> int:
@@ -227,26 +205,17 @@ def _cmd_index(args) -> int:
     bounds = _bounds(args)
     mode = _mode_for(gf, args.mode)
     word = _parse_word(args.word, gf.grammar)
-    try:
-        result = engine.word_index(gf.grammar, word, bounds, mode=mode)
-    except ValueError as err:
-        raise CliError(str(err))
-    if result.index is None:
-        print("UNKNOWN")
-    else:
-        print(result.index)
-    if args.strict and result.truncated:
-        print("TRUNCATED", file=sys.stderr)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    result = engine.word_index(gf.grammar, word, bounds, mode=mode)
+    print("UNKNOWN" if result.index is None else result.index)
+    return _strict_exit(args, result.truncated)
 
 
 def _cmd_nsf_check(args) -> int:
     if args.depth < 0:
-        raise CliError("--depth must not be negative")
+        raise ValueError("--depth must not be negative")
     gf = _load(args.file)
     if not isinstance(gf.grammar, ProgrammedGrammar):
-        raise CliError("nsf-check needs a programmed grammar file")
+        raise ValueError("nsf-check needs a programmed grammar file")
     report = verifier.nsf_check(gf.grammar, args.depth)
     for line in report.lines():
         print(line)
@@ -351,9 +320,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
+    except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
-        return err.code
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .model import (
+    _COMPARISON_TEXT,
     CdSystem,
     HcdSystem,
     Mode,
@@ -86,7 +87,7 @@ def _mode_tokens(text: str) -> List[str]:
     return tokens
 
 
-_CMP = {"<=": "le", "=": "eq", ">=": "ge"}
+_CMP = {text: kind for kind, text in _COMPARISON_TEXT.items()}
 
 
 def parse_mode(text: str) -> Mode:

@@ -102,8 +102,8 @@ RuleSet = Tuple[Rule, ...]
 # Derivation modes
 # ---------------------------------------------------------------------------
 
-_BASIC_BOUNDED = ("le", "eq", "ge")
 _COMPARISON_TEXT = {"le": "<=", "eq": "=", "ge": ">="}
+_BASIC_BOUNDED = tuple(_COMPARISON_TEXT)
 
 
 @dataclass(frozen=True)

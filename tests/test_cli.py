@@ -58,6 +58,9 @@ def sources(tmp_path, example1_file, pg_abc):
         "nonlinear": "grammar nl cdgs\nnonterminals S A\nterminals a\naxiom S\nmode t\n"
         "component\n  S -> A A\n  A -> a\n",
         "pg": F.serialize(pg_abc),
+        # failure-free and outside NSF: A occurs twice in the form A A
+        "nonnsf": "grammar nonnsf programmed\nnonterminals S A\nterminals a\naxiom S\n"
+        "rule p : S -> A A ; succ q ; fail\nrule q : A -> a ; succ q ; fail\n",
     }
     paths = {"example1": example1_file}
     for name, text in texts.items():
@@ -115,6 +118,9 @@ class TestEnumerate:
     def test_missing_mode_is_parse_error(self, example1_file, capsys):
         code = main(["enumerate", example1_file, "--max-len", "5"])
         assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: a cdgs file needs a mode (file 'mode' line or --mode)\n"
+        )
 
     def test_zero_max_form_len_is_not_the_default(self, anbnambm_file, capsys):
         code = main(["enumerate", anbnambm_file, "--max-len", "4", "--max-form-len", "0"])
@@ -258,7 +264,8 @@ class TestTransform:
         assert "error: cannot write %s: " % out in capsys.readouterr().err
 
     def test_unknown_transform(self, tmp_path, capsys):
-        assert main(["transform", "bogus", "-o", str(tmp_path / "x.gsw")]) == 2
+        assert main(["transform", "nosuch", "-o", str(tmp_path / "x.gsw")]) == 2
+        assert capsys.readouterr() == ("", "error: unknown transform 'nosuch'\n")
 
     def test_missing_parameter(self, example1_file, tmp_path):
         code = main(["transform", "prolong", example1_file,
@@ -339,6 +346,15 @@ class TestTransform:
             (["linear-to-cd2", "pg"], "source grammar must be a single-component cdgs file"),
             (["linear-to-cd2", "example1"], "source grammar must have exactly one component"),
             (["linear-to-cd2", "nonlinear"], "non-linear rule S -> A A"),
+            (["snk", "--n", "1", "--k", "-1"], "n and k must be positive"),
+            (["example1", "--k", "1"], "k must be at least 2"),
+            (["nsf-to-cdgs", "pg", "--m", "3", "--mode", "garbage"],
+             "bad character 'g' in mode expression 'garbage'"),
+            (["nsf-to-cdgs", "nonnsf", "--m", "2", "--mode", "(t & =2)"],
+             "not in NSF: nonterminal A occurs 2 times in form A A; "
+             "label q applied to forms with different nonterminal vectors"),
+            (["cd-to-programmed", "pg"], "cd-to-programmed needs a cdgs file"),
+            (["finite-to-cd1", "--words", ""], "the empty word cannot be generated without erasing rules"),
         ],
         ids=[
             "cf-to-cd2 without --k",
@@ -354,14 +370,46 @@ class TestTransform:
             "programmed source for linear-to-cd2",
             "two-component source for linear-to-cd2",
             "non-linear rule for linear-to-cd2",
+            "snk with a negative k",
+            "example1 with k below 2",
+            "malformed mode for nsf-to-cdgs",
+            "nsf-to-cdgs outside NSF",
+            "programmed source for cd-to-programmed, no --k",
+            "finite-to-cd1 with the empty word",
         ],
     )
     def test_usage_error(self, sources, tmp_path, argv, message, capsys):
         out = tmp_path / "out.gsw"
-        argv = ["transform"] + [sources.get(arg, arg) for arg in argv] + ["-o", str(out)]
+        # argv[0] names the transform, never a source file
+        argv = ["transform", argv[0]] + [sources.get(arg, arg) for arg in argv[1:]] + ["-o", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "example1", "--mode", "(t & =2)", "--max-len", "5", "--max-form-len", "3"],
+         "max_form_len must be >= max_word_len"),
+        (["index", "example1", "--mode", "(t & =2)", "--word", "a1 a2 a3", "--max-len", "2"],
+         "word longer than max_word_len"),
+        (["index", "example1", "--mode", "(t & =2)", "--word", "a1 c", "--max-len", "5"],
+         "word symbols 'a1 c' not in the terminal alphabet"),
+    ],
+    ids=["form cap below word cap", "index word over max-len", "index word off the alphabet"],
+)
+def test_command_usage_error(sources, argv, message, capsys):
+    assert main([sources.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_unreadable_file_is_a_read_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["enumerate", "missing.gsw", "--max-len", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("error: cannot read missing.gsw: ")
 
 
 class TestCheckEquiv:
@@ -530,8 +578,9 @@ class TestNsfCheck:
         assert code == 1
         assert "VIOLATION" in capsys.readouterr().out
 
-    def test_needs_programmed_grammar(self, example1_file):
+    def test_needs_programmed_grammar(self, example1_file, capsys):
         assert main(["nsf-check", example1_file, "--depth", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: nsf-check needs a programmed grammar file\n")
 
     def test_default_depth_is_the_construction_depth(self):
         # the depth nsf-to-cdgs checks NSF to is written once
@@ -539,9 +588,7 @@ class TestNsfCheck:
 
     def test_negative_depth_is_an_error(self, example1_prog_file, capsys):
         assert main(["nsf-check", example1_prog_file, "--depth", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert "INCONCLUSIVE" not in captured.out
-        assert "depth" in captured.err
+        assert capsys.readouterr() == ("", "error: --depth must not be negative\n")
 
     def test_report_does_not_depend_on_the_hash_seed(self, tmp_path):
         # property-3 violations of several nonterminals in one form are
@@ -655,6 +702,117 @@ class TestCommandLineSurface:
         args = build_parser().parse_args(MINIMAL_ARGV[name])
         assert args.command == name
         assert callable(args.func)
+
+
+class TestCommandChains:
+    """Commands that read what an earlier command wrote, each run through
+    main in an empty directory."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.fixture
+    def cd2(self, sources, capsys):
+        """The index-3 CF grammar S -> A B, A -> a A | a | A B,
+        B -> b B | b through cf-to-cd2, as cd2.gsw."""
+        assert main(["transform", "cf-to-cd2", sources["cf3"], "--k", "3", "-o", "cd2.gsw"]) == 0
+        assert capsys.readouterr() == ("", "")
+        return "cd2.gsw"
+
+    @pytest.fixture
+    def ab(self, capsys):
+        """anbnambm as ab.gsw, and its cd-to-programmed at k = 1 as pab.gsw."""
+        assert main(["transform", "anbnambm", "-o", "ab.gsw"]) == 0
+        assert main(["transform", "cd-to-programmed", "ab.gsw", "--k", "1", "-o", "pab.gsw"]) == 0
+        assert capsys.readouterr() == ("", "")
+        return "ab.gsw"
+
+    def test_le_and_eq_turns_give_the_same_words(self, cd2, capsys):
+        # (t & <=k) turns whose unit self-loops meet a form at several
+        # step counts
+        words = []
+        for mode in ("(t & <=3)", "(t & =3)"):
+            assert main(["enumerate", cd2, "--mode", mode, "--max-len", "5"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            words.append(out.splitlines())
+        assert words[0] == words[1]
+        assert (len(words[0]), words[0][0], words[0][-1]) == (10, "a b", "a b b b b")
+
+    @pytest.mark.parametrize("max_len", ["6", "40"])
+    @pytest.mark.parametrize("word, index", [("a a b b b", "2"), ("b a", "UNKNOWN")])
+    def test_cd_index(self, cd2, max_len, word, index, capsys):
+        # the system cannot erase, so the answer is exact under --strict; on a
+        # lambda-free system the search stops at the word's length and at
+        # its terminal ends, so --max-len 40 answers as fast as 6
+        argv = ["index", cd2, "--mode", "(t & =3)", "--word", word, "--max-len", max_len, "--strict"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (index + "\n", "")
+
+    @pytest.mark.parametrize(
+        "mode, max_len, line",
+        [
+            ("(t & <=3)", "2", "  1: A' B => A' B'"),
+            # the turn from a a A b prints the full forms, though turns are
+            # shared by nonterminal skeleton, which leaves out a a and b
+            ("(t & =3)", "6", "  1: a a A b => a a A b => a a A' b"),
+            # the turn from a b b B' b b b B' is cut at the form cap: the
+            # whole turn kept for its skeleton has a longer row and must not
+            # serve it, and the cut turn kept for this cap does
+            ("(t & =3)", "8", "  2: a b b b b b b B' => a b b b b b b B' => a b b b b b b b"),
+        ],
+        ids=["le", "eq", "eq at the form cap"],
+    )
+    def test_cd_trace_line(self, cd2, mode, max_len, line, capsys):
+        assert main(["enumerate", cd2, "--mode", mode, "--max-len", max_len, "--traces"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert line in out.splitlines()
+
+    def test_anbnambm_trace(self, ab, capsys):
+        assert main(["enumerate", ab, "--mode", "(t & =1)", "--max-len", "4", "--traces"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert {"a b a b", "  3: a b a b"} <= set(out.splitlines())
+
+    @pytest.mark.parametrize("word, index", [("aabbaabb", "2"), ("abba", "UNKNOWN")])
+    def test_anbnambm_index(self, ab, word, index, capsys):
+        assert main(["index", ab, "--mode", "(t & =1)", "--word", word, "--max-len", "8"]) == 0
+        assert capsys.readouterr() == (index + "\n", "")
+
+    def test_index_without_word_is_its_parsers_usage_error(self, ab, capsys):
+        assert exit_code(["index", ab, "--max-len", "8"]) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == ""
+        assert lines[0].startswith("usage: gsw index ")
+        assert lines[-1] == "gsw index: error: the following arguments are required: --word"
+
+    def test_programmed_nsf_violation(self, ab, capsys):
+        assert main(["nsf-check", "pab.gsw", "--depth", "20"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "VIOLATION 1 start symbol appears in 2 productions (1_1_1 1_1)" in out.splitlines()
+
+    @pytest.mark.parametrize("word, index", [("aabbab", "2"), ("abba", "UNKNOWN")])
+    def test_programmed_index(self, ab, word, index, capsys):
+        # stepped by each label's one rule; the grammar cannot erase, so the
+        # answer is exact under --strict
+        assert main(["index", "pab.gsw", "--word", word, "--max-len", "8", "--strict"]) == 0
+        assert capsys.readouterr() == (index + "\n", "")
+
+    def test_nsf_chain(self, sources, capsys):
+        # pg_abc is in NSF at the default depth; nsf-to-cdgs simulates it by
+        # a CD system of index 3 in (t & =3), and the two languages agree
+        pg = sources["pg"]
+        assert main(["nsf-check", pg]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["transform", "nsf-to-cdgs", pg, "--m", "3", "--mode", "(t & =3)", "-o", "cd.gsw"]) == 0
+        assert main(["enumerate", "cd.gsw", "--max-len", "9"]) == 0
+        assert capsys.readouterr() == ("a b c\na a b b c c\na a a b b b c c c\n", "")
+        assert main(["check-equiv", pg, "cd.gsw", "--max-len", "9"]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 def readme_cli_lines():
