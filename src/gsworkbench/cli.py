@@ -8,7 +8,9 @@ as ValueError and reported by `main` alone), 3 truncated result under --strict.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+from functools import partial
 from typing import List, Optional, Tuple
 
 from . import constructions, engine, fileformat, verifier
@@ -290,16 +292,25 @@ _COMMANDS = {
 }
 
 
+def _help_formatter():
+    """argparse's default help formatter at the width it reads itself, the
+    terminal's columns less 2, read here once: a parser builds a formatter
+    on every `add_argument`, and each would read the terminal size."""
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The gsw parser, with a subparser for every command."""
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="gsw",
         description="Workbench for cooperating distributed grammar systems, "
         "hybrid derivation modes and programmed grammars.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+        add_args(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
@@ -311,7 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the same; leftover arguments go on to the full parser, whose
         # usage line names every command
         _, add_args = _COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog="gsw " + argv[0])
+        parser = argparse.ArgumentParser(prog="gsw " + argv[0], formatter_class=_help_formatter())
         add_args(parser)
         args, extra = parser.parse_known_args(argv[1:])
         if extra:

@@ -15,7 +15,8 @@ per cost, walks a space state by state for the index of one word.  Run to
 exhaustion for the bounded language with every word's index, it walks a
 CD system turn by turn (`_turn_walk`), the turns of the live components
 priced by one `_minimax` over `_inner_steps` inside them (`_price`), and a
-programmed grammar step by step.
+programmed grammar rewrite by rewrite (`_programmed_walk`), the failing
+steps before each rewrite followed inside the walk and never pushed.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -555,7 +556,7 @@ def _label(code: _Encoding, rule: Rule, success, failure):
     never applies, as no rule rewrites a terminal: its lhs is ``code.mark``,
     which no form holds."""
     lhs = code.mark if rule.lhs.is_terminal() else code.char[rule.lhs]
-    return lhs, code.encode(rule.rhs), sorted(success), sorted(failure)
+    return lhs, code.encode(rule.rhs), tuple(sorted(success)), tuple(sorted(failure))
 
 
 def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
@@ -575,9 +576,9 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
     A step is one rule, not a rule table: ``str.find`` gives the
     occurrences of its lhs, and every rewrite has ``len(form) + len(rhs) -
     1`` symbols, so the form cap is one test per step.  Two occurrences may
-    give one form, and the search keeps its first edge.  A step is already
-    a whole turn, so the exhaustive index search, ``walk`` (the arguments
-    of `_minimax`), walks these states priced by ``code.cost``.
+    give one form, and the search keeps its first edge.  The exhaustive
+    index search, ``walk`` (the arguments of `_minimax`), walks whole turns
+    instead (`_programmed_walk`): a rewrite with the failing steps before it.
     """
 
     def successors(state):
@@ -600,7 +601,60 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
         return edges, False
 
     starts = [((start, r), start) for r in labels]
-    return starts, successors, itemgetter(0), successors, (starts, successors, itemgetter(0), code.cost)
+    return starts, successors, itemgetter(0), successors, _programmed_walk(code, labels, start, max_form_len)
+
+
+def _programmed_walk(code: _Encoding, labels, start: str, max_form_len):
+    """The exhaustive index search of a programmed grammar by whole turns:
+    the arguments ``(starts, successors, form_of, cost_of)`` of `_minimax`.
+
+    A state is (form, the labels that may come next): every label at the
+    axiom, then the success field of the label applied.  Its turns follow
+    failure fields from those labels while their rule fails on the form,
+    then rewrite the form at each occurrence of the lhs of each label
+    reached whose rule applies, under the form cap of the step successors.
+    Whether a rule applies depends only on whether its lhs occurs, so the
+    labels reached that apply are kept per (next labels, which lhs occur).
+    An appearance-checking step keeps the form, so no state is pushed for
+    it; and a (form, label) is rewritten once per search, at its least
+    cost, as a later rewrite would push only states already pushed.  So a
+    walk path is a step path with its appearance-checking steps left out:
+    each form gets the least cost of the step-by-step search, and the same
+    (form, label) pairs meet the cap.
+    """
+    lhss = tuple({lhs for lhs, *_ in labels.values()})
+    applying, done = {}, set()
+
+    def successors(state):
+        form, nexts = state
+        key = nexts, tuple([c in form for c in lhss])
+        hit = applying.get(key)
+        if hit is None:  # follow the failure fields; a success field may be empty
+            hit, chain = [], list(nexts)
+            for p in chain:  # the loop visits the labels it appends
+                lhs, _, success, failure = labels[p]
+                if lhs not in form:
+                    chain += [q for q in failure if q not in chain]
+                elif success:
+                    hit.append(p)
+            applying[key] = hit
+        edges, pruned = [], False
+        for p in hit:
+            if (form, p) in done:
+                continue
+            done.add((form, p))
+            lhs, rhs, success, _ = labels[p]
+            if len(form) + len(rhs) > max_form_len + 1:
+                pruned = True
+                continue
+            i = form.find(lhs)
+            while i >= 0:
+                y = form[:i] + rhs + form[i + 1 :]
+                edges.append(((y, success), y, None))
+                i = form.find(lhs, i + 1)
+        return edges, pruned
+
+    return [((start, tuple(labels)), start)] if labels else [], successors, itemgetter(0), code.cost
 
 
 def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
@@ -976,7 +1030,9 @@ def indexed_language(
     the ones enumeration gives.  Each form gets the least cost over its
     derivations, so each index is the one `word_index` gives.  The compiled
     space hands it the search to run (``walk``): on a CD or hybrid system
-    it walks whole turns, priced once per skeleton (`_turn_walk`).
+    it walks whole turns, priced once per skeleton (`_turn_walk`), and on a
+    programmed grammar whole rewrites, with no state for an
+    appearance-checking step (`_programmed_walk`).
     """
     code, space, _ = _compiled(grammar, mode)
     costs, pruned = _minimax(*space(bounds.max_form_len)[4])

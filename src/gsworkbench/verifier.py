@@ -343,9 +343,10 @@ def certify_index_bound(grammar, bound: int, bounds: Bounds, mode=None) -> Index
 
     One exhaustive index search finds the words and gives their indices
     (`indexed_language`); on a CD or hybrid system it walks whole turns and
-    prices the turns on each nonterminal skeleton once.  A pass is
-    desk-scale evidence, not a proof: only words and derivations inside the
-    bounds are examined.
+    prices the turns on each nonterminal skeleton once, and on a programmed
+    grammar it walks whole rewrites and pushes no appearance-checking step.
+    A pass is desk-scale evidence, not a proof: only words and derivations
+    inside the bounds are examined.
     """
     language, indices = indexed_language(grammar, bounds, mode=mode)
     cert = IndexCertificate(bound, len(language), truncated=language.truncated)

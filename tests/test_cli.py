@@ -1,13 +1,15 @@
+import argparse
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gsworkbench import constructions as C
+from gsworkbench import cli, constructions as C
 from gsworkbench import fileformat as F
 from gsworkbench.cli import _trace_lines, build_parser, main
 from gsworkbench.engine import (
@@ -696,6 +698,36 @@ class TestCommandLineSurface:
         monkeypatch.setattr(sys, "argv", ["gsw", "index", "--help"])
         assert exit_code(None) == 0
         assert capsys.readouterr().out.startswith("usage: gsw index ")
+
+    def test_a_parser_reads_the_terminal_width_once(self, tmp_path, monkeypatch):
+        # argparse builds a help formatter on every add_argument, and each
+        # would read the terminal size
+        monkeypatch.chdir(tmp_path)
+        calls, real = [], shutil.get_terminal_size
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        assert main(MINIMAL_ARGV["index"]) == 2  # g.gsw cannot be read
+        assert len(calls) == 1
+        build_parser()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["index", "--help"], ["index"], ["nosuch"], MINIMAL_ARGV["index"] + ["--bogus"]],
+        ids=["help", "command help", "missing arguments", "unknown", "leftover"],
+    )
+    def test_help_and_usage_are_those_of_the_default_formatter(self, argv, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        code = exit_code(argv)
+        got = capsys.readouterr()
+        monkeypatch.setattr(cli, "_help_formatter", lambda: argparse.HelpFormatter)
+        assert exit_code(argv) == code
+        assert capsys.readouterr() == got
 
     @pytest.mark.parametrize("name", NAMES)
     def test_build_parser_knows_every_command(self, name):

@@ -31,12 +31,14 @@ each state it expands.  The reference for `nsf_check` is a
 level-by-level search over symbol tuples.
 
 The reference for the exhaustive index search of a CD or hybrid system,
-which walks whole turns priced once per skeleton (`_turn_walk`), is the
-state-by-state search: `_minimax` over the space's successors, priced by
-the nonterminal count.  On random systems, erasing ones among them, and
-under form caps equal to and above the word cap, it must give every form
-between turns the same least cost and the same pruned flag, and price
-exactly the forms between turns that enumeration visits.
+which walks whole turns priced once per skeleton (`_turn_walk`), and for
+that of a programmed grammar, which walks whole rewrites and follows the
+appearance-checking steps before each inside the walk (`_programmed_walk`),
+is the state-by-state search: `_minimax` over the space's successors,
+priced by the nonterminal count.  On random grammars, erasing ones among
+them, and under form caps equal to and above the word cap, it must give
+every form between turns the same least cost and the same pruned flag,
+and price exactly the forms between turns that enumeration visits.
 
 The reference for a programmed step, which finds its label's one lhs with
 ``str.find`` and tests the form cap once, is the step on that label's
@@ -1244,6 +1246,48 @@ def test_turn_walk_matches_state_by_state_search(case, bounds):
     assert set(costs) == {form for _, form, _, _ in rows}
 
 
+def labelled(*specs):
+    """A programmed grammar over S, A and a with one label per ``(label,
+    rule, success field, failure field)``.  Built without `validate`."""
+    return ProgrammedGrammar(
+        nonterminals=frozenset({S, A}),
+        terminals=frozenset({a}),
+        axiom=S,
+        labels=tuple(p for p, _, _, _ in specs),
+        rule_of={p: rule for p, rule, _, _ in specs},
+        success={p: frozenset(fields) for p, _, fields, _ in specs},
+        failure={p: frozenset(fields) for p, _, _, fields in specs},
+        lambda_free=all(rule.rhs for _, rule, _, _ in specs),
+    )
+
+
+def cd2_programmed():
+    """The benchmark's programmed grammar: `example1(2)` under (t & <=2),
+    mostly appearance-checking check labels."""
+    return C.cd_to_programmed(C.build_example1(2), 2, C.VARIANT_ATMOST)
+
+
+@settings(max_examples=300, deadline=None)
+@example(cd2_programmed(), Bounds.for_words(12))
+# a two-label ac cycle: at a a, q fails to p and p fails back to q
+@example(labelled(("p", Rule(S, (A, A)), {"q"}, {"q"}), ("q", Rule(A, (a,)), {"q"}, {"p"})), Bounds(4, 4))
+# a rewrite with an empty success field goes nowhere, so its form is unpriced
+@example(step_grammar(Rule(S, (a,)), set(), {"q"}), Bounds(4, 4))
+# an erasing rule, and a cap that cuts a S S's rewrite a a S S S
+@example(labelled(("p", Rule(S, (a, S, S)), {"p", "q"}, set()), ("q", Rule(S, ()), {"p", "q"}, set())), Bounds(4, 4))
+@given(programmed_grammars(), st.sampled_from(INDEX_BOUNDS))
+def test_programmed_walk_matches_state_by_state_search(pg, bounds):
+    code, space, _ = _compile(pg, None)
+    starts, _, _, turns, walk = space(bounds.max_form_len)
+    answer, (costs, pruned), _ = state_by_state_index(pg, bounds)
+    # the same least cost of every form, and the same cuts
+    assert _minimax(*walk) == (costs, pruned)
+    assert indexed_language(pg, bounds) == answer
+    # the forms it prices are those of the enumeration's rows
+    rows, _ = _bfs(starts, turns)
+    assert set(costs) == {form for _, form, _, _ in rows}
+
+
 def twice(successors):
     """`successors` with each edge handed back twice in a row."""
 
@@ -1340,6 +1384,50 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
     answer, _, log = state_by_state_index(g, bounds, mode)
     assert got == answer
     assert 2 * len(pops) < len(log)
+
+
+def test_the_programmed_walk_rewrites_each_form_and_label_once(monkeypatch):
+    # cd2_programmed's check labels fail on most forms, so the step-by-step
+    # search meets a form at many labels; the walk follows their failure
+    # fields without pushing a state and rewrites a (form, label) once
+    g, bounds = cd2_programmed(), Bounds.for_words(12)
+    code = _compile(g, None)[0]
+    real_minimax = engine._minimax
+    pops, edges = [], []
+
+    def counted_minimax(starts, successors, *rest):
+        def expand(state):
+            pops.append(state)
+            out = successors(state)
+            edges.extend((state[0], y) for _, y, _ in out[0])
+            return out
+
+        return real_minimax(starts, expand, *rest)
+
+    monkeypatch.setattr(engine, "_minimax", counted_minimax)
+    got = indexed_language(g, bounds)
+    monkeypatch.undo()
+    # no popped state is reached by an appearance-checking step, which
+    # keeps the form: every edge rewrites it
+    assert pops and all(x != y for x, y in edges)
+    # each edge is one rewrite at one occurrence of the lhs of one (form,
+    # label) met at a popped state, so no (form, label) is rewritten twice
+    # when there are no more edges than those occurrences
+    met = set()
+    for form, nexts in pops:
+        chain = list(nexts)
+        for p in chain:
+            lhs = code.char[g.rule_of[p].lhs]
+            if lhs not in form:
+                chain += [q for q in sorted(g.failure[p]) if q not in chain]
+            elif g.success[p] and len(form) + len(g.rule_of[p].rhs) <= bounds.max_form_len + 1:
+                met.add((form, p))
+    assert len(edges) == sum(form.count(code.char[g.rule_of[p].lhs]) for form, p in met)
+    # the walk pops under a quarter of the states of the state-by-state
+    # search, for the same answer
+    answer, _, log = state_by_state_index(g, bounds)
+    assert got == answer
+    assert 4 * len(pops) < len(log)
 
 
 def fresh_trace_check(grammar, trace, mode):
