@@ -55,6 +55,28 @@ def _checked(system: _G) -> _G:
     return system
 
 
+def _system(axiom: Symbol, components: Sequence[Sequence[Rule]], name: str) -> CdSystem:
+    """The checked CD system of these rules: its alphabets are the symbols
+    of its rules and axiom, and it is λ-free iff no rule erases."""
+    rules = [rule for comp in components for rule in comp]
+    symbols = {axiom}.union((r.lhs for r in rules), *(r.rhs for r in rules))
+    return _checked(
+        CdSystem(
+            nonterminals=frozenset(s for s in symbols if not s.is_terminal()),
+            terminals=frozenset(s for s in symbols if s.is_terminal()),
+            axiom=axiom,
+            components=components,
+            lambda_free=not any(r.is_erasing() for r in rules),
+            name=name,
+        )
+    )
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in _VARIANTS:
+        raise ValueError("variant must be one of %r" % (_VARIANTS,))
+
+
 # ---------------------------------------------------------------------------
 # Plain context-free inputs
 # ---------------------------------------------------------------------------
@@ -125,24 +147,13 @@ def finite_to_cd1(words: Iterable[Tuple[str, ...]], k: int) -> CdSystem:
     if bad:
         raise ValueError("terminal name %r is not an identifier" % bad[0])
     taken = set(term_names)
-    stage_names = [_fresh("S__%d" % i, taken) for i in range(1, k + 1)]
-    stages = [nonterminal(n) for n in stage_names]
-    terms = {name: terminal(name) for name in term_names}
+    stages = [nonterminal(_fresh("S__%d" % i, taken)) for i in range(1, k + 1)]
     rules: List[Rule] = []
     for i in range(k - 1):
         rules.append(Rule(stages[i], (stages[i + 1],)))
     for w in word_list:
-        rules.append(Rule(stages[-1], tuple(terms[name] for name in w)))
-    return _checked(
-        CdSystem(
-            nonterminals=frozenset(stages),
-            terminals=frozenset(terms.values()),
-            axiom=stages[0],
-            components=(tuple(rules),),
-            lambda_free=True,
-            name="finite_cd1",
-        )
-    )
+        rules.append(Rule(stages[-1], tuple(map(terminal, w))))
+    return _system(stages[0], (rules,), "finite_cd1")
 
 
 def _primed(nts: Sequence[Symbol], taken: set) -> Dict[Symbol, Symbol]:
@@ -175,7 +186,7 @@ def cf_indexk_to_cd2(g: IndexedCfGrammar) -> CdSystem:
 
 def _cf_to_cd2(g: _CfGrammar, self_loops: bool, name: str) -> CdSystem:
     """Both CF -> CD2 simulations; `self_loops` adds B -> B and B' -> B'."""
-    taken = {s.name for s in g.nonterminals | g.terminals}
+    taken = {s.name for s in g.alphabet()}
     primed = _primed(g.nonterminals, taken)
     p1: List[Rule] = []
     for nt in sorted(g.nonterminals):
@@ -214,9 +225,8 @@ def cd_to_programmed(g: CdSystem, k: int, variant: str = VARIANT_EXACTLY) -> Pro
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if variant not in _VARIANTS:
-        raise ValueError("variant must be one of %r" % (_VARIANTS,))
-    taken = {s.name for s in g.nonterminals | g.terminals}
+    _check_variant(variant)
+    taken = {s.name for s in g.alphabet()}
     fail_sym = nonterminal(_fresh("F", taken))
     labels: List[str] = []
     rule_of: Dict[str, Rule] = {}
@@ -306,16 +316,7 @@ def build_example1(k: int) -> CdSystem:
     for i in range(k - 1):
         p2.append(Rule(A[i], (a[i],)))
     p2.append(Rule(A[k - 1], (a[k - 1], a[k])))
-    return _checked(
-        CdSystem(
-            nonterminals=frozenset(S + A + Ap),
-            terminals=frozenset(a),
-            axiom=S[0],
-            components=(tuple(p1), tuple(p2)),
-            lambda_free=True,
-            name="example1_k%d" % k,
-        )
-    )
+    return _system(S[0], (p1, p2), "example1_k%d" % k)
 
 
 def build_anbnambm() -> CdSystem:
@@ -326,16 +327,7 @@ def build_anbnambm() -> CdSystem:
     p1 = (Rule(S, (A, B)), Rule(Ap, (A,)), Rule(Bp, (B,)))
     p2 = (Rule(A, (a, Ap, b)), Rule(A, (a, b)), Rule(Bp, (Bp,)))
     p3 = (Rule(B, (a, Bp, b)), Rule(B, (a, b)), Rule(A, (A,)), Rule(Ap, (Ap,)))
-    return _checked(
-        CdSystem(
-            nonterminals=frozenset({S, A, B, Ap, Bp}),
-            terminals=frozenset({a, b}),
-            axiom=S,
-            components=(p1, p2, p3),
-            lambda_free=True,
-            name="anbnambm",
-        )
-    )
+    return _system(S, (p1, p2, p3), "anbnambm")
 
 
 def build_s3_cd3() -> CdSystem:
@@ -369,16 +361,7 @@ def build_s3_cd3() -> CdSystem:
         Rule(Ap, (A,)),
         Rule(Bp, (F,)),
     )
-    return _checked(
-        CdSystem(
-            nonterminals=frozenset({S, A, B, C, Ap, Bp, Cp, Bpp, F}),
-            terminals=frozenset({a, b}),
-            axiom=S,
-            components=(p1, p2, p3),
-            lambda_free=True,
-            name="s3_cd3",
-        )
-    )
+    return _system(S, (p1, p2, p3), "s3_cd3")
 
 
 def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
@@ -395,8 +378,7 @@ def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if variant not in _VARIANTS:
-        raise ValueError("variant must be one of %r" % (_VARIANTS,))
+    _check_variant(variant)
     a, b = terminal("a"), terminal("b")
     S = [nonterminal("S__%d" % i) for i in range(0, k + 1)]
     q0 = {i: nonterminal("q%d__0" % i) for i in range(1, n + 1)}
@@ -454,30 +436,12 @@ def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
         for i in range(n):
             components.append(grow_parts[i])
             components.append(term_parts[i])
-
-    nts = (
-        set(S)
-        | set(q0.values())
-        | set(q1.values())
-        | set(t0.values())
-        | set(tp.values())
-        | set(A0.values())
-        | set(A1.values())
-    )
-    return _checked(
-        CdSystem(
-            nonterminals=frozenset(nts),
-            terminals=frozenset({a, b}),
-            axiom=S[0],
-            components=tuple(components),
-            lambda_free=True,
-            name="snk_n%d_k%d_%s" % (n, k, variant),
-        )
-    )
+    return _system(S[0], components, "snk_n%d_k%d_%s" % (n, k, variant))
 
 
 def snk_mode(k: int, variant: str = VARIANT_EXACTLY) -> Mode:
     """The derivation mode the block-pump system is meant to run in."""
+    _check_variant(variant)
     if variant == VARIANT_EXACTLY:
         return t_and(exactly(k + 1))
     return t_and(at_most(k + 1))
@@ -501,7 +465,7 @@ def prolong(g: CdSystem, ell: int) -> CdSystem:
         raise ValueError("ell must be positive")
     if ell == 1:
         return g
-    taken = {s.name for s in g.nonterminals | g.terminals}
+    taken = {s.name for s in g.alphabet()}
     new_nts = set(g.nonterminals)
     components: List[Tuple[Rule, ...]] = []
     for i, comp in enumerate(g.components, start=1):

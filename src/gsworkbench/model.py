@@ -242,6 +242,7 @@ class _Grammar:
         object.__setattr__(self, "terminals", frozenset(self.terminals))
 
     def alphabet(self) -> FrozenSet[Symbol]:
+        """Both alphabets: the one place their union is formed."""
         return self.nonterminals | self.terminals
 
     def __getstate__(self):  # pickle and copy the fields, not the kept compiles
@@ -328,10 +329,10 @@ def is_terminal_form(form: Form) -> bool:
     return NONTERMINAL not in map(_kind_of, form)
 
 
-def _check_rules(rules, nts, ts, lambda_free, where, out):
-    alphabet = nts | ts
+def _check_rules(rules, g, where, out):
+    alphabet = g.alphabet()
     for rule in rules:
-        if rule.lhs not in nts:
+        if rule.lhs not in g.nonterminals:
             out.append(
                 "lhs-not-nonterminal: %s rule %r has lhs outside the "
                 "nonterminal alphabet" % (where, rule)
@@ -342,7 +343,7 @@ def _check_rules(rules, nts, ts, lambda_free, where, out):
                     "alien-symbol: %s rule %r uses symbol %s not in the "
                     "grammar alphabets" % (where, rule, s.name)
                 )
-        if lambda_free and rule.is_erasing():
+        if g.lambda_free and rule.is_erasing():
             out.append(
                 "erasing-rule: erasing rule in λ-free grammar (%s rule %r)"
                 % (where, rule)
@@ -356,7 +357,7 @@ def _check_alphabets(g, out):
         out.append(
             "alphabet-overlap: name %r is both nonterminal and terminal" % name
         )
-    for s in g.nonterminals | g.terminals:
+    for s in g.alphabet():
         if not NAME_PATTERN.match(s.name):
             out.append("bad-name: symbol name %r not an identifier" % s.name)
     for s in g.nonterminals:
@@ -385,14 +386,7 @@ def validate(grammar) -> list:
         if grammar.degree < 1:
             out.append("degree: degree ≥ 1 required")
         for i, rules in enumerate(grammar.components, start=1):
-            _check_rules(
-                rules,
-                grammar.nonterminals,
-                grammar.terminals,
-                grammar.lambda_free,
-                "component %d" % i,
-                out,
-            )
+            _check_rules(rules, grammar, "component %d" % i, out)
         if isinstance(grammar, HcdSystem):
             if len(grammar.modes) != grammar.degree:
                 out.append("modes: one mode per component required")
@@ -415,14 +409,8 @@ def validate(grammar) -> list:
                 out.append("bad-name: label %r not an identifier" % p)
             if p not in grammar.rule_of:
                 out.append("rule-missing: label %s has no rule" % p)
-        _check_rules(
-            [grammar.rule_of[p] for p in grammar.labels if p in grammar.rule_of],
-            grammar.nonterminals,
-            grammar.terminals,
-            grammar.lambda_free,
-            "programmed",
-            out,
-        )
+        rules = [grammar.rule_of[p] for p in grammar.labels if p in grammar.rule_of]
+        _check_rules(rules, grammar, "programmed", out)
         for field_name, mapping in (("succ", grammar.success), ("fail", grammar.failure)):
             for p in grammar.labels:
                 if p not in mapping:

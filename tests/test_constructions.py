@@ -2,6 +2,7 @@ import random
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsworkbench import constructions as C
 from gsworkbench import verifier as V
@@ -23,7 +24,7 @@ from gsworkbench.model import (
     validate,
 )
 
-from conftest import cf_bounded
+from conftest import cf_bounded, make_pg_abc
 
 S = nonterminal("S")
 A = nonterminal("A")
@@ -36,6 +37,63 @@ c = terminal("c")
 def words_of(grammar, mode, max_len):
     lang = enumerate_grammar(grammar, Bounds.for_words(max_len), mode=mode).language
     return set(lang.words)
+
+
+def assert_alphabets_are_those_of_its_rules(g):
+    rules = [rule for comp in g.components for rule in comp]
+    symbols = {g.axiom} | {r.lhs for r in rules} | {s for r in rules for s in r.rhs}
+    assert g.nonterminals == {s for s in symbols if not s.is_terminal()}
+    assert g.terminals == {s for s in symbols if s.is_terminal()}
+    assert g.lambda_free == (not any(r.is_erasing() for r in rules))
+
+
+@pytest.mark.parametrize("build, args", [
+    pytest.param(C.build_example1, (k,), id="example1-%d" % k) for k in range(2, 6)
+] + [
+    pytest.param(C.build_anbnambm, (), id="anbnambm"),
+    pytest.param(C.build_s3_cd3, (), id="s3"),
+] + [
+    pytest.param(C.build_snk_cdgs, (n, k, v), id="snk-%d-%d-%s" % (n, k, v))
+    for n in (1, 2, 3) for k in (1, 2, 3) for v in C._VARIANTS
+])
+def test_a_named_system_declares_exactly_the_symbols_of_its_rules(build, args):
+    assert_alphabets_are_those_of_its_rules(build(*args))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sets(
+        st.lists(st.sampled_from(["a", "b", "S__1", "S__2_x"]), min_size=1, max_size=4).map(tuple),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(1, 3),
+)
+def test_a_finite_system_declares_exactly_the_symbols_of_its_rules(words, k):
+    assert_alphabets_are_those_of_its_rules(C.finite_to_cd1(words, k))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: C.finite_to_cd1([], 1), "empty word set", id="finite_to_cd1-no-words"),
+    pytest.param(lambda: C.IndexedCfGrammar(frozenset({S}), frozenset({a}), S, (Rule(S, (a,)),), 0),
+                 "index must be positive", id="IndexedCfGrammar-0"),
+    pytest.param(lambda: C.cd_to_programmed(C.build_example1(2), 0), "k must be positive",
+                 id="cd_to_programmed-0"),
+    pytest.param(lambda: C.prolong(C.build_anbnambm(), 0), "ell must be positive", id="prolong-0"),
+    pytest.param(lambda: C.nsf_programmed_to_cdgs(make_pg_abc(), 0, t_and(exactly(3))),
+                 "m must be positive", id="nsf_programmed_to_cdgs-0"),
+    pytest.param(lambda: C.nsf_programmed_to_cdgs(make_pg_abc(), 2, t_and(exactly(2))),
+                 "index exceeds m at label p1", id="nsf_programmed_to_cdgs-index-3-as-2"),
+] + [
+    pytest.param(build, "variant must be one of", id=name + "-bogus") for name, build in [
+        ("snk_mode", lambda: C.snk_mode(1, "bogus")),
+        ("build_snk_cdgs", lambda: C.build_snk_cdgs(1, 1, "bogus")),
+        ("cd_to_programmed", lambda: C.cd_to_programmed(C.build_example1(2), 1, "bogus")),
+    ]
+])
+def test_rejects_an_argument_out_of_range(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestFiniteToCd1:

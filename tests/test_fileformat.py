@@ -70,6 +70,7 @@ class TestParseMode:
         ("(>=1 & <=3)", between(1, 3)),
         ("(t & =2)", t_and(exactly(2))),
         ("(t&<=4)", t_and(at_most(4))),
+        ("(t & =2)   ", t_and(exactly(2))),
     ])
     def test_accepts(self, text, mode):
         assert F.parse_mode(text) == mode

@@ -104,13 +104,18 @@ class TestSymbolsAndForms:
 
 class TestModes:
     def test_constructors_reject_nonpositive(self):
-        for ctor in (at_most, exactly, at_least):
-            with pytest.raises(ValueError):
+        for ctor in (at_most, exactly, at_least, lambda k: between(k, 2)):
+            with pytest.raises(ValueError, match="mode bound must be positive"):
                 ctor(0)
 
     def test_between_requires_order(self):
         with pytest.raises(ValueError):
             between(3, 2)
+
+    @pytest.mark.parametrize("inner", [STAR, T_MODE, t_and(exactly(1))], ids=mode_text)
+    def test_t_and_nests_only_a_comparison(self, inner):
+        with pytest.raises(ValueError, match="t_and nests only"):
+            t_and(inner)
 
     def test_mode_text_roundtrip_shapes(self):
         assert mode_text(STAR) == "*"

@@ -15,6 +15,11 @@ class TestReferenceLanguages:
         with pytest.raises(ValueError):
             V.ReferenceLanguage("mystery")
 
+    @pytest.mark.parametrize("make", [V.equal_powers, V.block_pump])
+    def test_parameter_must_be_positive(self, make):
+        with pytest.raises(ValueError, match="parameter must be positive"):
+            make(0)
+
     def test_an_bn_expand(self):
         lang = V.expand(V.an_bn(), 6)
         assert lang.words == (
@@ -49,6 +54,7 @@ class TestReferenceLanguages:
         (V.block_pump(1), 13),
         (V.block_pump(3), 19),
         (V.two_block(), 10),
+        (V.finite([("a",), ("a", "b"), ("b", "a", "b")]), 4),
     ])
     def test_member_agrees_with_expand(self, ref, max_len):
         # cross-check the two independent implementations on all words
@@ -131,6 +137,29 @@ class TestNsfCheck:
         )
         rep = V.nsf_check(pg, 8)
         assert any(item == 2 for item, _ in rep.violations)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: property 2 is recorded wherever a label's lhs "
+        "occurs, also for a label with an empty success field, which the "
+        "engine never applies",
+    )
+    def test_a_label_with_no_step_records_no_vector(self):
+        from gsworkbench.model import ProgrammedGrammar
+        A, B = nonterminal("A"), nonterminal("B")
+        # p is never applied: its success field is empty, so the language is
+        # empty, but its lhs A occurs after p0 (vector A B) and after p1 (A)
+        pg = ProgrammedGrammar(
+            nonterminals=frozenset({S, A, B}),
+            terminals=frozenset({a, b}),
+            axiom=S,
+            labels=("p0", "p", "p1"),
+            rule_of={"p0": Rule(S, (A, B)), "p": Rule(A, (a,)), "p1": Rule(B, (b,))},
+            success={"p0": frozenset({"p", "p1"}), "p": frozenset(), "p1": frozenset({"p"})},
+            failure={p: frozenset() for p in ("p0", "p", "p1")},
+        )
+        assert enumerate_grammar(pg, Bounds.for_words(10)).language.words == ()
+        assert V.nsf_check(pg, 10).violations == []
 
     def test_appearance_check_into_a_start_keeps_its_level(self):
         # an appearance-checking step reaches (axiom, label) from another
