@@ -78,22 +78,20 @@ def _parse_word(text: str, grammar) -> Tuple[str, ...]:
         return tuple(parts)
     if len(parts) != 1:
         raise ValueError("word symbols %r not in the terminal alphabet" % text)
-    # segment a glued word like "aabb": the first success of a depth-first
-    # search that tries the longest terminal first.  ends[i] holds whether
-    # the suffix from i segments, so the walk never takes a dead end, and
-    # where greedy longest match succeeds it gives the same segmentation.
+    # segment a glued word like "aabb" as a depth-first search trying the
+    # longest terminal first would: chosen[i] is the longest name at i after
+    # which the rest segments, or None, so the walk takes no dead end.
     glued = parts[0]
-    ends = [False] * len(glued) + [True]
+    chosen: List[Optional[str]] = [None] * len(glued) + [""]
     for i in reversed(range(len(glued))):
-        ends[i] = any(glued.startswith(n, i) and ends[i + len(n)] for n in names)
-    if not ends[0]:
+        chosen[i] = next((n for n in names if glued.startswith(n, i) and chosen[i + len(n)] is not None), None)
+    if chosen[0] is None:
         raise ValueError("cannot segment word %r over the terminal alphabet" % text)
     out: List[str] = []
     i = 0
     while i < len(glued):
-        name = next(n for n in names if glued.startswith(n, i) and ends[i + len(n)])
-        out.append(name)
-        i += len(name)
+        out.append(chosen[i])
+        i += len(chosen[i])
     return tuple(out)
 
 

@@ -226,6 +226,8 @@ def cd_to_programmed(g: CdSystem, k: int, variant: str = VARIANT_EXACTLY) -> Pro
     if k < 1:
         raise ValueError("k must be positive")
     _check_variant(variant)
+    if not any(g.components):
+        raise ValueError("the system has no rule, so its programmed grammar would have no label")
     taken = {s.name for s in g.alphabet()}
     fail_sym = nonterminal(_fresh("F", taken))
     labels: List[str] = []

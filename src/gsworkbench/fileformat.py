@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .model import (
     _COMPARISON_TEXT,
@@ -146,15 +146,12 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
-def _parse_rhs(tokens: List[str], table: Dict[str, Symbol], lineno: int) -> Tuple[Symbol, ...]:
-    if tokens == ["#"]:
-        return ()
-    rhs = []
-    for tok in tokens:
-        if tok not in table:
-            raise GswParseError("unknown symbol %r" % tok, lineno)
-        rhs.append(table[tok])
-    return tuple(rhs)
+def _parse_rule(lhs: str, rhs: List[str], table: Dict[str, Symbol], lineno: int) -> Rule:
+    """The rule ``lhs -> rhs`` over the declared symbols; ``#`` is an empty rhs."""
+    try:
+        return Rule(table[lhs], tuple(map(table.__getitem__, [] if rhs == ["#"] else rhs)))
+    except KeyError as err:  # the first undeclared token, the lhs before the rhs
+        raise GswParseError("unknown symbol %r" % err.args[0], lineno) from None
 
 
 def _line_mode(tokens: List[str], lineno: int) -> Mode:
@@ -193,11 +190,7 @@ def parse_file(text: str) -> GrammarFile:
         if components and tokens[1:2] == ["->"]:
             if len(tokens) < 3:
                 raise GswParseError("expected '<lhs> -> <rhs>'", lineno)
-            if tokens[0] not in table:
-                raise GswParseError("unknown symbol %r" % tokens[0], lineno)
-            components[-1].append(
-                Rule(table[tokens[0]], _parse_rhs(tokens[2:], table, lineno))
-            )
+            components[-1].append(_parse_rule(tokens[0], tokens[2:], table, lineno))
             continue
         head = tokens[0]
         if raw.split(None, 1)[0] == "rule":
@@ -266,15 +259,12 @@ def parse_file(text: str) -> GrammarFile:
             label = lhs_part[1]
             if label in rule_of:
                 raise GswParseError("label %r declared twice" % label, lineno)
-            if lhs_part[3] not in table:
-                raise GswParseError("unknown symbol %r" % lhs_part[3], lineno)
-            lhs = table[lhs_part[3]]
-            rhs = _parse_rhs(lhs_part[5:], table, lineno)
+            rule = _parse_rule(lhs_part[3], lhs_part[5:], table, lineno)
             succ_part, fail_part = parts[1].split(), parts[2].split()
             if succ_part[:1] != ["succ"] or fail_part[:1] != ["fail"]:
                 raise GswParseError("expected 'succ' and 'fail' sections", lineno)
             labels.append(label)
-            rule_of[label] = Rule(lhs, rhs)
+            rule_of[label] = rule
             success[label] = frozenset(succ_part[1:])
             failure[label] = frozenset(fail_part[1:])
         elif "->" in tokens:

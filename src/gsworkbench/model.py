@@ -129,30 +129,29 @@ STAR = Mode("*")
 T_MODE = Mode("t")
 
 
-def at_most(k: int) -> Mode:
+def _comparison(kind: str, k: int) -> Mode:
     if k < 1:
         raise ValueError("mode bound must be positive")
-    return Mode("le", k)
+    return Mode(kind, k)
+
+
+def at_most(k: int) -> Mode:
+    return _comparison("le", k)
 
 
 def exactly(k: int) -> Mode:
-    if k < 1:
-        raise ValueError("mode bound must be positive")
-    return Mode("eq", k)
+    return _comparison("eq", k)
 
 
 def at_least(k: int) -> Mode:
-    if k < 1:
-        raise ValueError("mode bound must be positive")
-    return Mode("ge", k)
+    return _comparison("ge", k)
 
 
 def between(k: int, l: int) -> Mode:
-    if k < 1:
-        raise ValueError("mode bound must be positive")
+    lower = at_least(k)  # a bound below 1 is reported before the order
     if k > l:
         raise ValueError("between(k, l) requires k <= l")
-    return Mode("and", left=at_least(k), right=at_most(l))
+    return Mode("and", left=lower, right=at_most(l))
 
 
 def t_and(inner: Mode) -> Mode:

@@ -56,7 +56,7 @@ class ReferenceLanguage:
 
 
 def finite(words) -> ReferenceLanguage:
-    return ReferenceLanguage("finite", words=tuple(tuple(w) for w in words))
+    return ReferenceLanguage("finite", words=words)
 
 
 def an_bn() -> ReferenceLanguage:
@@ -131,8 +131,6 @@ def member(ref: ReferenceLanguage, word) -> bool:
         if len(w) % (k + 1) != 0:
             return False
         n = len(w) // (k + 1)
-        if n < 1:
-            return False
         for j in range(k + 1):
             block = w[j * n : (j + 1) * n]
             if any(s != "a%d" % (j + 1) for s in block):
@@ -157,29 +155,27 @@ def member(ref: ReferenceLanguage, word) -> bool:
         if run != 0:  # must end on 'b'
             return False
         return len(runs) == 2 * m and len(set(runs)) == 1 and runs[0] >= 1
-    if ref.kind == "two_block":
-        # a^n b^n a^m b^m: parse four alternating runs
-        runs = []
-        cur, count = None, 0
-        for s in w:
-            if s not in ("a", "b"):
-                return False
-            if s == cur:
-                count += 1
-            else:
-                if cur is not None:
-                    runs.append((cur, count))
-                cur, count = s, 1
-        runs.append((cur, count))
-        if len(runs) != 4:
+    # two_block, a^n b^n a^m b^m: parse four alternating runs
+    runs = []
+    cur, count = None, 0
+    for s in w:
+        if s not in ("a", "b"):
             return False
-        (s1, n1), (s2, n2), (s3, n3), (s4, n4) = runs
-        return (
-            (s1, s2, s3, s4) == ("a", "b", "a", "b")
-            and n1 == n2 >= 1
-            and n3 == n4 >= 1
-        )
-    raise ValueError("unknown reference language kind %r" % ref.kind)
+        if s == cur:
+            count += 1
+        else:
+            if cur is not None:
+                runs.append((cur, count))
+            cur, count = s, 1
+    runs.append((cur, count))
+    if len(runs) != 4:
+        return False
+    (s1, n1), (s2, n2), (s3, n3), (s4, n4) = runs
+    return (
+        (s1, s2, s3, s4) == ("a", "b", "a", "b")
+        and n1 == n2 >= 1
+        and n3 == n4 >= 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,8 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     expand states `depth` steps from a start; ``inconclusive`` is set when
     such a state was reached.  It walks the engine's programmed search space
     without a form cap, on encoded forms, and decodes only the forms it
-    reports.
+    reports.  A label's lhs is the one that space steps on, so a label whose
+    rule has a terminal lhs, which never applies, gets no vector.
     """
     report = NsfReport()
     axiom = pg.axiom
@@ -279,14 +276,15 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
     # in name order, so the report does not depend on the string hash seed
     nonterminals = sorted(pg.nonterminals)
     chars = [code.char[n] for n in nonterminals]
-    lhs = {p: code.char[pg.rule_of[p].lhs] for p in pg.labels}
+    labels = space.args[1]  # each label's `engine._label`, its lhs character first
 
     def successors(state):
         form, label = state
         n = level[state]
         if n >= depth:
+            report.inconclusive = True
             return (), False
-        if lhs[label] in form:
+        if labels[label][0] in form:
             vec = tuple(map(form.count, chars))
             if applied_vectors.setdefault(label, vec) != vec:
                 report.violations.append(
@@ -307,7 +305,6 @@ def nsf_check(pg: ProgrammedGrammar, depth: int) -> NsfReport:
         return edges, False
 
     _bfs(starts, successors)
-    report.inconclusive = any(n >= depth for n in level.values())
     report.violations = list(dict.fromkeys(report.violations))  # dedupe, keep order
     report.inferred_counts = {
         label: dict(zip(nonterminals, vec)) for label, vec in applied_vectors.items()

@@ -259,6 +259,16 @@ class TestTransform:
         pg = F.parse_grammar(out.read_text(encoding="utf-8"))
         assert pg == C.cd_to_programmed(C.build_example1(2), 2, "exactly")
 
+    def test_cd_to_programmed_of_a_system_with_no_rule_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "e.gsw"
+        path.write_text("grammar e cdgs lambda-free\nnonterminals S\nterminals a\naxiom S\n"
+                        "component\n", encoding="utf-8")
+        out = tmp_path / "prog.gsw"
+        assert main(["transform", "cd-to-programmed", str(path), "--k", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the system has no rule, so its programmed grammar would have no label\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["missing/x.gsw", "."], ids=["no such directory", "a directory"])
     def test_unwritable_output_is_a_write_error(self, tmp_path, target, capsys):
         out = tmp_path / target

@@ -10,6 +10,7 @@ from gsworkbench.engine import Bounds, enumerate_grammar
 from gsworkbench.model import (
     STAR,
     T_MODE,
+    CdSystem,
     Mode,
     Rule,
     at_least,
@@ -79,6 +80,8 @@ def test_a_finite_system_declares_exactly_the_symbols_of_its_rules(words, k):
                  "index must be positive", id="IndexedCfGrammar-0"),
     pytest.param(lambda: C.cd_to_programmed(C.build_example1(2), 0), "k must be positive",
                  id="cd_to_programmed-0"),
+    pytest.param(lambda: C.cd_to_programmed(CdSystem(frozenset({S}), frozenset({a}), S, ((),)), 2),
+                 "the system has no rule", id="cd_to_programmed-no-rule"),
     pytest.param(lambda: C.prolong(C.build_anbnambm(), 0), "ell must be positive", id="prolong-0"),
     pytest.param(lambda: C.nsf_programmed_to_cdgs(make_pg_abc(), 0, t_and(exactly(3))),
                  "m must be positive", id="nsf_programmed_to_cdgs-0"),

@@ -101,6 +101,12 @@ class TestParseMode:
         with pytest.raises(F.GswParseError):
             F.parse_mode(text)
 
+    @pytest.mark.parametrize("text, token", [("(t =2)", "&"), ("(t & =2", ")")])
+    def test_names_the_token_it_expected(self, text, token):
+        with pytest.raises(F.GswParseError) as err:
+            F.parse_mode(text)
+        assert str(err.value) == "expected %r in mode expression %r" % (token, text)
+
     def test_round_trips_mode_text(self):
         from gsworkbench.model import mode_text
         for m in (STAR, T_MODE, exactly(7), between(2, 5), t_and(at_least(1))):
@@ -217,6 +223,13 @@ class TestParseGrammar:
              "label 'p' declared twice", 6),
             (PG_HEAD + "rule p : Z -> a ; succ p ; fail\n", "unknown symbol 'Z'", 5),
             (PG_HEAD + "rule p : S -> a Z ; succ p ; fail\n", "unknown symbol 'Z'", 5),
+            # the lhs is looked up before the rhs, and the rhs left to right
+            (CD_HEAD + "component\n  Z -> a Y\n", "unknown symbol 'Z'", 6),
+            (CD_HEAD + "component\n  S -> a Y Z\n", "unknown symbol 'Y'", 6),
+            (PG_HEAD + "rule p : Z -> Y ; succ p ; fail\n", "unknown symbol 'Z'", 5),
+            (PG_HEAD + "rule p : S -> Y Z ; succ p ; fail\n", "unknown symbol 'Y'", 5),
+            # '#' is the empty rhs only on its own
+            (CD_HEAD + "component\n  S -> a #\n", "unknown symbol '#'", 6),
             (PG_HEAD + "rule p : S -> a ; fail ; succ p\n", "expected 'succ' and 'fail' sections", 5),
             (CD_HEAD + "component\n  S -> a\nbogus line\n", "unrecognized line 'bogus line'", 7),
             ("grammar x cdgs\nnonterminals S\nterminals a\ncomponent\n  S -> a\n", "missing axiom", 0),

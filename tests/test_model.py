@@ -32,7 +32,8 @@ from gsworkbench.model import (
     terminal,
     validate,
 )
-from gsworkbench.engine import Bounds, mode_predicate, mode_step
+from gsworkbench.engine import Bounds, enumerate_grammar, mode_predicate, mode_step
+from gsworkbench.fileformat import serialize
 
 S = nonterminal("S")
 A = nonterminal("A")
@@ -104,12 +105,13 @@ class TestSymbolsAndForms:
 
 class TestModes:
     def test_constructors_reject_nonpositive(self):
-        for ctor in (at_most, exactly, at_least, lambda k: between(k, 2)):
+        # between reports its bound before its order, so (0, -1) too
+        for ctor in (at_most, exactly, at_least, lambda k: between(k, 2), lambda k: between(k, -1)):
             with pytest.raises(ValueError, match="mode bound must be positive"):
                 ctor(0)
 
     def test_between_requires_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"between\(k, l\) requires k <= l"):
             between(3, 2)
 
     @pytest.mark.parametrize("inner", [STAR, T_MODE, t_and(exactly(1))], ids=mode_text)
@@ -346,6 +348,16 @@ class TestValidation:
 
     def test_validation_is_pure_and_never_raises(self, pg_abc):
         assert validate(pg_abc) == []
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(validate, id="validate"),
+    pytest.param(serialize, id="serialize"),
+    pytest.param(lambda g: enumerate_grammar(g, Bounds.for_words(2)), id="enumerate_grammar"),
+])
+def test_a_value_that_is_no_grammar_is_a_type_error(call):
+    with pytest.raises(TypeError, match="not a grammar"):
+        call(object())
 
 
 class TestReadOnlyProgrammedGrammar:

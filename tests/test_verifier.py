@@ -70,6 +70,17 @@ class TestReferenceLanguages:
                 assert not V.member(ref, mutated)
 
 
+    @pytest.mark.parametrize("ref,word", [
+        pytest.param(V.an_bn(), (), id="empty"),
+        pytest.param(V.block_pump(1), ("a", "b", "a", "b"), id="block_pump-not-from-b"),
+        pytest.param(V.block_pump(1), ("b", "a", "c", "b", "a", "b"), id="block_pump-foreign"),
+        pytest.param(V.block_pump(1), ("b", "a", "b", "a"), id="block_pump-not-on-b"),
+        pytest.param(V.two_block(), ("a", "b", "c", "b"), id="two_block-foreign"),
+    ])
+    def test_member_rejects(self, ref, word):
+        assert not V.member(ref, word)
+
+
 class TestBoundedEqual:
     def test_reports_both_directions(self):
         bounds = Bounds(4, 4)
@@ -160,6 +171,23 @@ class TestNsfCheck:
         )
         assert enumerate_grammar(pg, Bounds.for_words(10)).language.words == ()
         assert V.nsf_check(pg, 10).violations == []
+
+    def test_a_label_with_a_terminal_lhs_records_no_vector(self):
+        from gsworkbench.model import ProgrammedGrammar, validate
+        A = nonterminal("A")
+        # p1 rewrites the terminal a, so no rule applies and the engine never
+        # steps it, though a occurs after p0 beside A
+        pg = ProgrammedGrammar(
+            nonterminals=frozenset({S, A}),
+            terminals=frozenset({a, b}),
+            axiom=S,
+            labels=("p0", "p1", "p2"),
+            rule_of={"p0": Rule(S, (a, A)), "p1": Rule(a, (b,)), "p2": Rule(A, (b,))},
+            success={"p0": frozenset({"p1", "p2"}), "p1": frozenset({"p2"}), "p2": frozenset({"p2"})},
+            failure={p: frozenset() for p in ("p0", "p1", "p2")},
+        )
+        assert validate(pg) != []
+        assert sorted(V.nsf_check(pg, 10).inferred_counts) == ["p0", "p2"]
 
     def test_appearance_check_into_a_start_keeps_its_level(self):
         # an appearance-checking step reaches (axiom, label) from another
