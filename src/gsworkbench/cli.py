@@ -167,6 +167,8 @@ def _cmd_transform(args) -> int:
         raise ValueError("unknown transform %r" % args.name)
     kind, wrong_kind, needs, missing, build = _TRANSFORMS[args.name]
     source = None
+    if kind is None and args.file is not None:
+        raise ValueError("transform %r takes no source grammar file" % args.name)
     if kind is not None:
         if not args.file:
             raise ValueError("transform %r needs a source grammar file" % args.name)
@@ -317,12 +319,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] in _COMMANDS:
         # a command named first is parsed by its own parser alone, the one
         # `add_parser(name, help=...)` builds, so its help and errors are
-        # the same; leftover arguments go on to the full parser, whose
-        # usage line names every command
+        # the same.  Only a call with arguments left over is parsed again
+        # intermixed, so that transform's optional source file may follow an
+        # option; what is still left goes on to the full parser, whose usage
+        # line names every command
         _, add_args = _COMMANDS[argv[0]]
         parser = argparse.ArgumentParser(prog="gsw " + argv[0], formatter_class=_help_formatter())
         add_args(parser)
         args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            args, extra = parser.parse_known_intermixed_args(argv[1:])
         if extra:
             build_parser().parse_args(argv)
     else:  # none, -h, an unknown or partial name: list every command

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
+from .engine import length_lex
 from .model import (
     CdSystem,
     Form,
@@ -70,6 +71,11 @@ def _system(axiom: Symbol, components: Sequence[Sequence[Rule]], name: str) -> C
             name=name,
         )
     )
+
+
+def _chain(symbols: Sequence[Symbol]) -> List[Rule]:
+    """The unit rules x_1 -> x_2, ..., x_{n-1} -> x_n through `symbols`, in order."""
+    return [Rule(x, (y,)) for x, y in zip(symbols, symbols[1:])]
 
 
 def _check_variant(variant: str) -> None:
@@ -133,9 +139,10 @@ def finite_to_cd1(words: Iterable[Tuple[str, ...]], k: int) -> CdSystem:
     The start symbol is renamed through k stages so that the single
     component makes exactly k steps before (and while) terminating; the
     result generates the input set in both the exactly-k and the at-most-k
-    hybrid t-modes.
+    hybrid t-modes.  The last stage gets one rule per distinct word, in
+    length-lexicographic order, however the words are listed.
     """
-    word_list = [tuple(w) for w in words]
+    word_list = length_lex(tuple(w) for w in words)
     if not word_list:
         raise ValueError("empty word set")
     if any(len(w) == 0 for w in word_list):
@@ -148,9 +155,7 @@ def finite_to_cd1(words: Iterable[Tuple[str, ...]], k: int) -> CdSystem:
         raise ValueError("terminal name %r is not an identifier" % bad[0])
     taken = set(term_names)
     stages = [nonterminal(_fresh("S__%d" % i, taken)) for i in range(1, k + 1)]
-    rules: List[Rule] = []
-    for i in range(k - 1):
-        rules.append(Rule(stages[i], (stages[i + 1],)))
+    rules = _chain(stages)
     for w in word_list:
         rules.append(Rule(stages[-1], tuple(map(terminal, w))))
     return _system(stages[0], (rules,), "finite_cd1")
@@ -305,9 +310,7 @@ def build_example1(k: int) -> CdSystem:
     A = [nonterminal("A%d" % i) for i in range(1, k + 1)]
     Ap = [nonterminal("A%d'" % i) for i in range(1, k + 1)]
     a = [terminal("a%d" % i) for i in range(1, k + 2)]
-    p1: List[Rule] = []
-    for i in range(k - 1):
-        p1.append(Rule(S[i], (S[i + 1],)))
+    p1 = _chain(S)
     p1.append(Rule(S[k - 1], tuple(A)))
     for i in range(k):
         p1.append(Rule(Ap[i], (A[i],)))
@@ -387,9 +390,8 @@ def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
     q1 = {i: nonterminal("q%d__1" % i) for i in range(1, n + 1)}
     t0 = {i: nonterminal("t%d__0" % i) for i in range(1, n + 1)}
     tp = {
-        (i, j): nonterminal("t%d'__%d" % (i, j))
+        i: [nonterminal("t%d'__%d" % (i, j)) for j in range(0, k + 1)]
         for i in range(1, n + 1)
-        for j in range(0, k + 1)
     }
     A0 = {j: nonterminal("A%d__0" % j) for j in range(1, n * k + 1)}
     A1 = {j: nonterminal("A%d__1" % j) for j in range(1, n * k + 1)}
@@ -398,9 +400,7 @@ def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
     for j in range(1, n * k + 1):
         blocks += (A0[j], b)
 
-    p0: List[Rule] = [Rule(S[0], (S[1],))]
-    for i in range(1, k):
-        p0.append(Rule(S[i], (S[i + 1],)))
+    p0 = _chain(S)
     p0.append(Rule(S[k], (q0[1],) + blocks))
     p0.append(Rule(S[k], (t0[1],) + blocks))
     for j in range(1, n * k + 1):
@@ -410,11 +410,10 @@ def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
     p0.append(Rule(q1[n], (q0[1],)))
     p0.append(Rule(q1[n], (t0[1],)))
     for i in range(1, n + 1):
-        for j in range(0, k):
-            p0.append(Rule(tp[(i, j)], (tp[(i, j + 1)],)))
+        p0 += _chain(tp[i])
     for i in range(1, n):
-        p0.append(Rule(tp[(i, k)], (t0[i + 1],)))
-    p0.append(Rule(tp[(n, k)], (b,)))
+        p0.append(Rule(tp[i][k], (t0[i + 1],)))
+    p0.append(Rule(tp[n][k], (b,)))
 
     grow_parts: List[Tuple[Rule, ...]] = []
     term_parts: List[Tuple[Rule, ...]] = []
@@ -423,7 +422,7 @@ def build_snk_cdgs(n: int, k: int, variant: str = VARIANT_EXACTLY) -> CdSystem:
         grow: List[Rule] = [Rule(q0[i], (q1[i],))]
         for j in range(lo, hi + 1):
             grow.append(Rule(A0[j], (a, A1[j], a)))
-        term: List[Rule] = [Rule(t0[i], (tp[(i, 0)],))]
+        term: List[Rule] = [Rule(t0[i], (tp[i][0],))]
         for j in range(lo, hi + 1):
             term.append(Rule(A0[j], (a, b, a)))
         grow_parts.append(tuple(grow))
@@ -479,8 +478,7 @@ def prolong(g: CdSystem, ell: int) -> CdSystem:
             ]
             new_nts.update(stages)
             chain = [rule.lhs] + stages
-            for s in range(len(chain) - 1):
-                rules.append(Rule(chain[s], (chain[s + 1],)))
+            rules += _chain(chain)
             rules.append(Rule(chain[-1], rule.rhs))
         components.append(tuple(rules))
     return _checked(
@@ -568,9 +566,7 @@ def nsf_programmed_to_cdgs(pg: ProgrammedGrammar, m: int, target: Mode) -> CdSys
         nonterminal(_fresh("%s__init_%d" % (pg.axiom.name, j), taken))
         for j in range(1, m + 1)
     ]
-    init: List[Rule] = []
-    for j in range(m - 1):
-        init.append(Rule(init_chain[j], (init_chain[j + 1],)))
+    init = _chain(init_chain)
     start_labels = [
         p for p in pg.labels if counts.get(p, {}).get(pg.axiom, 0) == 1
     ]
@@ -589,17 +585,11 @@ def nsf_programmed_to_cdgs(pg: ProgrammedGrammar, m: int, target: Mode) -> CdSys
             for nt in sorted(pg.nonterminals):
                 if nt != rule.lhs:
                     comp.append(Rule(tagged[(nt, p)], (tagged[(nt, q)],)))
-            target_rhs = homomorphic(rule.rhs, q)
-            if n_present == m:
-                comp.append(Rule(tagged[(rule.lhs, p)], target_rhs))
-            else:
-                gap = m - n_present
-                comp.append(Rule(tagged[(rule.lhs, p)], (counter[(1, rule.lhs)],)))
-                for j in range(1, gap):
-                    comp.append(
-                        Rule(counter[(j, rule.lhs)], (counter[(j + 1, rule.lhs)],))
-                    )
-                comp.append(Rule(counter[(gap, rule.lhs)], target_rhs))
+            chain = [tagged[(rule.lhs, p)]] + [
+                counter[(j, rule.lhs)] for j in range(1, m - n_present + 1)
+            ]
+            comp += _chain(chain)
+            comp.append(Rule(chain[-1], homomorphic(rule.rhs, q)))
             components.append(tuple(comp))
 
     system = CdSystem(

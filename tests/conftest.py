@@ -9,8 +9,10 @@ import pytest
 from gsworkbench.model import ProgrammedGrammar, Rule, nonterminal, terminal
 
 
-def cf_bounded(rules, axiom, max_len):
-    """Bounded language of a plain context-free grammar, by naive BFS.
+def cf_bounded(rules, axiom, max_len, index=None):
+    """Bounded language of a plain context-free grammar, by naive BFS; with
+    `index`, of the forms with at most that many nonterminals only, which
+    gives the words of index <= `index` (L_index).
 
     Independent of the engine module on purpose: it is the oracle the
     engine's constructions are checked against.
@@ -28,6 +30,8 @@ def cf_bounded(rules, axiom, max_len):
                     continue
                 y = x[:i] + r.rhs + x[i + 1 :]
                 if len(y) > max_len or y in seen:
+                    continue
+                if index is not None and sum(not t.is_terminal() for t in y) > index:
                     continue
                 seen.add(y)
                 if all(t.is_terminal() for t in y):

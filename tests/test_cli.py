@@ -337,6 +337,19 @@ class TestTransform:
         want = F.GrammarFile(C.nsf_programmed_to_cdgs(pg_abc, 3, target), target)
         assert F.parse_file(out.read_text(encoding="utf-8")) == want
 
+    def test_the_source_file_may_follow_an_option(self, example1_file, capsys):
+        outs = []
+        for args in ([example1_file, "--k", "2"], ["--k", "2", example1_file]):
+            assert main(["transform", "cd-to-programmed"] + args + ["-o", "-"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1] and outs[0].out.startswith("grammar example1_k2_prog ")
+
+    @pytest.mark.parametrize("args", [["no-such.gsw", "-o", "-"], ["-o", "-", "no-such.gsw"]],
+                             ids=["file before -o", "file after -o"])
+    def test_a_construction_with_no_source_refuses_a_file(self, args, capsys):
+        assert main(["transform", "anbnambm"] + args) == 2
+        assert capsys.readouterr() == ("", "error: transform 'anbnambm' takes no source grammar file\n")
+
     def test_dash_output_writes_the_grammar_to_stdout(self, capsys):
         assert main(["transform", "snk", "--n", "1", "--k", "1", "-o", "-"]) == 0
         want = F.serialize(C.build_snk_cdgs(1, 1), uniform_mode=C.snk_mode(1))
@@ -700,6 +713,13 @@ class TestCommandLineSurface:
         err = capsys.readouterr().err
         assert err.startswith("usage: gsw [-h] {%s} ..." % ",".join(NAMES))
         assert err.endswith("gsw: error: unrecognized arguments: --bogus\n")
+
+    def test_leftover_positional_usage_names_every_command(self, capsys):
+        # the intermixed parse leaves it over too, so the top-level parser reports it
+        assert exit_code(["enumerate", "g.gsw", "--max-len", "5", "junk"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gsw [-h] {%s} ..." % ",".join(NAMES))
+        assert err.endswith("gsw: error: unrecognized arguments: junk\n")
 
     def test_main_reads_sys_argv(self, monkeypatch, example1_prog_file, capsys):
         monkeypatch.setattr(sys, "argv", ["gsw", "nsf-check", example1_prog_file, "--depth", "4"])

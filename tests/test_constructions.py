@@ -1,4 +1,4 @@
-import random
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gsworkbench import constructions as C
 from gsworkbench import verifier as V
 from gsworkbench.engine import Bounds, enumerate_grammar
+from gsworkbench.fileformat import serialize
 from gsworkbench.model import (
     STAR,
     T_MODE,
@@ -107,16 +108,13 @@ class TestFiniteToCd1:
         assert words_of(g, t_and(exactly(3)), 8) == words
         assert words_of(g, t_and(at_most(3)), 8) == words
 
-    def test_randomized(self):
-        rng = random.Random(2024)
-        for _ in range(20):
-            words = {
-                tuple(rng.choice("ab") for _ in range(rng.randint(1, 4)))
-                for _ in range(rng.randint(1, 5))
-            }
-            k = rng.randint(1, 3)
-            g = C.finite_to_cd1(words, k)
-            assert words_of(g, t_and(exactly(k)), 8) == words
+    def test_serializes_the_same_however_the_words_are_listed(self):
+        # one rule per distinct word, in length-lexicographic order
+        words = [("a", "b"), ("b",), ("a",)]
+        texts = {serialize(C.finite_to_cd1(list(order) + [order[0]] * n, 2))
+                 for order in permutations(words) for n in (0, 1)}
+        assert len(texts) == 1
+        assert [r.rhs for r in C.finite_to_cd1(words, 2).components[0][1:]] == [(a,), (b,), (a, b)]
 
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
@@ -125,22 +123,6 @@ class TestFiniteToCd1:
     def test_rejects_a_terminal_name_that_is_not_an_identifier(self):
         with pytest.raises(ValueError, match="'b#' is not an identifier"):
             C.finite_to_cd1({("a", "b#")}, 1)
-
-
-def random_linear(rng, n):
-    nts = [nonterminal("N%d" % i) for i in range(n)]
-    ts = [a, b]
-    rules = []
-    for nt in nts:
-        for _ in range(rng.randint(1, 3)):
-            left = tuple(rng.choice(ts) for _ in range(rng.randint(0, 2)))
-            right = tuple(rng.choice(ts) for _ in range(rng.randint(0, 2)))
-            if rng.random() < 0.6:
-                rhs = left + (rng.choice(nts),) + right
-            else:
-                rhs = left + right or (rng.choice(ts),)
-            rules.append(Rule(nt, rhs))
-    return C.LinearGrammar(frozenset(nts), frozenset(ts), nts[0], tuple(rules))
 
 
 class TestLinearToCd2:
@@ -159,14 +141,6 @@ class TestLinearToCd2:
         assert g.degree == 2
         assert len(g.components[0]) == 1  # one priming rule per nonterminal
         assert len(g.components[1]) == 2  # one rule per source production
-
-    def test_randomized_against_oracle(self):
-        rng = random.Random(99)
-        for _ in range(10):
-            lg = random_linear(rng, rng.randint(1, 4))
-            g = C.linear_to_cd2(lg)
-            oracle = cf_bounded(lg.rules, lg.axiom, 8)
-            assert words_of(g, t_and(exactly(1)), 8) == oracle
 
 
 def index2_instances():

