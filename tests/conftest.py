@@ -1,12 +1,115 @@
-"""Shared fixtures: the NSF programmed grammar for a^n b^n c^n, a
-programmed grammar whose derivations take a failure field, and an
-independent plain context-free enumerator used as a differential oracle."""
+"""Shared fixtures and test oracles.
+
+The fixtures are the NSF programmed grammar for a^n b^n c^n and a
+programmed grammar whose derivations take a failure field.  Each oracle
+and shared input is written once, here: the engine's bounded language as
+a word set (`words_of`), a plain context-free enumerator (`cf_bounded`),
+a naive one step (`naive_one_step`) and a reference mode step
+(`reference_mode_step`) on symbol tuples, five context-free grammars of
+index 2 (`index2_cf_grammars`), and the random tiny CD systems
+(`cd_systems`) with the rule strategies they draw from.  Only `words_of`
+calls the engine.
+"""
 
 from collections import deque
 
 import pytest
+from hypothesis import strategies as st
 
-from gsworkbench.model import ProgrammedGrammar, Rule, nonterminal, terminal
+from gsworkbench.constructions import IndexedCfGrammar
+from gsworkbench.engine import Bounds, enumerate_grammar
+from gsworkbench.model import CdSystem, ProgrammedGrammar, Rule, mode_window, nonterminal, terminal
+
+S, A = nonterminal("S"), nonterminal("A")
+a = terminal("a")
+ALPHABET = (S, A, a)
+
+symbols = st.sampled_from(ALPHABET)
+rules = st.builds(
+    Rule, st.sampled_from((S, A)), st.lists(symbols, min_size=1, max_size=3).map(tuple)
+)
+components = st.lists(rules, min_size=1, max_size=3).map(tuple)
+# rules that may erase, for systems that are not λ-free
+any_rules = st.builds(Rule, st.sampled_from((S, A)), st.lists(symbols, max_size=3).map(tuple))
+erasing_components = st.lists(any_rules, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def cd_systems(draw):
+    """One or two components over `ALPHABET`; half of the systems may erase."""
+    lambda_free = draw(st.booleans())
+    comps = draw(
+        st.lists(components if lambda_free else erasing_components, min_size=1, max_size=2)
+    )
+    return CdSystem(
+        nonterminals=frozenset({S, A}),
+        terminals=frozenset({a}),
+        axiom=S,
+        components=tuple(comps),
+        lambda_free=lambda_free,
+    )
+
+
+def words_of(grammar, mode, max_len):
+    """The engine's words of `grammar` in `mode` (None for a programmed
+    grammar) of at most `max_len` symbols, as a set."""
+    return set(enumerate_grammar(grammar, Bounds.for_words(max_len), mode=mode).language.words)
+
+
+def naive_one_step(form, rules):
+    """Every form one rule application gives: positions left to right and,
+    at each, the rules in order."""
+    return [
+        form[:i] + rule.rhs + form[i + 1 :]
+        for i, s in enumerate(form)
+        for rule in rules
+        if not s.is_terminal() and rule.lhs == s
+    ]
+
+
+def reference_mode_step(form, ruleset, mode, max_len):
+    """Each form a component of `ruleset` may hand back from `form` in
+    `mode`, over forms of at most `max_len` symbols, mapped to its least
+    step count.
+
+    It reads the mode as its step window ``(lo, hi, t)``
+    (`model.mode_window`), not through the engine, and expands the forms
+    reachable in exactly m steps, level by level, for m up to
+    min(hi, lo + N): N is the number of forms within the cap over the
+    symbols of `form` and `ruleset`.  That is enough for an unbounded
+    window, because a longer derivation repeats a form after its first lo
+    steps, and cutting out the cycle leaves a derivation of at least lo
+    steps to the same form.  The least accepting m of a form is the length
+    of its shortest witness.
+    """
+    lo, hi, t = mode_window(mode)
+    lhs = {rule.lhs for rule in ruleset}
+    alphabet = set(form).union(lhs, *(rule.rhs for rule in ruleset))
+    n_forms = sum(len(alphabet) ** n for n in range(max_len + 1))
+    level, accepted = {form}, {}
+    for m in range(min(hi, lo + n_forms) + 1):
+        for y in level:
+            if y not in accepted and lo <= m and not (t and lhs.intersection(y)):
+                accepted[y] = m
+        level = {z for y in level for z in naive_one_step(y, ruleset) if len(z) <= max_len}
+        if not level:
+            break
+    return accepted
+
+
+def index2_cf_grammars():
+    """Five context-free grammars of index 2 over {S, A, B} and {a, b, c}."""
+    B, b, c = nonterminal("B"), terminal("b"), terminal("c")
+    instances = [
+        ((Rule(S, (a, S, b)), Rule(S, (a, b))), (S,), (a, b)),
+        ((Rule(S, (a, S, b)), Rule(S, (c,))), (S,), (a, b, c)),
+        ((Rule(S, (A, B)), Rule(A, (a, A)), Rule(A, (a,)),
+          Rule(B, (b, B)), Rule(B, (b,))), (S, A, B), (a, b)),
+        ((Rule(S, (A, A)), Rule(A, (a, A)), Rule(A, (a,))), (S, A), (a,)),
+        ((Rule(S, (A, B)), Rule(A, (a, A, b)), Rule(A, (a, b)),
+          Rule(B, (b, B, a)), Rule(B, (b, a))), (S, A, B), (a, b)),
+    ]
+    return [IndexedCfGrammar(frozenset(nts), frozenset(ts), S, rules, 2) for rules, nts, ts in instances]
 
 
 def cf_bounded(rules, axiom, max_len, index=None):

@@ -30,11 +30,12 @@ from gsworkbench.model import (
     T_MODE,
     at_most,
     exactly,
-    mode_window,
     nonterminal,
     t_and,
     terminal,
 )
+
+from conftest import naive_one_step, reference_mode_step
 
 NONTERMINALS = tuple(nonterminal("N%03d" % i) for i in range(300))
 DASH, BACKSLASH, BRACKET, CARET = (NONTERMINALS[ord(c)] for c in "-\\]^")
@@ -117,15 +118,6 @@ def test_a_trace_with_a_symbol_outside_the_grammar_is_rejected():
     ]
 
 
-def naive_one_step(form, rules):
-    return [
-        form[:i] + rule.rhs + form[i + 1 :]
-        for i, s in enumerate(form)
-        for rule in rules
-        if not s.is_terminal() and rule.lhs == s
-    ]
-
-
 def test_mode_step_from_the_axiom():
     # under t one turn runs to a terminal form: n steps of \ -> t7 \ or t7,
     # then - -> \ ], ] -> HIGH, HIGH -> ^ ^ and ^ -> TWIN twice
@@ -145,19 +137,6 @@ rules = st.builds(
 forms = st.lists(symbols, min_size=1, max_size=4).map(tuple)
 ks = st.integers(min_value=1, max_value=3)
 bounded_modes = st.one_of(ks.map(at_most), ks.map(exactly), ks.map(at_most).map(t_and))
-
-
-def reference_mode_step(form, ruleset, mode, max_len):
-    """Each form accepted within the mode's step bound, with its least step count."""
-    lo, hi, t = mode_window(mode)
-    lhs = {rule.lhs for rule in ruleset}
-    level, accepted = {form}, {}
-    for m in range(hi + 1):
-        for y in level:
-            if y not in accepted and lo <= m and not (t and lhs.intersection(y)):
-                accepted[y] = m
-        level = {z for y in level for z in naive_one_step(y, ruleset) if len(z) <= max_len}
-    return accepted
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,7 +32,6 @@ from gsworkbench.model import (
     T_MODE,
     at_least,
     at_most,
-    between,
     exactly,
     nonterminal,
     t_and,

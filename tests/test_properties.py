@@ -6,7 +6,6 @@ from gsworkbench import fileformat as F
 from gsworkbench.engine import (
     Bounds,
     enumerate_grammar,
-    length_lex,
     make_language,
     mode_predicate,
     one_step,
@@ -26,6 +25,8 @@ from gsworkbench.model import (
     t_and,
     terminal,
 )
+
+from conftest import naive_one_step
 
 NTS = [nonterminal(n) for n in "SAB"]
 TS = [terminal(n) for n in "ab"]
@@ -109,16 +110,6 @@ class TestModeAlgebra:
     @given(forms, rulesets, ms, mode_trees)
     def test_predicate_matches_recursive_reference(self, y, rs, m, f):
         assert mode_predicate(f, m, rs, y) == reference_predicate(f, m, rs, y)
-
-
-def naive_one_step(x, rs):
-    """One rule application, positions left to right, rules in order."""
-    out = []
-    for i, s in enumerate(x):
-        for rule in rs:
-            if not s.is_terminal() and rule.lhs == s:
-                out.append(x[:i] + rule.rhs + x[i + 1 :])
-    return out
 
 
 any_rules = st.builds(

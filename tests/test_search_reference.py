@@ -1,11 +1,9 @@
 """Differential checks of the engine's searches on random tiny grammars.
 
-The reference for `mode_step` expands the forms reachable in exactly m
-steps, level by level, for m up to k + N: k is the mode's largest constant
-and N the number of forms within the form cap.  That is enough, because a
-longer derivation repeats a form after its first k steps, and cutting out
-the cycle leaves a derivation of at least k steps to the same form.  The
-least accepting m of a form is the length of its shortest witness.
+The reference for `mode_step` is `conftest.reference_mode_step`, a
+level-by-level expansion of symbol tuples that reads the mode's step
+window and calls nothing from the engine; the reference for a rewrite is
+`conftest.naive_one_step`.
 
 The reference for a CD turn (`_turn`, under enumeration and `mode_step`)
 is the turn as a nested breadth-first search over the state-level
@@ -139,16 +137,23 @@ from gsworkbench.model import (
 )
 from gsworkbench.verifier import certify_index_bound, nsf_check
 
-S, A = nonterminal("S"), nonterminal("A")
-a = terminal("a")
-ALPHABET = (S, A, a)
+from conftest import (
+    ALPHABET,
+    A,
+    S,
+    a,
+    any_rules,
+    cd_systems,
+    components,
+    erasing_components,
+    naive_one_step,
+    reference_mode_step,
+    rules,
+    symbols,
+)
+
 BOUNDS = Bounds(4, 4)
 
-symbols = st.sampled_from(ALPHABET)
-rules = st.builds(
-    Rule, st.sampled_from((S, A)), st.lists(symbols, min_size=1, max_size=3).map(tuple)
-)
-components = st.lists(rules, min_size=1, max_size=3).map(tuple)
 ks = st.integers(min_value=1, max_value=3)
 counting = st.one_of(ks.map(at_most), ks.map(exactly), ks.map(at_least))
 modes = st.one_of(
@@ -163,33 +168,6 @@ modes = st.one_of(
 forms = st.lists(symbols, min_size=1, max_size=BOUNDS.max_form_len).map(tuple)
 
 
-def largest_constant(mode) -> int:
-    if mode.kind == "and":
-        return max(largest_constant(mode.left), largest_constant(mode.right))
-    return mode.k
-
-
-def successors(form, ruleset):
-    for i, s in enumerate(form):
-        for rule in ruleset:
-            if rule.lhs == s:
-                yield form[:i] + rule.rhs + form[i + 1 :]
-
-
-def reference_mode_step(form, ruleset, mode, max_len):
-    """Each form accepted after some m steps, mapped to the least such m."""
-    n_forms = sum(len(ALPHABET) ** n for n in range(max_len + 1))
-    level, accepted = {form}, {}
-    for m in range(largest_constant(mode) + n_forms + 1):
-        for y in level:
-            if y not in accepted and mode_predicate(mode, m, ruleset, y):
-                accepted[y] = m
-        level = {z for y in level for z in successors(y, ruleset) if len(z) <= max_len}
-        if not level:
-            break
-    return accepted
-
-
 @settings(max_examples=100, deadline=None)
 @given(forms, components, modes)
 def test_mode_step_matches_reference(form, ruleset, mode):
@@ -200,7 +178,7 @@ def test_mode_step_matches_reference(form, ruleset, mode):
         assert len(path) == least[y]  # the witness is a shortest one
         assert mode_predicate(mode, len(path), ruleset, y)
         for x, z in zip((form,) + path, path):
-            assert z in set(successors(x, ruleset))
+            assert z in naive_one_step(x, ruleset)
         assert (path[-1] if path else form) == y
 
 
@@ -235,10 +213,6 @@ def test_enumerated_words_are_traced_and_indexed(comps, mode):
     for word, trace in res.traces.items():
         assert validate_trace(g, trace, mode) == []
         assert word_index(g, word, BOUNDS, mode=mode).index is not None
-
-
-# rules that may erase, for systems that are not λ-free
-any_rules = st.builds(Rule, st.sampled_from((S, A)), st.lists(symbols, max_size=3).map(tuple))
 
 
 @st.composite
@@ -298,7 +272,7 @@ def reference_nsf(pg, depth):
                 vector = {s: form.count(s) for s in nonterminals}
                 if vectors.setdefault(label, vector) != vector:
                     report(2, "label %s applied to forms with different nonterminal vectors" % label)
-            ys = list(dict.fromkeys(successors(form, (rule,))))
+            ys = list(dict.fromkeys(naive_one_step(form, (rule,))))
             nexts = pg.success[label] if ys else pg.failure[label]
             for y in ys or [form]:
                 for q in sorted(nexts):
@@ -428,25 +402,6 @@ def test_programmed_step_matches_rule_table_step(case):
     for label in pg.labels:
         got, want = successors((x, label)), reference((x, label))
         assert got == want and repr(got) == repr(want)
-
-
-erasing_components = st.lists(any_rules, min_size=1, max_size=3).map(tuple)
-
-
-@st.composite
-def cd_systems(draw):
-    """One or two components; half of the systems may erase."""
-    lambda_free = draw(st.booleans())
-    comps = draw(
-        st.lists(components if lambda_free else erasing_components, min_size=1, max_size=2)
-    )
-    return CdSystem(
-        nonterminals=frozenset({S, A}),
-        terminals=frozenset({a}),
-        axiom=S,
-        components=tuple(comps),
-        lambda_free=lambda_free,
-    )
 
 
 def per_word(grammar, words, bounds, mode=None):
