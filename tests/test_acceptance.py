@@ -121,12 +121,12 @@ def test_criterion_3_snk():
 # ones, are rows of tests/test_claims.py
 
 
-def test_criterion_4_finite_linear_cf_roundtrips():
-    for src in index2_cf_grammars():
-        g = C.cf_indexk_to_cd2(src)
-        want = cf_bounded(src.rules, src.axiom, 8)
-        for cmp in (exactly, at_most):
-            assert words_of(g, t_and(cmp(2)), 8) == want
+@pytest.mark.parametrize("src", index2_cf_grammars(), ids=range(5))
+def test_criterion_4_finite_linear_cf_roundtrips(src):
+    g = C.cf_indexk_to_cd2(src)
+    want = cf_bounded(src.rules, src.axiom, 8)
+    for cmp in (exactly, at_most):
+        assert words_of(g, t_and(cmp(2)), 8) == want
 
 
 # -- criterion 5: the two corollary grammars ---------------------------------

@@ -8,6 +8,8 @@ aside) must occur as a loaded name in the same module.
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "gsworkbench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
@@ -36,11 +38,10 @@ def unread_imports(path):
     return [name for name in imported if name not in read]
 
 
-def test_every_imported_name_is_read():
-    unread = []
-    for path in MODULES:
-        module = path.relative_to(ROOT).as_posix()
-        if module not in EXEMPT_MODULES:
-            unread += ["%s: %s" % (module, name) for name in unread_imports(path)
-                       if (module, name) not in EXEMPT_NAMES]
+@pytest.mark.parametrize("module", [
+    module for module in (path.relative_to(ROOT).as_posix() for path in MODULES)
+    if module not in EXEMPT_MODULES
+])
+def test_every_imported_name_is_read(module):
+    unread = [name for name in unread_imports(ROOT / module) if (module, name) not in EXEMPT_NAMES]
     assert unread == []
