@@ -5,18 +5,20 @@ as the hybrid system with its mode on every component.  There are two
 search loops over one step relation.  A CD state is (form, active
 component, step count), and `_inner_steps` is its successor function.
 `_bfs`, a breadth-first search with parent pointers, walks a space turn by
-turn for enumeration and traces (a programmed step is a one-edge turn);
-one CD turn (`_turn`) is a `_bfs` over `_inner_steps` from the state that
-opens it to the states that close it, which gives the forms the component
-may hand back with shortest witnesses.  `mode_step` is `_turn` on one
-component, and a CD system's turn-level successors, `_turns`, run it over
-the live components.  `_minimax`, a breadth-first search over one bucket
-per cost, walks a space state by state for the index of one word.  Run to
+turn for enumeration and traces; a programmed grammar's turn is one
+rewrite after the failing steps before it.  One CD turn (`_turn`) is a
+`_bfs` over `_inner_steps` from the state that opens it to the states
+that close it, which gives the forms the component may hand back with
+shortest witnesses.  `mode_step` is `_turn` on one component, and a CD
+system's turn-level successors, `_turns`, run it over the live
+components.  `_minimax`, a breadth-first search over one bucket per cost,
+walks a space state by state for the index of one word.  Run to
 exhaustion for the bounded language with every word's index, it walks a
 CD system turn by turn (`_turn_walk`), the turns of the live components
-priced by one `_minimax` over `_inner_steps` inside them (`_price`), and a
-programmed grammar rewrite by rewrite (`_programmed_walk`), the failing
-steps before each rewrite followed inside the walk and never pushed.
+priced by one `_minimax` over `_inner_steps` inside them (`_price`).
+Enumeration and the exhaustive index search walk a programmed grammar
+rewrite by rewrite (`_programmed_walk`, one walk per search): the failing
+steps before each rewrite are followed inside the walk and never pushed.
 
 Forms are capped by ``max_form_len`` and inner step counts by their mode's
 step window, so every search is finite and exact within the form cap.  For
@@ -60,7 +62,7 @@ terminal ends agree with it, each tested once.  `validate_trace` tests
 each CD step with `_is_rewrite`, rather than building every rewrite of
 the previous form, and each programmed step against the edges of its
 state in the uncapped programmed space.  The traces of one enumeration share the
-segment of each turn, and a CD segment that passed keeps its verdict, so
+segments of each turn, and a CD segment that passed keeps its verdict, so
 each shared segment is checked once by a compile.
 """
 
@@ -344,9 +346,11 @@ def mode_predicate(f: Mode, m: int, ruleset: Sequence[Rule], y: Form) -> bool:
 # dropped because its form exceeded ``max_form_len``.  It may repeat a
 # state, as two rewrites may be one form: `_bfs` and `_minimax` keep the
 # first edge into each state, and nothing else drops a repeat.  A whole
-# turn's label is ``(actor, forms, runs, appearance checking)``: its
-# witness (skeleton forms of a CD turn, a programmed step's new form) and
-# the runs that fill it, as ``code.template(form) % runs``, for a trace.
+# turn's label is ``(actor, forms, runs, failed)``: its witness (skeleton
+# forms of a CD turn, a programmed rewrite's new form), the runs that fill
+# it, as ``code.template(form) % runs``, for a trace, and the programmed
+# labels whose appearance-checking steps came before it (empty for a CD
+# turn).
 
 
 def _bfs(starts, successors):
@@ -563,22 +567,24 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
     """The search space of a programmed grammar: ``(starts, successors,
     form_of, turns, walk)``.
 
-    `labels` maps each label to its `_label`.  A state is (form, next
-    label), and an edge is one derivation step, which is also a whole turn,
-    labelled ``(label, (form,), (), ac)``: the new form, a witness of one
-    form with no runs, and whether the step is appearance checking: when the
-    label's rule applies, the rewrite at each occurrence of its lhs, left
-    to right, goes on to every success label; otherwise the unchanged form
-    goes on to every failure label.  The search starts from (axiom, r) for
-    every label r, per the existential over the first label in the
-    language definition.
+    `labels` maps each label to its `_label`.  The step successors are
+    those of one derivation step: a state is (form, next label), and an
+    edge is labelled ``(label, (form,), (), ac)``, the new form and whether
+    the step is appearance checking: when the label's rule applies, the
+    rewrite at each occurrence of its lhs, left to right, goes on to every
+    success label; otherwise the unchanged form goes on to every failure
+    label.  The search starts from (axiom, r) for every label r, per the
+    existential over the first label in the language definition.  Only
+    `word_index`, `verifier.nsf_check` and the trace check read them.
 
     A step is one rule, not a rule table: ``str.find`` gives the
     occurrences of its lhs, and every rewrite has ``len(form) + len(rhs) -
     1`` symbols, so the form cap is one test per step.  Two occurrences may
-    give one form, and the search keeps its first edge.  The exhaustive
-    index search, ``walk`` (the arguments of `_minimax`), walks whole turns
-    instead (`_programmed_walk`): a rewrite with the failing steps before it.
+    give one form, and the search keeps its first edge.  Enumeration,
+    ``turns`` (the arguments of `_bfs`), and the exhaustive index search,
+    ``walk`` (those of `_minimax`), walk whole rewrites instead
+    (`_programmed_walk`), each on a walk of its own, as a walk remembers
+    the rewrites it made.
     """
 
     def successors(state):
@@ -601,24 +607,28 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
         return edges, False
 
     starts = [((start, r), start) for r in labels]
-    return starts, successors, itemgetter(0), successors, _programmed_walk(code, labels, start, max_form_len)
+    walk = partial(_programmed_walk, labels, start, max_form_len)
+    return starts, successors, itemgetter(0), walk(), (*walk(), itemgetter(0), code.cost)
 
 
-def _programmed_walk(code: _Encoding, labels, start: str, max_form_len):
-    """The exhaustive index search of a programmed grammar by whole turns:
-    the arguments ``(starts, successors, form_of, cost_of)`` of `_minimax`.
+def _programmed_walk(labels, start: str, max_form_len):
+    """The search of a programmed grammar by whole rewrites: its
+    ``(starts, successors)``.
 
     A state is (form, the labels that may come next): every label at the
-    axiom, then the success field of the label applied.  Its turns follow
+    axiom, then the success field of the label applied.  Its edges follow
     failure fields from those labels while their rule fails on the form,
     then rewrite the form at each occurrence of the lhs of each label
     reached whose rule applies, under the form cap of the step successors.
-    Whether a rule applies depends only on whether its lhs occurs, so the
-    labels reached that apply are kept per (next labels, which lhs occur).
-    An appearance-checking step keeps the form, so no state is pushed for
-    it; and a (form, label) is rewritten once per search, at its least
-    cost, as a later rewrite would push only states already pushed.  So a
-    walk path is a step path with its appearance-checking steps left out:
+    An edge is labelled ``(label, (new form,), (), failed)``, where
+    ``failed`` holds the labels whose appearance-checking steps led to the
+    label from one that may come next, in order.  Whether a rule applies
+    depends only on whether its lhs occurs, so the labels reached that
+    apply, each with the shortest such chain, are kept per (next labels,
+    which lhs occur).  An appearance-checking step keeps the form, so no
+    state is pushed for it; and a (form, label) is rewritten once per
+    search, as a later rewrite would reach only states already reached.  So
+    a walk path is a step path with its appearance-checking steps left out:
     each form gets the least cost of the step-by-step search, and the same
     (form, label) pairs meet the cap.
     """
@@ -630,16 +640,20 @@ def _programmed_walk(code: _Encoding, labels, start: str, max_form_len):
         key = nexts, tuple([c in form for c in lhss])
         hit = applying.get(key)
         if hit is None:  # follow the failure fields; a success field may be empty
-            hit, chain = [], list(nexts)
-            for p in chain:  # the loop visits the labels it appends
+            hit, reached, failed = [], list(nexts), dict.fromkeys(nexts, ())
+            for p in reached:  # the loop visits the labels it appends
                 lhs, _, success, failure = labels[p]
                 if lhs not in form:
-                    chain += [q for q in failure if q not in chain]
+                    before = failed[p] + (p,)
+                    for q in failure:
+                        if q not in failed:
+                            failed[q] = before
+                            reached.append(q)
                 elif success:
-                    hit.append(p)
+                    hit.append((p, failed[p]))
             applying[key] = hit
         edges, pruned = [], False
-        for p in hit:
+        for p, before in hit:
             if (form, p) in done:
                 continue
             done.add((form, p))
@@ -650,11 +664,11 @@ def _programmed_walk(code: _Encoding, labels, start: str, max_form_len):
             i = form.find(lhs)
             while i >= 0:
                 y = form[:i] + rhs + form[i + 1 :]
-                edges.append(((y, success), y, None))
+                edges.append(((y, success), y, (p, (y,), (), before)))
                 i = form.find(lhs, i + 1)
         return edges, pruned
 
-    return [((start, tuple(labels)), start)] if labels else [], successors, itemgetter(0), code.cost
+    return [((start, tuple(labels)), start)] if labels else [], successors
 
 
 def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
@@ -664,15 +678,16 @@ def _hybrid_space(components, code: _Encoding, start: str, max_form_len):
     `components` holds the `_component` of each component, over the
     encoding `code`.  A state is one of `_inner_steps`, and ``successors``
     is its successor function; ``form_of`` gives the form of a state between
-    turns, ``None`` inside a turn; ``turns`` is `_turns` on a new memo, and
-    ``walk`` the exhaustive index search by whole turns (`_turn_walk`).
-    A search on the space, its turns included, reads one rewrite memo per
-    component.
+    turns, ``None`` inside a turn; ``turns`` is the start and `_turns` on a
+    new memo, for `_bfs`, and ``walk`` the exhaustive index search by whole
+    turns (`_turn_walk`).  A search on the space, its turns included, reads
+    one rewrite memo per component.
     """
     steps = [{} for _ in components]  # per component: form -> its rewrites
+    starts = [((start, 0, 0), start)]
     turns = partial(_turns, {}, steps, components, code, max_form_len)
     walk = _turn_walk(components, code, start, max_form_len, steps)
-    return [((start, 0, 0), start)], _inner_steps(components, max_form_len, steps), _between_turns, turns, walk
+    return starts, _inner_steps(components, max_form_len, steps), _between_turns, (starts, turns), walk
 
 
 def _between_turns(state) -> Optional[str]:
@@ -769,7 +784,7 @@ def _by_skeleton(memo, components, steps, code: _Encoding, max_form_len, x: str,
 
 def _turns(memo, steps, components, code: _Encoding, max_form_len, state):
     """The successors of a state between turns by the turns of each live
-    component in order, labelled ``(j, witness, runs, False)``: the
+    component in order, labelled ``(j, witness, runs, ())``: the
     component, its witness's skeleton forms and the runs of x that fill them.
 
     `memo` keeps each skeleton's `_turn` (`_by_skeleton`), and `steps` the
@@ -778,7 +793,7 @@ def _turns(memo, steps, components, code: _Encoding, max_form_len, state):
     and the search keeps the first.
     """
     handed, pruned, runs = _by_skeleton(memo, components, steps, code, max_form_len, state[0], _turn)
-    return [((y, 0, 0), y, (j, witness, runs, False)) for y, (j, witness) in handed], pruned
+    return [((y, 0, 0), y, (j, witness, runs, ())) for y, (j, witness) in handed], pruned
 
 
 def _turn_walk(components, code: _Encoding, start: str, max_form_len, steps):
@@ -865,13 +880,19 @@ class EnumerationResult:
 def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with_traces: bool = False) -> EnumerationResult:
     """Bounded language of any grammar kind (mode required for CdSystem).
 
-    Form-length pruning flags the language as truncated only when some
-    rule erases, whatever the grammar's ``lambda_free`` flag claims;
+    One `_bfs` walks the compiled space by whole turns (``turns``): a CD
+    or hybrid system turn by turn, and a programmed grammar rewrite by
+    rewrite (`_programmed_walk`), with no row for an appearance-checking
+    step.  Form-length pruning flags the language as truncated only when
+    some rule erases, whatever the grammar's ``lambda_free`` flag claims;
     otherwise a pruned form can never shrink back to a word within the bound.
+
+    A trace holds one segment per turn, and a programmed rewrite's segment
+    comes after one appearance-checking segment, at the form it rewrites,
+    for each label that failed before it.
     """
     code, space, _ = _compiled(grammar, mode)
-    starts, _, _, turns, _ = space(bounds.max_form_len)
-    rows, pruned = _bfs(starts, turns)
+    rows, pruned = _bfs(*space(bounds.max_form_len)[3])
     word_rows = {}
     for i, (_, form, _, _) in enumerate(rows):
         if code.is_word(form):
@@ -882,6 +903,7 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
         start: Form = (grammar.axiom,)
         decode = code.decoder()  # one per search, so traces share tuples
         segments = {}  # row -> its segment, shared by every trace through it
+        checks = {}  # row -> its appearance-checking segments, if it has any
         for word in language.words:
             i = word_rows[word]
             trace = []
@@ -890,8 +912,13 @@ def enumerate_grammar(grammar, bounds: Bounds, mode: Optional[Mode] = None, with
             for j in _path(rows, i, 2)[1:] + [i]:
                 seg = segments.get(j)
                 if seg is None:
-                    actor, forms, runs, ac = rows[j][3]
-                    seg = segments[j] = TraceSegment(actor, tuple([decode(code.template(f) % runs) for f in forms]), ac)
+                    actor, forms, runs, failed = rows[j][3]
+                    seg = segments[j] = TraceSegment(actor, tuple([decode(code.template(f) % runs) for f in forms]))
+                    if failed:  # at the form of the parent row
+                        x = (decode(rows[rows[j][2]][1]),)
+                        checks[j] = [TraceSegment(q, x, True) for q in failed]
+                if j in checks:
+                    trace += checks[j]
                 trace.append(seg)
             result.traces[word] = DerivationTrace(start, tuple(trace))
     return result

@@ -38,6 +38,14 @@ def example1_prog_file(tmp_path):
 
 
 @pytest.fixture
+def example1_atmost_prog_file(tmp_path):
+    pg = C.cd_to_programmed(C.build_example1(2), 2, "atmost")
+    path = tmp_path / "example1_k2_atmost_prog.gsw"
+    path.write_text(F.serialize(pg), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def hcd_file(tmp_path):
     g = C.build_anbnambm()
     hcd = HcdSystem(g.nonterminals, g.terminals, g.axiom, g.components,
@@ -209,7 +217,12 @@ def parse_traces(out, grammar):
 class TestEnumerateTraces:
     @pytest.mark.parametrize(
         "fixture, mode, max_len",
-        [("example1_file", "(t & =2)", 9), ("example1_prog_file", None, 6)],
+        [
+            ("example1_file", "(t & =2)", 9),
+            ("example1_prog_file", None, 6),
+            # its traces hold runs of several [ac] segments
+            ("example1_atmost_prog_file", None, 9),
+        ],
     )
     def test_printed_traces_reparse_and_validate(self, request, fixture, mode, max_len, capsys):
         path = request.getfixturevalue(fixture)
@@ -229,6 +242,23 @@ class TestEnumerateTraces:
         ).traces
         for trace in traces.values():
             assert validate_trace(grammar, trace, mode) == []
+
+    def test_printed_traces_do_not_depend_on_the_hash_seed(self, example1_atmost_prog_file):
+        # the programmed walk keys its failure chains on a tuple built from
+        # a set of lhs symbols
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = ["enumerate", example1_atmost_prog_file, "--traces", "--max-len", "9"]
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-m", "gsworkbench.cli", *argv], env=env, capture_output=True, check=False
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert b" [ac]" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_zero_step_and_appearance_checking_segments(self):
         S, a = nonterminal("S"), terminal("a")

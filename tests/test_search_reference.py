@@ -38,6 +38,16 @@ them, and under form caps equal to and above the word cap, it must give
 every form between turns the same least cost and the same pruned flag,
 and price exactly the forms between turns that enumeration visits.
 
+The reference for `enumerate_grammar` on a programmed grammar, which
+walks whole rewrites too and gives a trace one appearance-checking
+segment per label that failed before a rewrite, is `_bfs` over the step
+successors, one row per (form, label).  On random grammars, erasing ones
+among them, it must give the same words, truncation flag and forms, and
+traces that validate, with no more rewrites than its own, whose runs of
+appearance-checking segments stay on one form and follow failure fields
+into the rewrite after them.  Only `word_index`, `nsf_check` and
+`validate_trace` take programmed steps.
+
 The reference for a programmed step, which finds its label's one lhs with
 ``str.find`` and tests the form cap once, is the step on that label's
 one-rule table (`_rhs_table`, `_rewrites`): on random forms and caps, at
@@ -962,7 +972,7 @@ def test_turns_match_turn_per_component(case):
                 expected += [(j, z, witness) for z, witness in handed]
                 pruned = pruned or cut
         edges, got_pruned = _turns(memo, steps, compiled, code, cap, (form, 0, 0))
-        assert [(nxt, label[3]) for nxt, _, label in edges] == [((z, 0, 0), False) for _, z, _ in edges]
+        assert [(nxt, label[3]) for nxt, _, label in edges] == [((z, 0, 0), ()) for _, z, _ in edges]
         # each witness is filled on demand, one template per skeleton form,
         # from the runs; a (component, form) may repeat, and the search
         # keeps its first
@@ -1147,7 +1157,7 @@ INDEX_BOUNDS = (Bounds(4, 4), Bounds(3, 6), Bounds(4, 5))  # form caps at and ab
 def test_turn_walk_matches_state_by_state_search(case, bounds):
     g, mode = case
     code, space, _ = _compile(g, mode)
-    starts, _, _, turns, walk = space(bounds.max_form_len)
+    _, _, _, (starts, turns), walk = space(bounds.max_form_len)
     answer, (costs, pruned), _ = state_by_state_index(g, bounds, mode)
     # the same least cost of every form between turns, and the same cuts
     assert _minimax(*walk) == (costs, pruned)
@@ -1189,12 +1199,13 @@ def cd2_programmed():
 @given(programmed_grammars(), st.sampled_from(INDEX_BOUNDS))
 def test_programmed_walk_matches_state_by_state_search(pg, bounds):
     code, space, _ = _compile(pg, None)
-    starts, _, _, turns, walk = space(bounds.max_form_len)
+    _, _, _, (starts, turns), walk = space(bounds.max_form_len)
     answer, (costs, pruned), _ = state_by_state_index(pg, bounds)
     # the same least cost of every form, and the same cuts
     assert _minimax(*walk) == (costs, pruned)
     assert indexed_language(pg, bounds) == answer
-    # the forms it prices are those of the enumeration's rows
+    # the forms it prices are those of the enumeration's rows; the
+    # enumeration walks from the same space call, on a walk of its own
     rows, _ = _bfs(starts, turns)
     assert set(costs) == {form for _, form, _, _ in rows}
 
@@ -1216,7 +1227,7 @@ def search_answers(grammar, mode):
     enumerated words and of a word of the longest length, which the search
     may not reach, and the NSF report of a programmed grammar."""
     code, space, _ = _compile(grammar, mode)
-    starts, _, _, turns, walk = space(BOUNDS.max_form_len)
+    _, _, _, (starts, turns), walk = space(BOUNDS.max_form_len)
     rows, pruned = engine._bfs(starts, turns)
     words = [code.word(form) for _, form, _, _ in rows if form and code.is_word(form)][-3:]
     words.append(("a",) * BOUNDS.max_word_len)
@@ -1339,6 +1350,114 @@ def test_the_programmed_walk_rewrites_each_form_and_label_once(monkeypatch):
     answer, _, log = state_by_state_index(g, bounds)
     assert got == answer
     assert 4 * len(pops) < len(log)
+
+
+def step_enumeration(pg, bounds):
+    """The bounded language of a programmed grammar by the state-by-state
+    search: `_bfs` over the step successors, one row per (form, label),
+    every appearance-checking step among them.  Returns the language, each
+    word's trace, one segment per row, and the rows."""
+    code, space, _ = _compile(pg, None)
+    rows, pruned = _bfs(*space(bounds.max_form_len)[:2])
+    word_rows = {}
+    for i, (_, form, _, _) in enumerate(rows):
+        if code.is_word(form):
+            word_rows.setdefault(code.word(form), i)
+    language = make_language(word_rows, bounds, pruned and erases(pg))
+    decode = code.decoder()
+    traces = {
+        word: DerivationTrace(
+            (pg.axiom,),
+            tuple(TraceSegment(p, tuple(map(decode, forms)), ac) for p, forms, _, ac in _path(rows, word_rows[word], 3)),
+        )
+        for word in language.words
+    }
+    return language, traces, rows
+
+
+def enumeration_rows(grammar, bounds, mode=None):
+    """`enumerate_grammar` with traces, and the rows of its search between
+    turns, the last `_bfs` to return."""
+    searches, real = [], engine._bfs
+
+    def spy(starts, successors):
+        searches.append(real(starts, successors))
+        return searches[-1]
+
+    with patch.object(engine, "_bfs", spy):
+        return enumerate_grammar(grammar, bounds, mode=mode, with_traces=True), searches[-1][0]
+
+
+def rewrite_count(trace) -> int:
+    return sum(not seg.appearance_checking for seg in trace.segments)
+
+
+@settings(max_examples=300, deadline=None)
+# most labels fail on most forms, so traces hold runs of several [ac] segments
+@example(cd2_programmed(), Bounds.for_words(9))
+# a two-label ac cycle: at a a, q fails to p and p fails back to q
+@example(labelled(("p", Rule(S, (A, A)), {"q"}, {"q"}), ("q", Rule(A, (a,)), {"q"}, {"p"})), Bounds(4, 4))
+# a rewrite with an empty success field goes nowhere
+@example(step_grammar(Rule(S, (a,)), set(), {"q"}), Bounds(4, 4))
+# an erasing rule, and a cap that cuts a S S's rewrite a a S S S
+@example(labelled(("p", Rule(S, (a, S, S)), {"p", "q"}, set()), ("q", Rule(S, ()), {"p", "q"}, set())), Bounds(4, 4))
+@given(programmed_grammars(), st.sampled_from(INDEX_BOUNDS))
+def test_programmed_enumeration_matches_state_by_state_search(pg, bounds):
+    got, rows = enumeration_rows(pg, bounds)
+    language, traces, step_rows = step_enumeration(pg, bounds)
+    # the same words, truncation flag and forms
+    assert got.language == language
+    assert {form for _, form, _, _ in rows} == {form for _, form, _, _ in step_rows}
+    assert set(got.traces) == set(language.words)
+    for word, trace in got.traces.items():
+        assert validate_trace(pg, trace) == []
+        # a shortest path by whole rewrites
+        assert rewrite_count(trace) <= rewrite_count(traces[word])
+        # a run of [ac] segments stays on the form before it, and each
+        # label's failure field leads to the next label, up to a rewrite
+        current, after = trace.start, trace.segments[1:] + (None,)
+        for seg, nxt in zip(trace.segments, after):
+            if seg.appearance_checking:
+                assert seg.forms == (current,) and pg.rule_of[seg.actor].lhs not in current
+                assert nxt is not None and nxt.actor in pg.failure[seg.actor]
+            else:
+                current = seg.forms[0]
+
+
+def test_programmed_enumeration_makes_a_row_per_rewrite():
+    # the step-by-step search makes a row per appearance-checking step too
+    g, bounds = cd2_programmed(), Bounds.for_words(12)
+    got, rows = enumeration_rows(g, bounds)
+    language, _, step_rows = step_enumeration(g, bounds)
+    assert got.language == language and len(language) == 30
+    assert (len(rows), len(step_rows)) == (199, 2263)
+
+
+def test_only_word_index_nsf_check_and_trace_checks_take_programmed_steps():
+    steps, real = [], engine._programmed_space
+
+    def counted_space(*args):
+        starts, successors, *rest = real(*args)
+
+        def step(state):
+            steps.append(state)
+            return successors(state)
+
+        return (starts, step, *rest)
+
+    def steps_taken(call, *args, **kwargs):
+        before = len(steps)
+        call(*args, **kwargs)
+        return len(steps) - before
+
+    g, bounds = cd2_programmed(), Bounds.for_words(9)  # a new grammar, so a new compile
+    with patch.object(engine, "_programmed_space", counted_space):
+        res = enumerate_grammar(g, bounds, with_traces=True)
+        assert steps_taken(enumerate_grammar, g, bounds, with_traces=True) == 0
+        assert steps_taken(indexed_language, g, bounds) == 0
+        assert steps_taken(word_index, g, res.language.words[-1], bounds) > 0
+        assert steps_taken(nsf_check, g, 6) > 0
+        assert steps_taken(validate_trace, g, res.traces[res.language.words[-1]]) > 0
 
 
 def fresh_trace_check(grammar, trace, mode):
