@@ -50,15 +50,17 @@ once, under every cap and at every step count, through one rewrite memo
 per component, and reads ``t`` off the rewrites.  Within one search the
 turns of the components on a nonterminal skeleton run once: forms that
 differ only in their terminal runs, which no rule rewrites, share them,
-whatever their lengths, unless the form cap cut one of them; then they
-all run again for each cap on the skeleton.  `_by_skeleton` builds, keeps
-and fills a skeleton's turns, for enumeration with a witness per form
-(`_turn`), filled only for a trace, and for the exhaustive index search
-with a price per form (`_price`).  The index search,
-which meets a form at many step counts and in many states, counts a
-form's nonterminals once per state-by-state search; for one word of a
-λ-free grammar it expands only the forms no longer than the word whose
-terminal ends agree with it, each tested once.  `validate_trace` tests
+whatever their lengths, unless the form cap cut one of them.  Then, on a
+λ-free system, whose turns never shorten a form, a smaller cap is served
+by leaving out the forms longer than it, and the turns run again only for
+a larger cap; on an erasing system they run again for each cap on the
+skeleton.  `_by_skeleton` builds, keeps and fills a skeleton's turns, for
+enumeration with a witness per form (`_turn`), filled only for a trace,
+and for the exhaustive index search with a price per form (`_price`).
+The index search, which meets a form at many step counts and in many
+states, counts a form's nonterminals once per state-by-state search; for
+one word of a λ-free grammar it expands only the forms no longer than the
+word whose terminal ends agree with it, each tested once.  `validate_trace` tests
 each CD step with `_is_rewrite`, rather than building every rewrite of
 the previous form, and each programmed step against the edges of its
 state in the uncapped programmed space.  The traces of one enumeration share the
@@ -72,7 +74,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -760,25 +762,44 @@ def _by_skeleton(memo, components, steps, code: _Encoding, max_form_len, x: str,
     terminals, so a skeleton form has the nonterminal count of its filling.
     On a miss `turn` runs over one `_inner_steps` under that cap on the
     rewrites `steps`, unless no component is live, and its forms are kept as
-    one `code.template` joined by ``code.sep``.  `memo` keeps an entry whole,
-    under the skeleton, for every cap from its longest row up, or cut, under
-    (skeleton, cap), for that cap alone.
+    one `code.template` joined by ``code.sep``.  An entry is ``(template,
+    count, payloads, pruned, longest row, cap, forms)``.
+
+    `memo` keeps an entry that the cap did not cut under the skeleton, where
+    it serves every cap from its longest row up.  On an erasing grammar a
+    cut entry serves its own cap alone, under (skeleton, cap).  On a λ-free
+    grammar a turn never shortens a form, so a path to a form of at most c
+    symbols stays under the cap c: the turn under c is the turn under a
+    larger cap with the forms longer than c left out, in the same order,
+    with the same witnesses and prices, and it is cut iff that turn is cut
+    or has a row longer than c.  So the skeleton keeps the entry of the
+    largest cap met, cut or not, which serves as it is each smaller cap
+    that its longest row reaches; a cap below that row gets the filtered
+    view, kept under (skeleton, cap) with the cap as its longest row.  Only
+    a cap larger than a cut entry's runs the turns again, and its entry
+    replaces the kept one.
     """
     pieces = code.split_runs(x)  # the runs at odd positions
     runs = tuple(pieces[1::2])
     skeleton = code.mark.join(pieces[::2])
     cap = max_form_len - len(x) + len(skeleton)
     hit = memo.get(skeleton)
-    if hit is None or hit[-1] > cap:
-        hit = memo.get((skeleton, cap))
+    if hit is None or hit[4] > cap or hit[3] and cap > hit[5]:  # only a λ-free grammar keeps a cut one here
+        kept, hit = hit, memo.get((skeleton, cap))
         if hit is None:
-            live = [j for j, (table, *_) in enumerate(components, 1) if table[1].search(skeleton)]
-            entry = turn(_inner_steps(components, cap, steps, False), live, skeleton) if live else ((), (), False, 0)
+            if code.lambda_free and kept is not None and cap < kept[4]:
+                short = [len(y) <= cap for y in kept[6]]
+                entry = list(compress(kept[6], short)), list(compress(kept[2], short)), True, cap
+                key = (skeleton, cap)
+            else:
+                live = [j for j, (table, *_) in enumerate(components, 1) if table[1].search(skeleton)]
+                entry = turn(_inner_steps(components, cap, steps, False), live, skeleton) if live else ((), (), False, 0)
+                key = skeleton if code.lambda_free or not entry[2] else (skeleton, cap)
             forms, payloads, pruned, longest = entry
-            hit = code.template(code.sep.join(forms)), len(forms), payloads, pruned, longest
+            hit = code.template(code.sep.join(forms)), len(forms), payloads, pruned, longest, cap, forms
             if runs:  # a form without runs shares no turn
-                memo[(skeleton, cap) if pruned else skeleton] = hit
-    template, n, payloads, pruned, _ = hit
+                memo[key] = hit
+    template, n, payloads, pruned = hit[:4]
     return zip((template % (runs * n)).split(code.sep), payloads), pruned, runs
 
 

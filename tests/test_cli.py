@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import re
 import shlex
@@ -259,6 +260,39 @@ class TestEnumerateTraces:
             outputs.append(run.stdout)
         assert b" [ac]" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    # the first 16 hex digits of the sha256 of each command's stdout.  A
+    # change to a printed trace is a bug, so a digest changes only with the
+    # fix of a defect: the fix of ROADMAP item 12 (cf_indexk_to_cd2 loses
+    # words) changes the cf3-cd2 one
+    @pytest.mark.parametrize(
+        "system, mode, max_len, digest",
+        [
+            ("example1(2)", "*", 24, "bcd9c6c5fe35089d"),
+            ("example1(3)", "(t & <=3)", 16, "6a1bdc80d540e065"),
+            ("s3", "(t & =2)", 49, "db7cb84ecd561a5a"),
+            ("anbnambm", "(t & =1)", 24, "2686f93b2e73f556"),
+            ("prolong(anbnambm,3)", "(t & =3)", 14, "5e8d65fb8d1d63a8"),
+            ("cf3-cd2", "(t & =3)", 14, "3a0f66598cee5c9e"),
+        ],
+    )
+    def test_printed_traces_are_pinned(self, tmp_path, system, mode, max_len, digest, capsys):
+        S, A, B, a, b = *map(nonterminal, "SAB"), terminal("a"), terminal("b")
+        cf3 = (Rule(S, (A, B)), Rule(A, (a, A)), Rule(A, (a,)), Rule(A, (A, B)), Rule(B, (b, B)), Rule(B, (b,)))
+        build = {
+            "example1(2)": lambda: C.build_example1(2),
+            "example1(3)": lambda: C.build_example1(3),
+            "s3": C.build_s3_cd3,
+            "anbnambm": C.build_anbnambm,
+            "prolong(anbnambm,3)": lambda: C.prolong(C.build_anbnambm(), 3),
+            "cf3-cd2": lambda: C.cf_indexk_to_cd2(C.IndexedCfGrammar(frozenset({S, A, B}), frozenset({a, b}), S, cf3, 3)),
+        }[system]
+        path = tmp_path / "system.gsw"
+        path.write_text(F.serialize(build()), encoding="utf-8")
+        assert main(["enumerate", str(path), "--mode", mode, "--traces", "--max-len", str(max_len)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n  ") > 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
     def test_zero_step_and_appearance_checking_segments(self):
         S, a = nonterminal("S"), terminal("a")
@@ -850,8 +884,9 @@ class TestCommandChains:
             # shared by nonterminal skeleton, which leaves out a a and b
             ("(t & =3)", "6", "  1: a a A b => a a A b => a a A' b"),
             # the turn from a b b B' b b b B' is cut at the form cap: the
-            # whole turn kept for its skeleton has a longer row and must not
-            # serve it, and the cut turn kept for this cap does
+            # turn kept for its skeleton ran under a larger cap and has a
+            # longer row, and the system is λ-free, so this cap gets a view
+            # of that turn without the forms longer than the cap
             ("(t & =3)", "8", "  2: a b b b b b b B' => a b b b b b b B' => a b b b b b b b"),
         ],
         ids=["le", "eq", "eq at the form cap"],

@@ -907,8 +907,8 @@ def test_a_whole_turn_holds_from_its_longest_row(case):
 def skeleton_cases(draw):
     """One to three components of `step_rules`, each with a mode, two forms
     with one skeleton, each with its own terminal runs, and a form cap for
-    the first form, the second and the first again, each at least that
-    form's length."""
+    each of four visits, to the first form, the second, the first and the
+    second, each at least that form's length."""
     slots = draw(st.lists(st.sampled_from((S, A, None)), min_size=1, max_size=4))
     runs = st.lists(st.sampled_from((a, b)), min_size=1, max_size=3)
 
@@ -924,46 +924,61 @@ def skeleton_cases(draw):
     x, y = form(), form()
     rulesets = st.lists(step_rules, min_size=1, max_size=4).map(tuple)
     components = draw(st.lists(st.tuples(rulesets, modes), min_size=1, max_size=3).map(tuple))
-    caps = tuple(draw(st.integers(min_value=len(f), max_value=8)) for f in (x, y, x))
+    caps = tuple(draw(st.integers(min_value=len(f), max_value=8)) for f in (x, y, x, y))
     return x, y, components, caps
 
 
 @settings(max_examples=300, deadline=None)
 # the cap cuts the turn on the longer form only
-@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), t_and(exactly(2))),), (4, 4, 4)))
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), t_and(exactly(2))),), (4, 4, 4, 4)))
 # erasing rules: M a and a M, both in the skeleton's turn, fill to a a
 # with the run a, so the turn hands back a a twice and the search drops the
 # second; with the run b they do not
-@example(((S, a, A), (S, b, A), (((Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2)),), (5, 5, 5)))
-# under =2 the turn on the skeleton S M (M the mark) has longest row
-# a a S M, of length 4.  The turn of S a under cap 4 is whole and serves
-# S a a a under cap 6 and S a under cap 7, on the skeleton at caps 4 and 7
-@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (4, 6, 7)))
-# ... but not S a a a under cap 5, on the skeleton at cap 3, which cuts it
-@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (4, 5, 4)))
+@example(((S, a, A), (S, b, A), (((Rule(S, ()), Rule(S, (a,)), Rule(A, (a,)), Rule(A, ())), exactly(2)),), (5, 5, 5, 5)))
+# an erasing grammar is not filtered: under cap 4 the turn on the skeleton
+# S M (M the mark) hands back a a M, by S a a M, and is cut.  S b b under
+# cap 4, on the skeleton at cap 3, runs the turn again and gets nothing,
+# as S a a M is over that cap; filtering the cut entry would hand back
+# a a b b
+@example(((S, b), (S, b, b), (((Rule(S, (S, a, a)), Rule(S, ())), exactly(2)),), (4, 4, 4, 5)))
+# under =2 the turn on the skeleton S M has longest row a a S M, of
+# length 4.  The turn of S a under cap 4 is whole and serves S a a a under
+# cap 6 and S a under cap 7, on the skeleton at caps 4 and 7
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (4, 6, 7, 8)))
+# ... and S a a a under cap 5, on the skeleton at cap 3 below that row, by
+# a view of the entry without its forms longer than 3, kept for that cap
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (4, 5, 4, 5)))
 # the turn of S a under cap 3 is cut; it serves S a a a under cap 5, on
-# the skeleton at cap 3 too, but not S a under cap 4, where it is whole
-@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (3, 5, 4)))
+# the skeleton at cap 3 too, but not S a under cap 4: that larger cap runs
+# the turn again, whole, and its entry replaces the cut one
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(2)),), (3, 5, 4, 6)))
+# caps fall and then rise: under =3 the turn on S M is cut under cap 4, a
+# view serves the skeleton at cap 3, and cap 6 runs the turn again, whole,
+# and serves the skeleton at cap 5
+@example(((S, a), (S, a, a, a), (((Rule(S, (a, S)),), exactly(3)),), (4, 5, 6, 7)))
 # three components on the skeleton S M: under cap 4 the first, whose
 # longest row a a S M is the entry's, and the second (S => S) are whole,
 # and the third, dead, is left out.  S a a a under cap 5, on the skeleton
-# at cap 3, cuts the first, so both live components run again at that cap;
-# S a under cap 3 is a hit on their entry
+# at cap 3, cuts the first: both live components are served by a view of
+# the entry.  S a under cap 3 is a hit on that view, and S a a a under cap
+# 7, on the skeleton at cap 5, on the entry
 @example(
     (
         (S, a),
         (S, a, a, a),
         (((Rule(S, (a, S)),), exactly(2)), ((Rule(S, (S,)),), exactly(1)), ((Rule(A, (a,)),), T_MODE)),
-        (4, 5, 3),
+        (4, 5, 3, 7),
     )
 )
 @given(skeleton_cases())
 def test_turns_match_turn_per_component(case):
     x, y, components, caps = case
-    code = _local_encoding((STEP_ALPHABET,), [r for ruleset, _ in components for r in ruleset])
+    rules = [r for ruleset, _ in components for r in ruleset]
+    code = _local_encoding((STEP_ALPHABET,), rules)
+    code.lambda_free = all(r.rhs for r in rules)  # as `_compile` sets it
     compiled = [_component(code, ruleset, mode) for ruleset, mode in components]
-    memo, steps = {}, [{} for _ in compiled]  # one of each for all three, as in a search
-    for form, cap in zip((x, y, x), caps):  # the second x may be a memo hit
+    memo, steps = {}, [{} for _ in compiled]  # one of each for all four, as in a search
+    for form, cap in zip((x, y, x, y), caps):  # a later visit may be a memo hit
         form = code.encode(form)
         expected, pruned = [], False
         for j, component in enumerate(compiled, 1):
@@ -1043,7 +1058,7 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     # cf3-cd2 has index 3, so it meets many forms that differ only in their
     # terminal runs
     g = cf3_cd2()
-    turns, builds, fills = [], [], []
+    turns, builds, cuts, fills = [], [], [], []
     states = []  # per state between turns, the number of its live components
     real_turn, real_turns, real_inner_steps = engine._turn, engine._turns, engine._inner_steps
     real_template = engine._Encoding.template
@@ -1054,6 +1069,7 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     def counted_turn(*args):
         turns.append(args)
         forms, payloads, pruned, longest = real_turn(*args)
+        cuts.append(pruned)
         return forms, [(j, list(map(Witness, witness))) for j, witness in payloads], pruned, longest
 
     def counted_template(code, form):
@@ -1082,6 +1098,9 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     # a skeleton's turns are built over one step relation, and only where
     # some component is live: no word's skeleton is, and none gets one
     assert len(builds) == len(turns) and all(live for _, live, _ in turns) and 0 in states
+    # the system is λ-free, so a skeleton's turns run once, and again only
+    # under a larger cap than a cut run's: 38 skeletons and two rises
+    assert (skeleton_runs(turns, builds, cuts), len(turns)) == (38, 40)
     # an enumeration without traces fills no witness; one with traces fills
     # the forms of each segment it builds once
     assert fills == []
@@ -1089,17 +1108,32 @@ def test_a_search_shares_turns_by_skeleton(monkeypatch):
     segments = {id(seg): seg for trace in traces.values() for seg in trace.segments}
     assert len(fills) == sum(len(seg.forms) for seg in segments.values()) > 0
     # the forms of s3 and snk(2,2,exactly) grow their terminal runs every
-    # turn, so their turns are shared across form lengths or not at all
-    for g, mode, max_len in [
-        (C.build_s3_cd3(), t_and(exactly(2)), 25),
-        (C.build_snk_cdgs(2, 2, "exactly"), C.snk_mode(2, "exactly"), 37),
+    # turn, so their turns are shared across form lengths or not at all,
+    # and each skeleton's turns run once
+    for g, mode, max_len, skeletons in [
+        (C.build_s3_cd3(), t_and(exactly(2)), 25, 19),
+        (C.build_snk_cdgs(2, 2, "exactly"), C.snk_mode(2, "exactly"), 37, 23),
     ]:
         turns.clear()
         builds.clear()
+        cuts.clear()
         states.clear()
         enumerate_grammar(g, Bounds.for_words(max_len), mode=mode)
         assert 2 * sum(len(live) for _, live, _ in turns) < sum(states) and 2 * len(turns) < len(states)
         assert len(builds) == len(turns)
+        assert skeleton_runs(turns, builds, cuts) == len(turns) == skeletons
+
+
+def skeleton_runs(turns, caps, cuts) -> int:
+    """The number of skeletons whose turns a search ran, from the arguments
+    ``(successors, live, skeleton)`` of each run, its cap and whether the
+    cap cut it.  A skeleton may run again only under a larger cap than its
+    last run, and only if that run was cut."""
+    last = {}
+    for (_, _, skeleton), cap, cut in zip(turns, caps, cuts, strict=True):
+        assert skeleton not in last or last[skeleton][1] and cap > last[skeleton][0]
+        last[skeleton] = cap, cut
+    return len(last)
 
 
 def test_the_index_search_rewrites_and_counts_each_form_once(monkeypatch):
@@ -1272,13 +1306,14 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
     # skeleton: 486 forms have 39 skeletons at max_len 9
     g, mode, bounds = cf3_cd2(), t_and(exactly(3)), Bounds.for_words(9)
     real_by_skeleton, real_minimax = engine._by_skeleton, engine._minimax
-    priced, memos, pops, searches = [], [], [], []
+    priced, caps, cuts, memos, pops, searches = [], [], [], [], [], []
 
     def counted_by_skeleton(memo, components, steps, code, max_form_len, x, turn):
         def counted_turn(successors, live, skeleton):
             entry = turn(successors, live, skeleton)
-            cap = max_form_len - len(x) + len(skeleton)
-            priced.append((skeleton, cap) if entry[-2] else skeleton)
+            priced.append((successors, live, skeleton))
+            caps.append(max_form_len - len(x) + len(skeleton))
+            cuts.append(entry[2])
             return entry
 
         memos.append(memo)
@@ -1292,9 +1327,11 @@ def test_a_search_prices_each_skeleton_once(monkeypatch):
     monkeypatch.setattr(engine, "_minimax", counted_minimax)
     got = indexed_language(g, bounds, mode=mode)
     monkeypatch.undo()
-    # no skeleton is priced twice under one key of the memo, and the memo
-    # keeps both whole and cut entries
-    assert len(priced) == len(set(priced)) > 0
+    # the system is λ-free, so each skeleton on which a component is live
+    # is priced once, and again only under a larger cap than a cut
+    # pricing's: 38 skeletons and one rise.  The memo keeps an entry per
+    # skeleton, and the views of its smaller caps under (skeleton, cap)
+    assert (skeleton_runs(priced, caps, cuts), len(priced)) == (38, 39)
     memo = memos[0]
     assert all(m is memo for m in memos)
     assert {type(key) for key in memo} == {str, tuple}
