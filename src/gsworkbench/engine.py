@@ -60,12 +60,12 @@ and for the exhaustive index search with a price per form (`_price`).
 The index search, which meets a form at many step counts and in many
 states, counts a form's nonterminals once per state-by-state search; for
 one word of a λ-free grammar it expands only the forms no longer than the
-word whose terminal ends agree with it, each tested once.  `validate_trace` tests
-each CD step with `_is_rewrite`, rather than building every rewrite of
-the previous form, and each programmed step against the edges of its
-state in the uncapped programmed space.  The traces of one enumeration share the
-segments of each turn, and a CD segment that passed keeps its verdict, so
-each shared segment is checked once by a compile.
+word whose terminal ends agree with it, each tested once.  `validate_trace`
+runs no search: it tests each CD step on its component's table and each
+programmed rewrite on its label's rule with `_is_rewrite`, rather than
+building every rewrite of the previous form.  The traces of one
+enumeration share the segments of each turn, and a CD segment that passed
+keeps its verdict, so each shared segment is checked once by a compile.
 """
 
 from __future__ import annotations
@@ -511,10 +511,10 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     the symbols of `forms`.  ``space(max_form_len)`` is the grammar's search
     space over encoded forms of at most `max_form_len` symbols, from
     `_programmed_space` or `_hybrid_space`.  ``violations(trace)`` lists
-    the steps of `trace` that the grammar does not allow; a programmed
-    step is an edge of the space without a form cap.  Both read one
-    compile of each programmed label (`_label`: its rule's lhs and rhs and
-    its sorted fields) or of each CD component (`_component`).
+    the steps of `trace` that the grammar does not allow, each tested on
+    the rules with `_is_rewrite`.  Both read one compile of each programmed
+    label (`_label`: its rule's lhs and rhs and its sorted fields) or of
+    each CD component (`_component`).
 
     This is the one place that tells the grammar kinds apart.  A plain CD
     system is compiled as the hybrid system with `mode` on every component;
@@ -538,7 +538,7 @@ def _compile(grammar, mode: Optional[Mode], forms=()):
     if modes is None:
         labels = {p: _label(code, grammar.rule_of[p], grammar.success[p], grammar.failure[p]) for p in grammar.labels}
         space = partial(_programmed_space, code, labels, start)
-        return code, space, partial(_programmed_violations, code, labels, space(math.inf)[1])
+        return code, space, partial(_programmed_violations, code, labels)
     components = [_component(code, ruleset, m) for ruleset, m in zip(grammar.components, modes)]
     return code, partial(_hybrid_space, components, code, start), partial(_turn_violations, code, components)
 
@@ -571,22 +571,22 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
 
     `labels` maps each label to its `_label`.  The step successors are
     those of one derivation step: a state is (form, next label), and an
-    edge is labelled ``(label, (form,), (), ac)``, the new form and whether
-    the step is appearance checking: when the label's rule applies, the
-    rewrite at each occurrence of its lhs, left to right, goes on to every
-    success label; otherwise the unchanged form goes on to every failure
-    label.  The search starts from (axiom, r) for every label r, per the
-    existential over the first label in the language definition.  Only
-    `word_index`, `verifier.nsf_check` and the trace check read them.
+    edge has no label: when the label's rule applies, the rewrite at each
+    occurrence of its lhs, left to right, goes on to every success label;
+    otherwise the unchanged form goes on to every failure label.  The
+    search starts from (axiom, r) for every label r, per the existential
+    over the first label in the language definition.  Only `word_index`
+    and `verifier.nsf_check` read them.
 
     A step is one rule, not a rule table: ``str.find`` gives the
     occurrences of its lhs, and every rewrite has ``len(form) + len(rhs) -
-    1`` symbols, so the form cap is one test per step.  Two occurrences may
-    give one form, and the search keeps its first edge.  Enumeration,
-    ``turns`` (the arguments of `_bfs`), and the exhaustive index search,
-    ``walk`` (those of `_minimax`), walk whole rewrites instead
-    (`_programmed_walk`), each on a walk of its own, as a walk remembers
-    the rewrites it made.
+    1`` symbols, so the form cap is one test per step.  An
+    appearance-checking step keeps its form, and no state of a search is
+    over its cap.  Two occurrences may give one form, and the search keeps
+    its first edge.  Enumeration, ``turns`` (the arguments of `_bfs`), and
+    the exhaustive index search, ``walk`` (those of `_minimax`), walk whole
+    rewrites instead (`_programmed_walk`), each on a walk of its own, as a
+    walk remembers the rewrites it made.
     """
 
     def successors(state):
@@ -594,17 +594,13 @@ def _programmed_space(code: _Encoding, labels, start: str, max_form_len):
         lhs, rhs, success, failure = labels[label]
         i = form.find(lhs)
         if i < 0:  # the rule does not apply: an appearance-checking step
-            if len(form) > max_form_len:
-                return [], bool(failure)
-            edge = label, (form,), (), True
-            return [((form, q), form, edge) for q in failure], False
+            return [((form, q), form, None) for q in failure], False
         if len(form) + len(rhs) > max_form_len + 1:
             return [], bool(success)
         edges = []
         while i >= 0:
             y = form[:i] + rhs + form[i + 1 :]
-            edge = label, (y,), (), False
-            edges += [((y, q), y, edge) for q in success]
+            edges += [((y, q), y, None) for q in success]
             i = form.find(lhs, i + 1)
         return edges, False
 
@@ -1022,10 +1018,10 @@ def _turn_violations(code: _Encoding, components, trace: DerivationTrace) -> lis
     return problems
 
 
-def _programmed_violations(code: _Encoding, labels, step, trace: DerivationTrace) -> list:
-    # each segment must be an edge that `step`, the successor function of
-    # the uncapped programmed space, offers from (current form, its label),
-    # leading to the next segment's label
+def _programmed_violations(code: _Encoding, labels, trace: DerivationTrace) -> list:
+    # each segment must be its label's rewrite of the current form if the
+    # lhs occurs, else an appearance-checking step that keeps the form, and
+    # that step's field must hold the next label (some label, at the end)
     problems = []
     current = code.encode(trace.start)
     actors = [seg.actor for seg in trace.segments]
@@ -1038,11 +1034,13 @@ def _programmed_violations(code: _Encoding, labels, step, trace: DerivationTrace
             continue
         nxt = actors[n + 1 : n + 2]  # the next label, if any
         form = code.encode(seg.forms[0])
-        edges, _ = step((current, seg.actor))
-        if not any(
-            y == form and ac == seg.appearance_checking and (not nxt or q == nxt[0])
-            for (y, q), _, (_, _, _, ac) in edges
-        ):
+        lhs, rhs, success, failure = labels[seg.actor]
+        if lhs in current:
+            table = {lhs: [rhs]}, _char_class(lhs)
+            ok, nexts = not seg.appearance_checking and _is_rewrite(current, form, table), success
+        else:
+            ok, nexts = seg.appearance_checking and form == current, failure
+        if not (ok and (nxt[0] in nexts if nxt else nexts)):
             problems.append(
                 "segment %d: not a %s step at label %r%s"
                 % (

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
+import json
 import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,15 @@ def anbnambm_file(tmp_path):
         encoding="utf-8",
     )
     return str(path)
+
+
+def run_under_hash_seed(seed, args, **kwargs):
+    """`python` with `args` in a new process under ``PYTHONHASHSEED=seed``,
+    the package's source on its path: the completed process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False, **kwargs)
 
 
 class TestEnumerate:
@@ -247,15 +258,10 @@ class TestEnumerateTraces:
     def test_printed_traces_do_not_depend_on_the_hash_seed(self, example1_atmost_prog_file):
         # the programmed walk keys its failure chains on a tuple built from
         # a set of lhs symbols
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        argv = ["enumerate", example1_atmost_prog_file, "--traces", "--max-len", "9"]
+        argv = ["-m", "gsworkbench.cli", "enumerate", example1_atmost_prog_file, "--traces", "--max-len", "9"]
         outputs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-m", "gsworkbench.cli", *argv], env=env, capture_output=True, check=False
-            )
+            run = run_under_hash_seed(seed, argv)
             assert run.returncode == 0, run.stderr
             outputs.append(run.stdout)
         assert b" [ac]" in outputs[0]
@@ -593,6 +599,41 @@ class TestIndex:
         assert main(argv) == 0
         assert capsys.readouterr() == ("1\n", "")
 
+    def test_strict_answers_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # on an erasing grammar the truncation flag says whether a cut
+        # branch was met before the word was popped, so it follows pop order
+        cd, pg = tmp_path / "erasing.gsw", tmp_path / "erasing_prog.gsw"
+        cd.write_text(
+            "grammar er cdgs\nnonterminals S A\nterminals a b\naxiom S\nmode t\n"
+            "component\n  S -> a S b\n  S -> A A\ncomponent\n  A -> a A\n  A -> #\n  A -> b\n",
+            encoding="utf-8",
+        )
+        pg.write_text(
+            "grammar erp programmed\nnonterminals S A\nterminals a b\naxiom S\n"
+            "rule p : S -> a S A ; succ p q ; fail r\n"
+            "rule q : S -> # ; succ r s ; fail r\n"
+            "rule r : A -> b ; succ r s ; fail q\n"
+            "rule s : A -> # ; succ r ; fail r\n",
+            encoding="utf-8",
+        )
+        words = [" ".join(w) for n in range(1, 5) for w in product("ab", repeat=n)]
+        cases = [(cd, ["--mode", mode, "--max-form-len", "6"]) for mode in ("*", "t", "(t & =2)", "=1", "<=2")]
+        cases.append((pg, ["--max-form-len", "7"]))
+        argvs = [
+            ["index", str(path), "--word", word, "--max-len", "4", "--strict", *options]
+            for path, options in cases
+            for word in words
+        ]
+        # one process per seed runs `main` on each argv and prints its exit code
+        script = "import json, sys\nfrom gsworkbench.cli import main\nfor argv in json.load(sys.stdin): print(main(argv))"
+        runs = [run_under_hash_seed(seed, ["-c", script], input=json.dumps(argvs).encode()) for seed in ("1", "2")]
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+        lines = runs[0].stdout.decode().splitlines()
+        answers, codes = lines[::2], lines[1::2]
+        assert len(codes) == len(argvs) and set(codes) == {"0", "3"}
+        assert "UNKNOWN" in answers and any(answer.isdigit() for answer in answers)
+
     def test_a_file_without_the_lambda_free_flag_whose_rules_never_erase_is_exact(self, tmp_path, capsys):
         path = tmp_path / "aplus.gsw"
         path.write_text(
@@ -691,15 +732,9 @@ class TestNsfCheck:
             "rule p : S -> A ; succ p ; fail q\n",
             encoding="utf-8",
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-m", "gsworkbench.cli", "nsf-check", str(path), "--depth", "6"],
-                env=env, capture_output=True, check=False,
-            )
+            run = run_under_hash_seed(seed, ["-m", "gsworkbench.cli", "nsf-check", str(path), "--depth", "6"])
             assert run.returncode == 1, run.stderr
             outputs.append(run.stdout)
         assert b"VIOLATION 3" in outputs[0]

@@ -45,14 +45,19 @@ successors, one row per (form, label).  On random grammars, erasing ones
 among them, it must give the same words, truncation flag and forms, and
 traces that validate, with no more rewrites than its own, whose runs of
 appearance-checking segments stay on one form and follow failure fields
-into the rewrite after them.  Only `word_index`, `nsf_check` and
-`validate_trace` take programmed steps.
+into the rewrite after them.  Only `word_index` and `nsf_check` take
+programmed steps.
 
 The reference for a programmed step, which finds its label's one lhs with
 ``str.find`` and tests the form cap once, is the step on that label's
-one-rule table (`_rhs_table`, `_rewrites`): on random forms and caps, at
-every label, it must give the same edges in the same order, one rewrite
-per occurrence of the lhs, and the same pruned flag.
+one-rule table (`_rhs_table`, `_rewrites`), whose edges carry their label,
+new form and `[ac]` flag: on random forms within random caps, at every
+label, it must give the same edges without their labels in the same
+order, one rewrite per occurrence of the lhs, and the same pruned flag.
+No search holds a form over its cap: on random CD, hybrid and programmed
+grammars and caps, `_bfs` over each space's step successors, turn search
+and walk must reach no such state.  So a form kept by appearance checking
+needs no cap test.
 
 Only the two search loops drop a repeated successor.  With every successor
 function they walk handing back each edge twice, enumeration by whole
@@ -66,6 +71,11 @@ membership in the list of all rewrites (`_rewrites`).  The reference for
 of the compile that passed them, is the check of a fresh compile, which
 reads no kept verdict: enumerated traces and tampered copies of them,
 checked in a random order and then in another, must get its verdicts.
+The reference for `validate_trace` on programmed traces, which tests each
+segment against its label's rule, is a search: a segment must be a
+labelled edge of the reference programmed step without a form cap, into
+the next segment's label.  Enumerated traces and tampered copies of them
+must get its problem lists.
 
 The reference for the turns of a state, shared by skeleton (`_turns`), is
 `_turn` on the full form, per component: two forms with one skeleton and
@@ -365,11 +375,12 @@ def repeating_rules(draw):
 
 @st.composite
 def programmed_steps(draw):
-    """A programmed grammar, a form over its symbols and a cap from 1 to
-    past the form's length."""
+    """A programmed grammar, a form over its symbols and a cap from the
+    form's length (at least 1) to past it: a search holds no form over its
+    cap."""
     pg = draw(programmed_grammars(st.one_of(any_rules, repeating_rules())))
     form = tuple(draw(st.lists(symbols, max_size=5)))
-    return pg, form, draw(st.integers(min_value=1, max_value=len(form) + 3))
+    return pg, form, draw(st.integers(min_value=max(len(form), 1), max_value=len(form) + 3))
 
 
 def step_grammar(rule, success, failure):
@@ -393,11 +404,10 @@ def step_grammar(rule, success, failure):
 # a cap that cuts every rewrite: pruned with a success field, not without
 @example((step_grammar(Rule(S, (a, S, a)), {"q"}, {"p"}), (S, a), 3))
 @example((step_grammar(Rule(S, (a, S, a)), set(), {"p"}), (S, a), 3))
-# appearance checking with an empty failure field, below and above the cap
+# appearance checking at the cap, with an empty failure field and without
 @example((step_grammar(Rule(A, (a,)), {"p"}, set()), (S, a), 2))
-@example((step_grammar(Rule(A, (a,)), {"p"}, set()), (S, a), 1))
-# appearance checking above the cap with a failure field
-@example((step_grammar(Rule(A, (a,)), {"p"}, {"p", "q"}), (S, a), 1))
+@example((step_grammar(Rule(A, (a,)), {"p"}, set()), (S,), 1))
+@example((step_grammar(Rule(A, (a,)), {"p"}, {"p", "q"}), (S, a), 2))
 # an erasing rule
 @example((step_grammar(Rule(S, ()), {"p", "q"}, {"q"}), (a, S, S), 3))
 # a rule with a terminal lhs never applies
@@ -410,7 +420,9 @@ def test_programmed_step_matches_rule_table_step(case):
     reference = reference_programmed_step(code, pg, cap)
     x = code.encode(form)
     for label in pg.labels:
-        got, want = successors((x, label)), reference((x, label))
+        edges, pruned = reference((x, label))
+        want = [(state, y, None) for state, y, _ in edges], pruned  # a step edge has no label
+        got = successors((x, label))
         assert got == want and repr(got) == repr(want)
 
 
@@ -1393,7 +1405,9 @@ def step_enumeration(pg, bounds):
     """The bounded language of a programmed grammar by the state-by-state
     search: `_bfs` over the step successors, one row per (form, label),
     every appearance-checking step among them.  Returns the language, each
-    word's trace, one segment per row, and the rows."""
+    word's trace, one segment per row, and the rows.  A step edge has no
+    label: a row's segment is a step of the label of its parent's state,
+    an `[ac]` one iff that label's lhs is absent from the parent's form."""
     code, space, _ = _compile(pg, None)
     rows, pruned = _bfs(*space(bounds.max_form_len)[:2])
     word_rows = {}
@@ -1402,14 +1416,15 @@ def step_enumeration(pg, bounds):
             word_rows.setdefault(code.word(form), i)
     language = make_language(word_rows, bounds, pruned and erases(pg))
     decode = code.decoder()
-    traces = {
-        word: DerivationTrace(
-            (pg.axiom,),
-            tuple(TraceSegment(p, tuple(map(decode, forms)), ac) for p, forms, _, ac in _path(rows, word_rows[word], 3)),
-        )
-        for word in language.words
-    }
-    return language, traces, rows
+
+    def segment(parent, form):
+        (before, p), _, _, _ = rows[parent]
+        return TraceSegment(p, (decode(form),), pg.rule_of[p].lhs not in decode(before))
+
+    def trace(i):  # the parents and forms of the rows from the start to row i
+        return DerivationTrace((pg.axiom,), tuple(map(segment, _path(rows, i, 2), _path(rows, i, 1))))
+
+    return language, {word: trace(word_rows[word]) for word in language.words}, rows
 
 
 def enumeration_rows(grammar, bounds, mode=None):
@@ -1470,7 +1485,7 @@ def test_programmed_enumeration_makes_a_row_per_rewrite():
     assert (len(rows), len(step_rows)) == (199, 2263)
 
 
-def test_only_word_index_nsf_check_and_trace_checks_take_programmed_steps():
+def test_only_word_index_and_nsf_check_take_programmed_steps():
     steps, real = [], engine._programmed_space
 
     def counted_space(*args):
@@ -1494,19 +1509,26 @@ def test_only_word_index_nsf_check_and_trace_checks_take_programmed_steps():
         assert steps_taken(indexed_language, g, bounds) == 0
         assert steps_taken(word_index, g, res.language.words[-1], bounds) > 0
         assert steps_taken(nsf_check, g, 6) > 0
-        assert steps_taken(validate_trace, g, res.traces[res.language.words[-1]]) > 0
+        # a trace is checked against its labels' rules, with no search
+        assert steps_taken(validate_trace, g, res.traces[res.language.words[-1]]) == 0
 
 
-def fresh_trace_check(grammar, trace, mode):
-    """`validate_trace` on a fresh compile, which reads no kept verdict."""
+def framed(grammar, trace, found):
+    """The problems `validate_trace` lists with `found` as those of the
+    segments of `trace`: its start's, then `found`, then its end's."""
     problems = []
     if trace.start != (grammar.axiom,):
         problems.append("start: trace starts at %s, not at the axiom" % form_text(trace.start))
-    problems += _compile(grammar, mode)[2](trace)
+    problems += found
     last = list(trace.all_forms())[-1]
     if not all(s.is_terminal() for s in last):
         problems.append("end: final form %s is not terminal" % form_text(last))
     return problems
+
+
+def fresh_trace_check(grammar, trace, mode):
+    """`validate_trace` on a fresh compile, which reads no kept verdict."""
+    return framed(grammar, trace, _compile(grammar, mode)[2](trace))
 
 
 @st.composite
@@ -1556,6 +1578,111 @@ def test_remembered_segments_change_no_verdict(case):
     for traces in (first, second):
         for trace in traces:
             assert validate_trace(g, trace, mode) == expected[id(trace)]
+
+
+def reference_programmed_check(pg, trace):
+    """`validate_trace` on a programmed trace by a search: each segment must
+    be an edge of `reference_programmed_step` with no form cap, labelled
+    with its label, form and `[ac]` flag, from (current form, its label) to
+    the next segment's label, if any."""
+    code = _compile(pg, None, trace.all_forms())[0]  # the trace may hold alien symbols
+    step = reference_programmed_step(code, pg, math.inf)
+    found, current = [], code.encode(trace.start)
+    actors = [seg.actor for seg in trace.segments]
+    for n, seg in enumerate(trace.segments):
+        if not isinstance(seg.actor, str) or seg.actor not in pg.labels:
+            found.append("segment %d: unknown label %r" % (n, seg.actor))
+            continue
+        if len(seg.forms) != 1:
+            found.append("segment %d: programmed steps are single steps" % n)
+            continue
+        nxt = actors[n + 1 : n + 2]
+        form = code.encode(seg.forms[0])
+        edges, _ = step((current, seg.actor))
+        if not any(
+            label == (seg.actor, (form,), (), seg.appearance_checking) and (not nxt or q == nxt[0])
+            for (_, q), _, label in edges
+        ):
+            kind = "appearance-checking" if seg.appearance_checking else "rewriting"
+            onto = " on to label %r" % nxt[0] if nxt else ""
+            found.append("segment %d: not a %s step at label %r%s" % (n, kind, seg.actor, onto))
+        current = form
+    return framed(pg, trace, found)
+
+
+# forms over the grammar's symbols and the alien terminal b
+alien_forms = st.lists(st.sampled_from((S, A, a, b)), max_size=4).map(tuple)
+
+
+@st.composite
+def tampered_programmed_traces(draw):
+    """A programmed grammar and its enumerated traces with tampered copies:
+    a segment dropped, two swapped, one given another label, a non-label
+    actor, another form, the other `[ac]` flag or no form or two, an
+    `[ac]` segment appended, or the trace given another start.
+
+    The grammar is the benchmark's, whose traces hold runs of `[ac]`
+    segments, or a random one with the labels t: S -> a S and u: S -> a
+    added, so that there are traces to check; every field may hold every
+    label."""
+    if draw(st.booleans()):
+        pg, bounds = cd2_programmed(), Bounds.for_words(9)
+    else:
+        pg, bounds = draw(programmed_grammars()), BOUNDS
+        labels = pg.labels + ("t", "u")
+        fields = st.frozensets(st.sampled_from(labels))
+        success = {p: draw(fields) for p in labels}
+        success["t"] |= {"t", "u"}
+        success["u"] |= {"t"}
+        pg = replace(
+            pg,
+            labels=labels,
+            rule_of={**pg.rule_of, "t": Rule(S, (a, S)), "u": Rule(S, (a,))},
+            success=success,
+            failure={p: draw(fields) for p in labels},
+        )
+    traces = list(enumerate_grammar(pg, bounds, with_traces=True).traces.values())
+    assert traces
+    for trace in draw(st.lists(st.sampled_from(traces), max_size=8)):
+        segs = list(trace.segments)
+        i = draw(st.integers(min_value=0, max_value=len(segs) - 1))
+        tampers = ("drop", "swap", "relabel", "re-actor", "replace", "flip", "count", "append", "start")
+        tamper = draw(st.sampled_from(tampers))
+        if tamper == "drop":
+            del segs[i]
+        elif tamper == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(segs) - 1))
+            segs[i], segs[j] = segs[j], segs[i]
+        elif tamper == "relabel":
+            segs[i] = replace(segs[i], actor=draw(st.sampled_from(pg.labels)))
+        elif tamper == "re-actor":
+            segs[i] = replace(segs[i], actor=draw(st.sampled_from((0, 1, True, None, "z", ("t",)))))
+        elif tamper == "replace":
+            segs[i] = replace(segs[i], forms=(draw(alien_forms),))
+        elif tamper == "flip":
+            segs[i] = replace(segs[i], appearance_checking=not segs[i].appearance_checking)
+        elif tamper == "count":
+            segs[i] = replace(segs[i], forms=draw(st.sampled_from(((), segs[i].forms * 2))))
+        elif tamper == "append":  # valid iff the failure field of its label is not empty
+            segs.append(TraceSegment(draw(st.sampled_from(pg.labels)), (trace.final_form(),), True))
+        else:
+            trace = replace(trace, start=draw(alien_forms))
+        traces.append(replace(trace, segments=tuple(segs)))
+    return pg, traces
+
+
+@settings(max_examples=150, deadline=None)
+# an [ac] segment at the end whose label has an empty failure field: no
+# label may come next, so it is no step (drawn cases seldom hold one)
+@example((labelled(("t", Rule(S, (a,)), {"t"}, set())), [
+    DerivationTrace((S,), (TraceSegment("t", ((a,),)),)),
+    DerivationTrace((S,), (TraceSegment("t", ((a,),)), TraceSegment("t", ((a,),), True))),
+]))
+@given(tampered_programmed_traces())
+def test_programmed_traces_are_checked_as_by_a_search(case):
+    pg, traces = case
+    for trace in traces:
+        assert validate_trace(pg, trace) == reference_programmed_check(pg, trace)
 
 
 TWO_LETTER = (S, A, a, b)
@@ -1660,3 +1787,18 @@ def test_index_search_cost_does_not_grow_with_max_len():
             assert index_search(grammar, word, Bounds.for_words(8), mode) == uncut_word_index(
                 grammar, word, Bounds.for_words(8), mode
             )
+
+
+@settings(max_examples=200, deadline=None)
+# appearance checking on the axiom at cap 1: the form it keeps is the start's
+@example((labelled(("p", Rule(A, (a,)), {"p"}, {"p"})), None), 1)
+@given(two_letter_grammars(), st.integers(min_value=1, max_value=5))
+def test_no_search_reaches_a_form_over_its_cap(case, cap):
+    # so a programmed appearance-checking step, which keeps its form, needs
+    # no cap test: a start holds the one-symbol axiom, and every other edge
+    # is cap-tested
+    g, mode = case
+    starts, successors, _, turns, walk = _compile(g, mode)[1](cap)
+    for search in ((starts, successors), turns, walk[:2]):
+        rows, _ = _bfs(*search)
+        assert all(len(state[0]) <= cap for state, _, _, _ in rows)
